@@ -17,11 +17,6 @@ import numpy as np
 from .backbone import BackboneParams, backbone
 from .memory import MemoryLibrary, TemplateFeature
 
-# Number of dynamic templates simulated per training sample, and the
-# ablation-best library size; both are exposed, neither changes inference.
-TRAIN_DYNAMIC_TEMPLATES = 7
-BEST_DYNAMIC_TEMPLATES = 11
-
 
 @dataclass
 class MemMambaParams:

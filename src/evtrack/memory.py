@@ -5,6 +5,9 @@ templates are offered to the long-term store, which accepts a replacement
 only when it strictly increases the determinant of its pairwise Pearson
 correlation (Gram) matrix, i.e. only when diversity grows. Lookups route an
 incoming template to whichever library holds its most similar member.
+
+Each feature's centered float64 vector and its squared norm are computed
+once and cached on the feature, so a correlation costs one dot product.
 """
 
 from __future__ import annotations
@@ -12,14 +15,23 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Sequence
 
 import numpy as np
 
+# Correlation matrices are positive semi-definite, so their determinants lie
+# in [0, 1] up to rounding; anything below this floor indicates a bug.
+PSD_FLOOR = -1e-9
+
 
 @dataclass(frozen=True)
 class TemplateFeature:
-    """Patch-embedded tokens (N_z x C) of one tracking-result crop."""
+    """Patch-embedded tokens (N_z x C) of one tracking-result crop.
+
+    The tokens must not be modified after construction: the centered vector
+    and variance are cached from them.
+    """
 
     tokens: np.ndarray
     frame_index: int
@@ -33,23 +45,29 @@ class TemplateFeature:
     def flat(self) -> np.ndarray:
         return self.tokens.reshape(-1)
 
+    @cached_property
+    def centered(self) -> np.ndarray:
+        """The flattened tokens in float64, minus their mean."""
+        x = self.flat().astype(np.float64)
+        return x - x.mean()
+
+    @cached_property
+    def variance(self) -> float:
+        """Sum of squares of `centered` (the unnormalized variance)."""
+        return float(self.centered @ self.centered)
+
 
 def pearson(a: TemplateFeature, b: TemplateFeature) -> float:
     """Pearson linear correlation of the flattened features, in [-1, 1].
 
     Zero-variance convention: identical vectors correlate at 1, otherwise 0.
     """
-    x = a.flat().astype(np.float64)
-    y = b.flat().astype(np.float64)
-    if x.shape != y.shape:
+    if a.tokens.size != b.tokens.size:
         raise ValueError("feature shapes differ")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    vx = float(xc @ xc)
-    vy = float(yc @ yc)
+    vx, vy = a.variance, b.variance
     if vx == 0.0 or vy == 0.0:
-        return 1.0 if np.array_equal(x, y) else 0.0
-    r = float(xc @ yc) / np.sqrt(vx * vy)
+        return 1.0 if np.array_equal(a.flat(), b.flat()) else 0.0
+    r = float(a.centered @ b.centered) / np.sqrt(vx * vy)
     return float(np.clip(r, -1.0, 1.0))
 
 
@@ -62,17 +80,25 @@ def gram_matrix(templates: Sequence[TemplateFeature]) -> np.ndarray:
     return g
 
 
+def checked_det(gram: np.ndarray) -> np.ndarray:
+    """Determinant of a Gram matrix, or of each in a stack of them.
+
+    Raises ValueError if any determinant is below PSD_FLOOR (or NaN).
+    """
+    det = np.linalg.det(gram)
+    if not np.all(det >= PSD_FLOOR):
+        raise ValueError(f"gram determinant {np.min(det)} below PSD rounding floor {PSD_FLOOR}")
+    return det
+
+
 def gram_det(templates: Sequence[TemplateFeature]) -> float:
     """Determinant of the pairwise-correlation matrix; the diversity measure.
 
-    Correlation matrices are positive semi-definite, so the value lies in
-    [0, 1] up to rounding; anything below -1e-9 indicates a bug.
+    The value lies in [0, 1] up to rounding; see `checked_det`.
     """
     if not templates:
         raise ValueError("empty template set")
-    det = float(np.linalg.det(gram_matrix(templates)))
-    assert det >= -1e-9, f"gram determinant {det} below PSD rounding floor"
-    return det
+    return float(checked_det(gram_matrix(templates)))
 
 
 @dataclass(frozen=True)
@@ -88,22 +114,20 @@ class MemoryLibrary:
     """ST (FIFO) + LT (diversity-curated) template stores.
 
     Both stores are filled to capacity with the initial template before any
-    update; `interval` records the frame cadence the tracker updates at.
-    Set debug_stream to a writable file object to get one JSON line per
+    update. Set debug_stream to a writable file object to get one JSON line per
     operation.
     """
 
     st_capacity: int = 6
     lt_capacity: int = 16
-    interval: int = 5
     debug_stream: IO[str] | None = None
     st: deque = field(default_factory=deque)
     lt: list = field(default_factory=list)
     initialized: bool = False
 
     def __post_init__(self):
-        if self.st_capacity < 1 or self.lt_capacity < 1 or self.interval < 1:
-            raise ValueError("capacities and interval must be positive")
+        if self.st_capacity < 1 or self.lt_capacity < 1:
+            raise ValueError("capacities must be positive")
 
     def _log(self, frame: int | None, op: str, record: AdmissionRecord | None = None,
              routed: str | None = None) -> None:
@@ -131,18 +155,26 @@ class MemoryLibrary:
 
     def lt_admit(self, z_rem: TemplateFeature) -> AdmissionRecord:
         """Try every single replacement; keep the best only if it strictly
-        raises the Gram determinant, otherwise discard z_rem."""
-        if len(self.lt) != self.lt_capacity:
+        raises the Gram determinant, otherwise discard z_rem.
+
+        Candidate j is the current Gram matrix with row and column j replaced
+        by z_rem's correlations; all candidates are scored in one batched
+        determinant, and the first strict maximum wins.
+        """
+        n = len(self.lt)
+        if n != self.lt_capacity:
             raise ValueError("lt_admit requires a full long-term library")
-        det_before = gram_det(self.lt)
-        best_det = -np.inf
-        best_j = -1
-        for j in range(len(self.lt)):
-            candidate = list(self.lt)
-            candidate[j] = z_rem
-            det = gram_det(candidate)
-            if det > best_det:
-                best_det, best_j = det, j
+        base = gram_matrix(self.lt)
+        det_before = float(checked_det(base))
+        row = np.array([pearson(z_rem, z) for z in self.lt])
+        candidates = np.repeat(base[None], n, axis=0)
+        j = np.arange(n)
+        candidates[j, j, :] = row
+        candidates[j, :, j] = row
+        candidates[j, j, j] = 1.0
+        dets = checked_det(candidates)
+        best_j = int(np.argmax(dets))
+        best_det = float(dets[best_j])
         if best_det > det_before:
             self.lt[best_j] = z_rem
             record = AdmissionRecord(True, best_j, det_before, best_det)

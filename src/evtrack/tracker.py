@@ -2,10 +2,16 @@
 
 Per frame: crop the search region at the previous prediction, tokenize,
 assemble [static | dynamic | search], run the backbone, decode the head
-outputs back to frame coordinates. Every `update_interval` frames the
-dynamic template is regenerated from the memory libraries and the predicted
-crop's embedded feature is pushed into short-term memory; between those
-ticks the last dynamic template is reused.
+outputs back to frame coordinates. Every `update_interval` frames (a tick)
+the predicted crop's embedded feature is pushed into short-term memory after
+the frame is tracked.
+
+The dynamic template (route, then fuse the routed library) is a pure
+function of the memory contents and the last pushed feature, and only
+`init` and a tick's push change those. So it is generated in `init`, and
+afterwards only when a push has happened since the last generation: at the
+start of the next tick's frame by default, or of the very next frame with
+`regenerate_every_frame`. Every other frame reuses the last template.
 """
 
 from __future__ import annotations
@@ -41,11 +47,11 @@ class Tracker:
         self.model = model
         self.memory = MemoryLibrary(st_capacity=config.st_capacity,
                                     lt_capacity=config.lt_capacity,
-                                    interval=config.update_interval,
                                     debug_stream=debug_stream)
         self.stats = TrackerStats()
         self._static: TokenSeq | None = None
         self._dynamic: np.ndarray | None = None
+        self._dynamic_stale = False  # a push happened since the last generation
         self._last_feature: TemplateFeature | None = None
         self._frame_index = 0
         self._box: BBox | None = None
@@ -59,9 +65,9 @@ class Tracker:
         return TemplateFeature(tokens=tokens, frame_index=frame_index)
 
     def _regenerate_dynamic(self) -> None:
-        assert self._last_feature is not None
         self._dynamic = generate_dynamic_template(
             self.memory, self._last_feature, self.model.fusion_params())
+        self._dynamic_stale = False
         self.stats.template_regenerations += 1
 
     # -- protocol ----------------------------------------------------------
@@ -73,10 +79,11 @@ class Tracker:
         cfg = self.config
         template_patch = crop_region(frame, init_box, cfg.template_context,
                                      cfg.template_size)
+        # One embedding serves both: patch_embed ignores the segment label.
         static = patch_embed(template_patch, self.model.patch_embed, STATIC)
         self._static = add_position_embedding(static, self.model.patch_embed)
 
-        initial = self._template_feature(frame, init_box, frame_index=0)
+        initial = TemplateFeature(tokens=static.tokens, frame_index=0)
         self.memory.init_memory(initial)
         self._last_feature = initial
         self._regenerate_dynamic()
@@ -93,7 +100,7 @@ class Tracker:
         t = self._frame_index
         tick = t % cfg.update_interval == 0
 
-        if (tick or cfg.regenerate_every_frame) and self._last_feature is not None:
+        if (tick or cfg.regenerate_every_frame) and self._dynamic_stale:
             self._regenerate_dynamic()
 
         search_patch = crop_region(frame, self._box, cfg.search_context, cfg.search_size)
@@ -116,6 +123,7 @@ class Tracker:
             self.memory.st_push(feature)
             self.stats.memory_updates += 1
             self._last_feature = feature
+            self._dynamic_stale = True
 
         self._box = box
         return box

@@ -3,11 +3,18 @@
 import numpy as np
 
 from evtrack.config import TrackerConfig
+from evtrack.events import SynthConfig
 from evtrack.model import init_model
 
 SMALL_CONFIG = dict(embed_dim=16, depth=1, d_state=2, dt_rank=2,
                     template_size=32, search_size=64, patch_size=16,
                     lt_capacity=3, st_capacity=2, update_interval=5)
+
+# 21 frames of a small moving target: four update ticks (t = 5, 10, 15, 20)
+# at update_interval 5.
+SMALL_SYNTH = SynthConfig(sensor_width=96, sensor_height=96, duration_us=210_000,
+                          window_us=10_000, events_per_window=150,
+                          noise_per_window=10, velocity=(1.0, 0.5), seed=1)
 
 
 def small_config(**overrides) -> TrackerConfig:

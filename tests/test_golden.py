@@ -1,0 +1,115 @@
+"""Golden end-to-end sequence: boxes, admissions and templates are pinned.
+
+A fixed small-geometry synthetic stream is tracked in both
+`regenerate_every_frame` modes; every box, every long-term admission record
+and the dynamic template each frame used must match the checked-in CSVs bit
+for bit (floats are stored as their shortest round-trip repr, templates as
+the SHA-256 of their bytes). The templates are pinned separately because at
+this geometry, with initial weights, the head's float32 maps round the
+template's influence away and the boxes alone would not notice a wrong one.
+Refactors and performance work keep this test passing unchanged. To
+re-record after a deliberate behaviour change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import csv
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from evtrack.events import stack_events, synth_stream
+from evtrack.model import init_model
+from evtrack.tracker import Tracker
+
+from _utils import SMALL_SYNTH, small_config
+
+DATA = Path(__file__).resolve().parent / "data"
+BOXES_CSV = DATA / "golden_boxes.csv"
+ADMISSIONS_CSV = DATA / "golden_admissions.csv"
+TEMPLATES_CSV = DATA / "golden_templates.csv"
+MODES = (False, True)  # regenerate_every_frame
+
+
+def _digest(template: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(template).tobytes()).hexdigest()
+
+
+def run_sequence(regenerate_every_frame: bool):
+    """Track the golden stream; returns (box rows, admission rows, template rows).
+
+    lt_capacity=2 is the only LT size that can leave the all-copies initial
+    state in one replacement, so the sequence accepts admissions.
+    """
+    cfg = small_config(lt_capacity=2, seed=1,
+                       regenerate_every_frame=regenerate_every_frame)
+    model = init_model(cfg)
+    stream, gt = synth_stream(SMALL_SYNTH)
+    frames = stack_events(stream, cfg.window_us)
+    log = io.StringIO()
+    tracker = Tracker(cfg, model, log)
+    boxes = [tracker.init(frames[0], gt[0])]
+    templates = [_digest(tracker._dynamic)]
+    for frame in frames[1:]:
+        boxes.append(tracker.step(frame))
+        templates.append(_digest(tracker._dynamic))  # the template this step used
+    mode = int(regenerate_every_frame)
+    box_rows = [[mode, t, b.cx, b.cy, b.w, b.h] for t, b in enumerate(boxes)]
+    records = (json.loads(line) for line in log.getvalue().splitlines())
+    admission_rows = [[mode, r["frame"], r["accepted"], r["replaced_index"],
+                       r["det_before"], r["det_after"]]
+                      for r in records if r["op"] == "lt_admit"]
+    template_rows = [[mode, t, digest] for t, digest in enumerate(templates)]
+    return box_rows, admission_rows, template_rows
+
+
+def _fmt(value) -> str:
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def _read(path: Path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as f:
+        return list(csv.reader(f))[1:]
+
+
+@pytest.fixture(scope="module")
+def runs():
+    return {mode: run_sequence(mode) for mode in MODES}
+
+
+@pytest.mark.parametrize("which, path", [(0, BOXES_CSV), (1, ADMISSIONS_CSV),
+                                         (2, TEMPLATES_CSV)],
+                         ids=["boxes", "admissions", "templates"])
+def test_matches_golden_csv(runs, which, path):
+    got = [[_fmt(v) for v in row] for mode in MODES for row in runs[mode][which]]
+    assert got == _read(path)
+
+
+def test_sequence_covers_ticks_and_accepted_admissions(runs):
+    for mode in MODES:
+        boxes, admissions, _ = runs[mode]
+        assert len(boxes) - 1 >= 3 * small_config().update_interval
+        assert any(accepted for _, _, accepted, *_ in admissions)
+
+
+def record() -> None:
+    DATA.mkdir(exist_ok=True)
+    results = {mode: run_sequence(mode) for mode in MODES}
+    for path, header, which in (
+            (BOXES_CSV, ["mode", "frame", "cx", "cy", "w", "h"], 0),
+            (ADMISSIONS_CSV, ["mode", "frame", "accepted", "replaced_index",
+                              "det_before", "det_after"], 1),
+            (TEMPLATES_CSV, ["mode", "frame", "sha256"], 2)):
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(header)
+            for mode in MODES:
+                writer.writerows([_fmt(v) for v in row] for row in results[mode][which])
+
+
+if __name__ == "__main__":
+    record()

@@ -1,11 +1,14 @@
 import io
 import json
+import subprocess
+import sys
+from collections import deque
 
 import numpy as np
 import pytest
 
-from evtrack.memory import (AdmissionRecord, MemoryLibrary, TemplateFeature,
-                            gram_det, gram_matrix, pearson)
+from evtrack.memory import (PSD_FLOOR, AdmissionRecord, MemoryLibrary, TemplateFeature,
+                            checked_det, gram_det, gram_matrix, pearson)
 
 
 def feat(values, frame_index=0):
@@ -96,6 +99,52 @@ class TestGramDet:
             gram_det([])
 
 
+class TestPSDCheck:
+    NOT_PSD = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1: det -3
+
+    def test_non_psd_matrix_rejected(self):
+        with pytest.raises(ValueError, match="below PSD rounding floor"):
+            checked_det(self.NOT_PSD)
+
+    def test_one_non_psd_matrix_in_a_stack_rejected(self):
+        stack = np.stack([np.eye(2), self.NOT_PSD, np.eye(2)])
+        with pytest.raises(ValueError):
+            checked_det(stack)
+
+    def test_rounding_floor_and_nan(self):
+        eps = np.sqrt(-PSD_FLOOR) / 2  # det = -eps^2, a quarter of the floor
+        assert checked_det(np.array([[eps, 0.0], [0.0, -eps]])) == pytest.approx(-eps * eps)
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            checked_det(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_check_survives_optimized_mode(self):
+        code = ("import numpy as np\n"
+                "from evtrack.memory import checked_det\n"
+                "try:\n"
+                "    checked_det(np.array([[1.0, 2.0], [2.0, 1.0]]))\n"
+                "except ValueError:\n"
+                "    raise SystemExit(0)\n"
+                "raise SystemExit(1)\n")
+        done = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+
+class TestFeatureCache:
+    def test_centered_and_variance_match_definition(self):
+        rng = np.random.default_rng(17)
+        z = TemplateFeature(tokens=rng.standard_normal((4, 3)).astype(np.float32),
+                            frame_index=0)
+        x = z.tokens.reshape(-1).astype(np.float64)
+        np.testing.assert_array_equal(z.centered, x - x.mean())
+        assert z.variance == float((x - x.mean()) @ (x - x.mean()))
+        assert z.centered is z.centered  # computed once
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            pearson(feat([1.0, 2.0, 3.0]), feat([1.0, 2.0]))
+
+
 def fresh_library(rng, st=3, lt=5, seed_features=True):
     lib = MemoryLibrary(st_capacity=st, lt_capacity=lt)
     lib.init_memory(rand_feat(rng, 0))
@@ -167,6 +216,95 @@ class TestAdmission:
         lib = MemoryLibrary(st_capacity=2, lt_capacity=4)
         with pytest.raises(ValueError):
             lib.lt_admit(rand_feat(np.random.default_rng(0)))
+
+
+def _oracle_gram(features) -> np.ndarray:
+    """numpy.corrcoef over the stacked features, with the zero-variance
+    convention (1 for identical vectors, 0 otherwise) filled in where
+    corrcoef divides by a zero standard deviation."""
+    x = np.stack([f.flat().astype(np.float64) for f in features])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        g = np.atleast_2d(np.corrcoef(x))
+    flat = x.std(axis=1) == 0
+    for i, j in zip(*np.nonzero(flat[:, None] | flat[None, :])):
+        g[i, j] = 1.0 if np.array_equal(x[i], x[j]) else 0.0
+    np.fill_diagonal(g, 1.0)
+    return g
+
+
+def _member_pool(rng, size=12, shape=(6, 2)):
+    """Random features plus zero-variance ones (two constants, one zero)."""
+    pool = [rand_feat(rng, i, shape) for i in range(size)]
+    pool += [TemplateFeature(tokens=np.full(shape, c), frame_index=size + k)
+             for k, c in enumerate((2.5, -1.0, 0.0))]
+    return pool
+
+
+def _draw(rng, pool, n):
+    """n members drawn with replacement, so duplicates are common."""
+    return [pool[i] for i in rng.integers(0, len(pool), n)]
+
+
+TIE = 1e-12
+
+
+class TestBatchedOracle:
+    """Batched admission and cached routing against corrcoef brute force.
+
+    Libraries hold duplicates and zero-variance members. Where the oracle's
+    own determinants tie within TIE (duplicate members make exact ties), the
+    chosen index only has to be one of the tied best ones; everywhere else
+    the decision must be identical.
+    """
+
+    def test_admission_matches_corrcoef_oracle(self):
+        rng = np.random.default_rng(40)
+        pool = _member_pool(rng)
+        decisive = 0
+        for trial in range(300):
+            n = int(rng.integers(1, 7))
+            lib = MemoryLibrary(st_capacity=2, lt_capacity=n)
+            lib.lt = _draw(rng, pool, n)
+            z = rand_feat(rng, 99) if trial % 3 else pool[int(rng.integers(len(pool)))]
+            det0 = np.linalg.det(_oracle_gram(lib.lt))
+            dets = []
+            for j in range(n):
+                cand = list(lib.lt)
+                cand[j] = z
+                dets.append(np.linalg.det(_oracle_gram(cand)))
+            dets = np.array(dets)
+            best = dets.max()
+            record = lib.lt_admit(z)
+            assert record.det_before == pytest.approx(det0, abs=TIE)
+            if abs(best - det0) > TIE:
+                assert record.accepted == (best > det0), trial
+            if record.accepted:
+                assert dets[record.replaced_index] >= best - TIE, trial
+                assert record.det_after == pytest.approx(best, abs=TIE)
+            else:
+                assert record.replaced_index is None
+                assert record.det_after == record.det_before
+            if abs(best - det0) > TIE and np.sum(dets >= best - TIE) == 1:
+                decisive += 1
+                if record.accepted:
+                    assert record.replaced_index == int(np.argmax(dets)), trial
+        assert decisive >= 100, decisive
+
+    def test_route_matches_corrcoef_oracle(self):
+        rng = np.random.default_rng(41)
+        pool = _member_pool(rng)
+        routed = set()
+        for trial in range(300):
+            lib = MemoryLibrary(st_capacity=3, lt_capacity=4)
+            lib.st = deque(_draw(rng, pool, 3))
+            lib.lt = _draw(rng, pool, 4)
+            z = pool[int(rng.integers(len(pool)))] if trial % 2 else rand_feat(rng, 99)
+            g = _oracle_gram([z] + lib.st_members() + lib.lt)
+            best_st, best_lt = g[0, 1:4].max(), g[0, 4:].max()
+            expect = "ST" if best_st >= best_lt - TIE else "LT"
+            assert lib.route(z) == expect, trial
+            routed.add(expect)
+        assert routed == {"ST", "LT"}
 
 
 class TestShortTerm:
