@@ -3,7 +3,7 @@
 Submodules:
     events     event streams, frame stacking, crops, synthetic sequences
     tokenizer  patch embedding and token assembly
-    ssm        the discretized selective-scan operator (forward/chunked/backward)
+    ssm        the discretized selective-scan operator (blocked forward, backward)
     backbone   bidirectional Vim blocks and the residual token backbone
     memory     LT/ST template libraries with Gram-determinant admission
     fusion     dynamic-template generation via the fusion Mamba stack
@@ -23,8 +23,7 @@ from .losses import LossWeights, focal_loss, giou, iou, total_loss
 from .memory import MemoryLibrary, TemplateFeature, gram_det, pearson
 from .metrics import EvalReport, evaluate
 from .model import ModelParams, count_params, init_model
-from .ssm import (SSMParams, discretize, scan_backward, scan_bidirectional,
-                  scan_forward, scan_forward_chunked)
+from .ssm import SSMParams, discretize, scan_backward, scan_forward_chunked
 from .tokenizer import (DYNAMIC, SEARCH, STATIC, TokenSeq, assemble_input,
                         extract_search_tokens, patch_embed)
 from .tracker import Tracker, track_frames, track_sequence
@@ -40,7 +39,7 @@ __all__ = [
     "crop_region", "decode_bbox", "discretize", "evaluate",
     "extract_search_tokens", "focal_loss", "giou", "gram_det", "head_forward",
     "init_model", "iou", "load_config", "load_weights", "patch_embed",
-    "pearson", "save_weights", "scan_backward", "scan_bidirectional",
-    "scan_forward", "scan_forward_chunked", "stack_events", "synth_stream",
+    "pearson", "save_weights", "scan_backward", "scan_forward_chunked",
+    "stack_events", "synth_stream",
     "total_loss", "track_frames", "track_sequence", "TemplateFeature",
 ]

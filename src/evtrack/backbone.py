@@ -17,9 +17,6 @@ import numpy as np
 from .ops import layer_norm, silu
 from .ssm import SSMParams, init_ssm_params, scan_forward_chunked
 
-# Chunk size for the scans inside blocks; semantics are chunk-invariant.
-BLOCK_SCAN_CHUNK = 64
-
 
 @dataclass
 class NormParams:
@@ -122,8 +119,7 @@ def causal_conv(x: np.ndarray, conv: ConvParams) -> np.ndarray:
     return out + conv.bias
 
 
-def vim_block(tokens: np.ndarray, params: VimBlockParams,
-              chunk: int = BLOCK_SCAN_CHUNK) -> np.ndarray:
+def vim_block(tokens: np.ndarray, params: VimBlockParams) -> np.ndarray:
     """One bidirectional block with its residual connection."""
     if not np.all(np.isfinite(tokens)):
         raise ValueError("non-finite input")
@@ -132,18 +128,17 @@ def vim_block(tokens: np.ndarray, params: VimBlockParams,
     d_inner = params.d_inner
     x, z = xz[:, :d_inner], xz[:, d_inner:]
 
-    y_fwd = scan_forward_chunked(silu(causal_conv(x, params.conv_fwd)), params.ssm_fwd, chunk)
+    y_fwd = scan_forward_chunked(silu(causal_conv(x, params.conv_fwd)), params.ssm_fwd)
     xr = np.ascontiguousarray(x[::-1])
-    y_bwd = scan_forward_chunked(silu(causal_conv(xr, params.conv_bwd)), params.ssm_bwd, chunk)
+    y_bwd = scan_forward_chunked(silu(causal_conv(xr, params.conv_bwd)), params.ssm_bwd)
     y = (y_fwd + y_bwd[::-1]) * silu(z)
     return tokens + y @ params.out_proj
 
 
-def backbone(tokens: np.ndarray, params: BackboneParams,
-             chunk: int = BLOCK_SCAN_CHUNK) -> np.ndarray:
+def backbone(tokens: np.ndarray, params: BackboneParams) -> np.ndarray:
     """Apply all residual blocks, then the final Norm + linear projection."""
     for block in params.blocks:
-        tokens = vim_block(tokens, block, chunk)
+        tokens = vim_block(tokens, block)
     if params.final_norm is not None:
         tokens = layer_norm(tokens, params.final_norm.scale, params.final_norm.shift)
     if params.mlp is not None:

@@ -5,7 +5,6 @@ Subcommands:
     eval      score predictions against ground truth, write a JSON report
     synth     generate a synthetic event stream and its ground truth
     selftest  run the built-in invariant/oracle suite (exit 0 iff all pass)
-    bench     sequential vs chunked scan throughput table
     params    print the learned-parameter count for a configuration
 
 Exit codes: 0 success, 1 runtime failure, 2 bad arguments.
@@ -16,7 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import format_table, run_bench
 from .config import load_config
 from .events import (BBox, SynthConfig, load_boxes_csv, load_events_csv,
                      save_boxes_csv, save_events_csv, synth_stream)
@@ -60,9 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("selftest", help="run the invariant/oracle suite")
 
-    p = sub.add_parser("bench", help="scan throughput: sequential vs chunked")
-    p.add_argument("--lengths", default="256,1024,4096")
-
     p = sub.add_parser("params", help="print the learned-parameter count")
     p.add_argument("--config", help="tracker config JSON")
     return parser
@@ -105,13 +100,6 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    lengths = tuple(int(v) for v in args.lengths.split(","))
-    rows = run_bench(lengths=lengths)
-    print(format_table(rows))
-    return 0
-
-
 def _cmd_params(args) -> int:
     config = load_config(args.config)
     model = init_model(config)
@@ -130,8 +118,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_synth(args)
         if args.command == "selftest":
             return 0 if run_selftest() else 1
-        if args.command == "bench":
-            return _cmd_bench(args)
         if args.command == "params":
             return _cmd_params(args)
         return 2

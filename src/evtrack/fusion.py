@@ -26,8 +26,7 @@ class MemMambaParams:
     shared: bool
 
 
-def fuse(templates: Sequence[TemplateFeature], params: MemMambaParams,
-         chunk: int = 64) -> np.ndarray:
+def fuse(templates: Sequence[TemplateFeature], params: MemMambaParams) -> np.ndarray:
     """Fuse m templates (oldest first) into one N_z x C dynamic template.
 
     The concatenated (m * N_z) x C sequence runs through the full stack; the
@@ -37,16 +36,16 @@ def fuse(templates: Sequence[TemplateFeature], params: MemMambaParams,
         raise ValueError("cannot fuse an empty template sequence")
     n_z = templates[0].tokens.shape[0]
     seq = np.concatenate([z.tokens for z in templates], axis=0)
-    out = backbone(seq, params.stack, chunk)
+    out = backbone(seq, params.stack)
     return out[-n_z:]
 
 
 def generate_dynamic_template(lib: MemoryLibrary, incoming: TemplateFeature,
-                              params: MemMambaParams, chunk: int = 64) -> np.ndarray:
+                              params: MemMambaParams) -> np.ndarray:
     """Route by similarity, then fuse the winning library's members.
 
     ST members fuse in FIFO order, LT members in ascending frame order.
     """
     routed = lib.route(incoming)
     members = lib.st_members() if routed == "ST" else lib.lt_members()
-    return fuse(members, params, chunk)
+    return fuse(members, params)

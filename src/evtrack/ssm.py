@@ -11,10 +11,12 @@ y_t = sum_s c_t[s] h_t[:, s] + d_skip * x_t. Selection makes delta, B, C
 functions of the current input token. A is diagonal per channel and kept
 strictly negative through a = -exp(a_log).
 
-Two execution strategies share identical semantics: a plain sequential
-recurrence (the ground truth) and a chunked scan that runs the local
-recurrences of all chunks in lockstep and then propagates carries with the
-associative composition (a2*a1, a2*s1 + s2).
+The forward scan runs that recurrence over cache-sized blocks of tokens,
+each seeded with the previous block's final state, so the per-token
+(d_inner x d_state) coefficients and states stay in cache (the "keep the
+expanded state in fast memory" idea of Mamba, Gu & Dao, arXiv 2312.00752).
+Blocking changes no arithmetic: the result is bit-identical to one
+whole-length recurrence, which the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -178,105 +180,19 @@ def _coefficients_into(u_sl: np.ndarray, delta_sl: np.ndarray, b_sl: np.ndarray,
     bx_out *= u_sl[:, :, None]
 
 
-def _coefficients(u: np.ndarray, params: SSMParams):
-    """Per-token recurrence coefficients a_bar, bx = b_bar*x, plus C and skip."""
-    _, b_sel, c_sel, _, delta = _selection(u, params)
-    a = -np.exp(params.a_log.astype(u.dtype, copy=False))
-    L, d = u.shape
-    a_bar = np.empty((L, d, params.d_state), dtype=u.dtype)
-    bx = np.empty_like(a_bar)
-    _coefficients_into(u, delta, b_sel, a, float(np.abs(a).min()), a_bar, bx)
-    skip = u * params.d_skip.astype(u.dtype, copy=False)
-    return a_bar, bx, c_sel, skip
+def _seeded_states(a_bar: np.ndarray, bx: np.ndarray, h: np.ndarray,
+                   hs: np.ndarray) -> np.ndarray:
+    """Fill hs[t] = a_bar[t] * hs[t-1] + bx[t], seeded with h as the state
+    before hs[0]; returns the last state.
 
-
-def _emit(hs: np.ndarray, c_sel: np.ndarray, skip: np.ndarray | None) -> np.ndarray:
-    y = (hs @ c_sel[:, :, None])[:, :, 0]
-    if skip is not None:
-        y = y + skip
-    return y
-
-
-def linear_scan(a_bar: np.ndarray, bx: np.ndarray, c_sel: np.ndarray,
-                skip: np.ndarray | None = None) -> np.ndarray:
-    """Fixed-coefficient scan; the ground-truth sequential semantics.
-
-    h_t = a_bar[t] * h_{t-1} + bx[t] with h_0 = 0, then
-    y[t] = sum_s c_sel[t, s] * h_t[:, s] (+ skip[t]).
+    h is read only by the first step, so it may alias a row of hs.
     """
-    L, d, n = a_bar.shape
-    hs = np.empty_like(bx)
-    h = np.zeros((d, n), dtype=bx.dtype)
-    for t in range(L):
-        np.multiply(h, a_bar[t], out=h)
-        h += bx[t]
-        hs[t] = h
-    return _emit(hs, c_sel, skip)
-
-
-def _lockstep_states(a_c: np.ndarray, b_c: np.ndarray, hs_c: np.ndarray,
-                     h0: np.ndarray) -> np.ndarray:
-    """States for k whole chunks run in lockstep; returns the final state.
-
-    Pass 1 runs all chunks from zero state, keeping only each chunk's a_bar
-    product P and end state S. A chunk maps an incoming state as
-    h -> P*h + S, so the carries follow from the associative composition
-    (P2*P1, P2*S1 + S2). Pass 2 re-runs the local scans seeded with the
-    carries, writing the states into hs_c.
-    """
-    k, chunk, d, n = a_c.shape
-    ends = np.zeros((k, d, n), dtype=b_c.dtype)
-    prod = np.ones((k, d, n), dtype=a_c.dtype)
-    for j in range(chunk):
-        aj = a_c[:, j]
-        np.multiply(ends, aj, out=ends)
-        ends += b_c[:, j]
-        np.multiply(prod, aj, out=prod)
-
-    carry_in = np.empty((k, d, n), dtype=b_c.dtype)
-    carry = h0
-    for i in range(k):
-        carry_in[i] = carry
-        carry = prod[i] * carry + ends[i]
-
-    state = carry_in  # running per-chunk state; becomes a view into hs_c
-    for j in range(chunk):
-        out = hs_c[:, j]
-        np.multiply(state, a_c[:, j], out=out)
-        out += b_c[:, j]
-        state = out
-    return state[-1].copy()
-
-
-def _block_states(a_bar: np.ndarray, bx: np.ndarray, chunk: int,
-                  h0: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    """Fill hs with all states of one block, seeded by h0; returns the final.
-
-    Whole chunks run in lockstep when there are at least two; a ragged tail
-    (or a single chunk) runs as a plain seeded recurrence.
-    """
-    m, d, n = a_bar.shape
-    k = m // chunk
-    flen = k * chunk if k >= 2 else 0
-    h = h0
-    if flen:
-        h = _lockstep_states(a_bar[:flen].reshape(k, chunk, d, n),
-                             bx[:flen].reshape(k, chunk, d, n),
-                             hs[:flen].reshape(k, chunk, d, n), h)
-    state = h
-    for j in range(flen, m):
-        out = hs[j]
-        np.multiply(state, a_bar[j], out=out)
-        out += bx[j]
-        state = out
-    return np.array(state)  # detach from the hs buffer
-
-
-def scan_forward(u: np.ndarray, params: SSMParams) -> np.ndarray:
-    """Sequential selective scan; defines the exact semantics."""
-    u = _check_input(u)
-    a_bar, bx, c_sel, skip = _coefficients(u, params)
-    return linear_scan(a_bar, bx, c_sel, skip)
+    for t in range(a_bar.shape[0]):
+        out = hs[t]
+        np.multiply(h, a_bar[t], out=out)
+        out += bx[t]
+        h = out
+    return h
 
 
 # Per-array scratch budget for the blocked scan; three live arrays keep the
@@ -284,29 +200,25 @@ def scan_forward(u: np.ndarray, params: SSMParams) -> np.ndarray:
 _BLOCK_BYTES = 2 * 1024 * 1024
 
 
-def scan_forward_chunked(u: np.ndarray, params: SSMParams, chunk: int) -> np.ndarray:
-    """Chunked scan; identical semantics to scan_forward.
+def scan_forward_chunked(u: np.ndarray, params: SSMParams) -> np.ndarray:
+    """Selective scan over an (L, d_inner) input; returns (L, d_inner).
 
-    Tokens are processed in cache-sized blocks of whole chunks: coefficients,
-    local scans, carries, and output emission all happen per block, so the
-    (tokens x d_inner x d_state) intermediates never round-trip to memory.
-    chunk >= L falls back to the sequential path (single chunk).
+    "Chunked" means cache-sized token blocks: coefficients, states and
+    output emission are computed one block at a time, each block seeded
+    with the previous one's final state. The block holds
+    _BLOCK_BYTES // (d_inner * d_state * itemsize) tokens (at least one, at
+    most L), so the (tokens x d_inner x d_state) intermediates never
+    round-trip to memory.
     """
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
     u = _check_input(u)
     L, d = u.shape
-    if chunk >= L:
-        return scan_forward(u, params)
     dtype = u.dtype
     _, b_sel, c_sel, _, delta = _selection(u, params)
     a = -np.exp(params.a_log.astype(dtype, copy=False))
     abs_a_min = float(np.abs(a).min())
     n = params.d_state
 
-    per_token = d * n * dtype.itemsize
-    block = max(chunk, _BLOCK_BYTES // per_token // chunk * chunk)
-    block = min(block, L)
+    block = max(1, min(L, _BLOCK_BYTES // (d * n * dtype.itemsize)))
     abar_buf = np.empty((block, d, n), dtype=dtype)
     bx_buf = np.empty_like(abar_buf)
     hs_buf = np.empty_like(abar_buf)
@@ -318,27 +230,15 @@ def scan_forward_chunked(u: np.ndarray, params: SSMParams, chunk: int) -> np.nda
         sl = slice(lo, lo + m)
         abar, bx, hs = abar_buf[:m], bx_buf[:m], hs_buf[:m]
         _coefficients_into(u[sl], delta[sl], b_sel[sl], a, abs_a_min, abar, bx)
-        h = _block_states(abar, bx, chunk, h, hs)
+        h = _seeded_states(abar, bx, h, hs)
         y[sl] = (hs @ c_sel[sl, :, None])[:, :, 0]
     y += u * params.d_skip.astype(dtype, copy=False)
     return y
 
 
-def scan_bidirectional(u: np.ndarray, fwd_params: SSMParams, bwd_params: SSMParams,
-                       chunk: int | None = None) -> np.ndarray:
-    """Forward scan plus a reversed scan of the reversed sequence."""
-    if chunk is None:
-        fwd = scan_forward(u, fwd_params)
-        bwd = scan_forward(np.ascontiguousarray(u[::-1]), bwd_params)
-    else:
-        fwd = scan_forward_chunked(u, fwd_params, chunk)
-        bwd = scan_forward_chunked(np.ascontiguousarray(u[::-1]), bwd_params, chunk)
-    return fwd + bwd[::-1]
-
-
 def scan_backward(u: np.ndarray, params: SSMParams, dy: np.ndarray,
                   chunk: int = 64) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Reverse-mode gradients of scan_forward.
+    """Reverse-mode gradients of scan_forward_chunked.
 
     Returns (dL/du, grads) where grads has one entry per SSMParams field.
     Hidden states are not kept for the whole sequence; they are checkpointed

@@ -1,0 +1,78 @@
+"""Exit codes of `evtrack` subcommands: 0 success, 1 runtime failure, 2 bad arguments."""
+
+import json
+
+import pytest
+
+from evtrack.cli import main
+from evtrack.model import count_params, init_model
+
+from _utils import SMALL_SYNTH, small_config
+
+
+@pytest.fixture
+def files(tmp_path, monkeypatch):
+    """A tiny tracker config, a synthetic sequence and its ground truth."""
+    monkeypatch.delenv("MEVT_SEED", raising=False)
+    config = tmp_path / "config.json"
+    config.write_text(small_config().to_json())
+    synth = tmp_path / "synth.json"
+    synth.write_text(SMALL_SYNTH.to_json())
+    events, gt = tmp_path / "events.csv", tmp_path / "gt.csv"
+    assert main(["synth", "--config", str(synth), "--out-events", str(events),
+                 "--out-gt", str(gt)]) == 0
+    return tmp_path, config, events, gt
+
+
+def first_box(gt):
+    return gt.read_text().splitlines()[0]
+
+
+def test_synth_track_eval_params_succeed(files, capsys):
+    tmp, config, events, gt = files
+    pred, report = tmp / "pred.csv", tmp / "report.json"
+    assert main(["track", "--config", str(config), "--events", str(events),
+                 "--init-bbox", first_box(gt), "--out", str(pred)]) == 0
+    assert len(pred.read_text().splitlines()) == len(gt.read_text().splitlines())
+
+    assert main(["eval", "--pred", str(pred), "--gt", str(gt),
+                 "--report", str(report)]) == 0
+    assert {"SR", "PR", "NPR"} <= set(json.loads(report.read_text()))
+
+    capsys.readouterr()
+    assert main(["params", "--config", str(config)]) == 0
+    assert capsys.readouterr().out.strip() == str(count_params(init_model(small_config())))
+
+
+def test_missing_events_file_exits_1(files, capsys):
+    tmp, config, _, gt = files
+    code = main(["track", "--config", str(config), "--events", str(tmp / "absent.csv"),
+                 "--init-bbox", first_box(gt), "--out", str(tmp / "pred.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_corrupt_weights_exit_1(files, capsys):
+    tmp, config, events, gt = files
+    weights = tmp / "weights.bin"
+    weights.write_bytes(b"not a weight file")
+    code = main(["track", "--config", str(config), "--weights", str(weights),
+                 "--events", str(events), "--init-bbox", first_box(gt),
+                 "--out", str(tmp / "pred.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("bbox", ["1,2,3", "a,b,c,d"])
+def test_bad_init_bbox_exits_2(files, bbox):
+    tmp, config, events, _ = files
+    with pytest.raises(SystemExit) as exc:
+        main(["track", "--config", str(config), "--events", str(events),
+              "--init-bbox", bbox, "--out", str(tmp / "pred.csv")])
+    assert exc.value.code == 2
+
+
+def test_unknown_subcommand_exits_2():
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2

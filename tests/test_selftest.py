@@ -1,14 +1,14 @@
 """The `evtrack selftest` oracle checks, run under pytest.
 
-`bench_no_regression` is left out: it compares two wall-clock timings and
-would make this suite flaky; `evtrack selftest` still runs it.
+`scan_blocking_no_regression` is left out: it compares two wall-clock
+timings and would make this suite flaky; `evtrack selftest` still runs it.
 """
 
 import pytest
 
 from evtrack.selftest import CHECKS
 
-TIMING_CHECKS = {"bench_no_regression"}
+TIMING_CHECKS = {"scan_blocking_no_regression"}
 
 
 @pytest.mark.parametrize("name, check",

@@ -3,32 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from evtrack.ssm import (SSMParams, discretize, init_ssm_params, linear_scan,
-                         scan_backward, scan_bidirectional, scan_forward,
-                         scan_forward_chunked)
+from evtrack import ssm
+from evtrack.selftest import _sequential_oracle, _unblocked_scan
+from evtrack.ssm import (SSMParams, _seeded_states, discretize, init_ssm_params,
+                         scan_backward, scan_forward_chunked)
 
 from _utils import assert_grad_close, central_difference
 
 
-def sequential_oracle(u, params):
-    """Plain-python recurrence in extended precision (independent of the
-    vectorized implementation under test)."""
-    ld = np.longdouble
-    a = -np.exp(params.a_log.astype(ld))
-    L, d = u.shape
-    r, n = params.dt_rank, params.d_state
-    y = np.zeros((L, d), dtype=ld)
-    h = np.zeros((d, n), dtype=ld)
-    for t in range(L):
-        ut = u[t].astype(ld)
-        xdbl = ut @ params.x_proj.astype(ld)
-        pre = xdbl[:r] @ params.dt_proj.astype(ld) + params.dt_bias.astype(ld)
-        delta = np.log1p(np.exp(pre))
-        b_sel, c_sel = xdbl[r:r + n], xdbl[r + n:]
-        da = delta[:, None] * a
-        h = np.exp(da) * h + (np.expm1(da) / a) * b_sel[None, :] * ut[:, None]
-        y[t] = h @ c_sel + params.d_skip.astype(ld) * ut
-    return y.astype(np.float64)
+def block_tokens(d_inner, d_state, dtype):
+    """Tokens per cache block of scan_forward_chunked at this width."""
+    return ssm._BLOCK_BYTES // (d_inner * d_state * np.dtype(dtype).itemsize)
 
 
 def rel_err(y, ref):
@@ -87,8 +72,10 @@ class TestScanForward:
     def test_prefix_sum_case_integer_exact(self):
         rng = np.random.default_rng(2)
         u = rng.integers(-9, 10, size=(64, 3)).astype(np.float64)
-        y = linear_scan(np.ones((64, 3, 1)), u[:, :, None], np.ones((64, 1)))
-        np.testing.assert_array_equal(y, np.cumsum(u, axis=0))
+        hs = np.empty((64, 3, 1))
+        last = _seeded_states(np.ones((64, 3, 1)), u[:, :, None], np.zeros((3, 1)), hs)
+        np.testing.assert_array_equal(hs[:, :, 0], np.cumsum(u, axis=0))
+        np.testing.assert_array_equal(last, hs[-1])
 
     def test_forgetting_limit_is_memoryless(self):
         # a_log large -> a_bar ~ 0 -> y_t depends on u_t only
@@ -98,27 +85,29 @@ class TestScanForward:
         u1 = rng.standard_normal((10, 3))
         u2 = u1.copy()
         u2[:5] = rng.standard_normal((5, 3))  # change only the past
-        y1 = scan_forward(u1, params)
-        y2 = scan_forward(u2, params)
+        y1 = scan_forward_chunked(u1, params)
+        y2 = scan_forward_chunked(u2, params)
         np.testing.assert_allclose(y1[6:], y2[6:], atol=1e-12)
 
     def test_matches_extended_precision_oracle(self):
         rng = np.random.default_rng(4)
-        params = init_ssm_params(4, 4, 2, rng, np.float64)
-        u = rng.standard_normal((64, 4))
-        assert rel_err(scan_forward(u, params), sequential_oracle(u, params)) < 1e-6
+        params = init_ssm_params(64, 16, 4, rng, np.float64)
+        length = 2 * block_tokens(64, 16, np.float64) + 37  # three blocks
+        u = rng.standard_normal((length, 64))
+        assert rel_err(scan_forward_chunked(u, params), _sequential_oracle(u, params)) < 1e-6
 
     def test_linear_in_input_with_fixed_coefficients(self):
         rng = np.random.default_rng(5)
         L, d, n = 20, 3, 4
         a_bar = rng.uniform(0.1, 0.99, (L, d, n))
         b_bar = rng.standard_normal((L, d, n))
-        c = rng.standard_normal((L, n))
+        h0 = np.zeros((d, n))
         u = rng.standard_normal((L, d))
-        skipg = rng.standard_normal(d)
 
         def run(uu):
-            return linear_scan(a_bar, b_bar * uu[:, :, None], c, skipg * uu)
+            hs = np.empty((L, d, n))
+            _seeded_states(a_bar, b_bar * uu[:, :, None], h0, hs)
+            return hs
 
         np.testing.assert_allclose(run(3.5 * u), 3.5 * run(u), rtol=1e-12)
 
@@ -127,45 +116,45 @@ class TestScanForward:
         bad = np.ones((4, 2))
         bad[1, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            scan_forward(bad, params)
+            scan_forward_chunked(bad, params)
 
 
 class TestScanChunked:
+    """The cache-blocked scan equals the whole-length reference bit for bit."""
+
+    @staticmethod
+    def assert_blocked_equals_reference(rng, d_inner, d_state, dtype, lengths):
+        params = init_ssm_params(d_inner, d_state, 4, rng, dtype)
+        for length in lengths:
+            u = rng.standard_normal((length, d_inner)).astype(dtype)
+            np.testing.assert_array_equal(scan_forward_chunked(u, params),
+                                          _unblocked_scan(u, params), err_msg=str(length))
+
     def test_single_chunk_bitwise_equal(self):
         rng = np.random.default_rng(6)
-        params = init_ssm_params(4, 4, 2, rng, np.float32)
-        u = rng.standard_normal((33, 4)).astype(np.float32)
-        np.testing.assert_array_equal(scan_forward_chunked(u, params, 33),
-                                      scan_forward(u, params))
-        np.testing.assert_array_equal(scan_forward_chunked(u, params, 100),
-                                      scan_forward(u, params))
+        for dtype in (np.float32, np.float64):
+            block = block_tokens(64, 16, dtype)
+            self.assert_blocked_equals_reference(rng, 64, 16, dtype, (1, block - 1, block))
 
-    def test_chunk_one_matches(self):
-        rng = np.random.default_rng(7)
-        params = init_ssm_params(4, 4, 2, rng, np.float64)
-        u = rng.standard_normal((50, 4))
-        assert rel_err(scan_forward_chunked(u, params, 1),
-                       scan_forward(u, params)) < 1e-6
+    def test_chunk_one_matches(self, monkeypatch):
+        # A token wider than the budget still gets a block of one token.
+        monkeypatch.setattr(ssm, "_BLOCK_BYTES", 1)
+        self.assert_blocked_equals_reference(np.random.default_rng(7), 4, 4, np.float64,
+                                             (1, 2, 50))
 
     def test_long_sequence_float32(self):
-        rng = np.random.default_rng(8)
-        params = init_ssm_params(8, 16, 2, rng, np.float32)
-        u = rng.standard_normal((1024, 8)).astype(np.float32)
-        ref = scan_forward(u, params)
-        assert rel_err(scan_forward_chunked(u, params, 64), ref) < 1e-5
+        block = block_tokens(64, 16, np.float32)
+        self.assert_blocked_equals_reference(np.random.default_rng(8), 64, 16, np.float32,
+                                             (block + 1, 2 * block + 37))
 
-    def test_many_chunk_sizes_float64(self):
+    def test_many_chunk_sizes_float64(self, monkeypatch):
+        block = block_tokens(64, 16, np.float64)
         rng = np.random.default_rng(9)
-        params = init_ssm_params(6, 8, 3, rng, np.float64)
-        u = rng.standard_normal((517, 6))  # ragged tail on purpose
-        ref = scan_forward(u, params)
-        for chunk in (1, 2, 7, 16, 64, 100, 517):
-            assert rel_err(scan_forward_chunked(u, params, chunk), ref) < 1e-10
-
-    def test_invalid_chunk_rejected(self):
-        params = init_ssm_params(2, 2, 1, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            scan_forward_chunked(np.ones((4, 2)), params, 0)
+        self.assert_blocked_equals_reference(rng, 64, 16, np.float64,
+                                             (block + 1, 2 * block + 37))
+        for tokens in (2, 7, 16, 100, 517):  # 517 tokens: ragged tail on purpose
+            monkeypatch.setattr(ssm, "_BLOCK_BYTES", tokens * 6 * 8 * 8)
+            self.assert_blocked_equals_reference(rng, 6, 8, np.float64, (517,))
 
 
 class TestScanBackward:
@@ -231,7 +220,7 @@ class TestScanBackward:
         w = rng.standard_normal((16, 4))
 
         def loss():
-            return float(np.sum(w * scan_forward(u, params)))
+            return float(np.sum(w * scan_forward_chunked(u, params)))
 
         du, grads = scan_backward(u, params, w, chunk=5)
         for i in range(16):
@@ -248,34 +237,3 @@ class TestScanBackward:
         params = init_ssm_params(2, 2, 1, np.random.default_rng(0), np.float64)
         with pytest.raises(ValueError, match="shape"):
             scan_backward(np.ones((4, 2)), params, np.ones((3, 2)))
-
-
-class TestScanBidirectional:
-    def test_palindrome_symmetry(self):
-        rng = np.random.default_rng(12)
-        params = init_ssm_params(3, 2, 2, rng, np.float64)
-        half = rng.standard_normal((5, 3))
-        u = np.vstack([half, half[::-1]])
-        y = scan_bidirectional(u, params, params)
-        np.testing.assert_allclose(y, y[::-1], rtol=1e-10, atol=1e-12)
-
-    def test_zeroed_backward_branch_equals_forward(self):
-        rng = np.random.default_rng(13)
-        fwd = init_ssm_params(3, 2, 2, rng, np.float64)
-        bwd = init_ssm_params(3, 2, 2, rng, np.float64)
-        bwd.d_skip[:] = 0.0
-        bwd.x_proj[:, bwd.dt_rank + bwd.d_state:] = 0.0  # C = 0
-        u = rng.standard_normal((12, 3))
-        np.testing.assert_allclose(scan_bidirectional(u, fwd, bwd),
-                                   scan_forward(u, fwd), rtol=1e-12)
-
-    def test_composition_of_independent_scans(self):
-        rng = np.random.default_rng(14)
-        fwd = init_ssm_params(3, 4, 2, rng, np.float64)
-        bwd = init_ssm_params(3, 4, 2, rng, np.float64)
-        u = rng.standard_normal((20, 3))
-        expected = scan_forward(u, fwd) + scan_forward(u[::-1].copy(), bwd)[::-1]
-        np.testing.assert_allclose(scan_bidirectional(u, fwd, bwd), expected,
-                                   rtol=1e-12)
-        np.testing.assert_allclose(scan_bidirectional(u, fwd, bwd, chunk=4),
-                                   expected, rtol=1e-9)
