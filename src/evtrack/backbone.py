@@ -109,14 +109,21 @@ def init_backbone(embed_dim: int, depth: int, d_state: int, dt_rank: int,
 
 
 def causal_conv(x: np.ndarray, conv: ConvParams) -> np.ndarray:
-    """Depthwise causal convolution over the token axis of (m, d_inner)."""
+    """Depthwise causal convolution over the token axis of (m, d_inner).
+
+    Tap products are added first to last through one scratch buffer, so the
+    sum rounds exactly as adding each product to a zero accumulator would.
+    """
     m, d = x.shape
     k = conv.weight.shape[1]
+    taps = np.ascontiguousarray(conv.weight.T)  # (k, d_inner)
     xp = np.vstack([np.zeros((k - 1, d), dtype=x.dtype), x])
-    out = np.zeros_like(x)
-    for j in range(k):
-        out += xp[j:j + m] * conv.weight[:, j]
-    return out + conv.bias
+    out = np.multiply(xp[:m], taps[0], out=np.empty_like(x))
+    scratch = np.empty_like(x)
+    for j in range(1, k):
+        out += np.multiply(xp[j:j + m], taps[j], out=scratch)
+    out += conv.bias
+    return out
 
 
 def vim_block(tokens: np.ndarray, params: VimBlockParams) -> np.ndarray:

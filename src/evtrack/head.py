@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .events import BBox, RegionPatch
 from .ops import sigmoid
@@ -85,24 +86,30 @@ def init_head(embed_dim: int, rng: np.random.Generator, dtype=np.float32) -> Hea
     )
 
 
-def conv2d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """3x3 stride-1 convolution with zero padding; x (C_in, H, W) -> (C_out, H, W)."""
+def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Zero-padded "same" patches of x (C_in, H, W) as (H*W, C_in*kh*kw),
+    columns ordered (channel, dy, dx) like a flattened conv weight."""
     c_in, h, wd = x.shape
-    c_out, c_in2, kh, kw = w.shape
-    if c_in != c_in2:
-        raise ValueError("channel mismatch")
     xp = np.zeros((c_in, h + kh - 1, wd + kw - 1), dtype=x.dtype)
     xp[:, kh // 2:kh // 2 + h, kw // 2:kw // 2 + wd] = x
-    # im2col: (H*W, C_in*kh*kw) @ (C_in*kh*kw, C_out)
-    cols = np.empty((h * wd, c_in * kh * kw), dtype=x.dtype)
-    idx = 0
-    for c in range(c_in):
-        for dy in range(kh):
-            for dx in range(kw):
-                cols[:, idx] = xp[c, dy:dy + h, dx:dx + wd].reshape(-1)
-                idx += 1
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))  # (C_in, H, W, kh, kw)
+    return windows.transpose(1, 2, 0, 3, 4).reshape(h * wd, c_in * kh * kw)
+
+
+def _conv_cols(cols: np.ndarray, w: np.ndarray, h: int, wd: int) -> np.ndarray:
+    """Convolution from im2col columns: (H*W, C_in*kh*kw) -> (C_out, H, W)."""
+    c_out = w.shape[0]
     out = cols @ w.reshape(c_out, -1).T
     return out.T.reshape(c_out, h, wd)
+
+
+def conv2d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Stride-1 convolution with zero "same" padding; x (C_in, H, W) -> (C_out, H, W)."""
+    c_in, h, wd = x.shape
+    _, c_in2, kh, kw = w.shape
+    if c_in != c_in2:
+        raise ValueError("channel mismatch")
+    return _conv_cols(_im2col(x, kh, kw), w, h, wd)
 
 
 def _batch_norm(x: np.ndarray, p: ConvBNParams) -> np.ndarray:
@@ -111,12 +118,17 @@ def _batch_norm(x: np.ndarray, p: ConvBNParams) -> np.ndarray:
             * p.bn_scale[:, None, None] + p.bn_shift[:, None, None])
 
 
-def _branch_forward(fmap: np.ndarray, branch: HeadBranchParams) -> np.ndarray:
-    x = fmap
-    for stage in branch.stages:
-        x = conv2d_same(x, stage.conv_w)
-        x = _batch_norm(x, stage)
-        x = np.maximum(x, 0.0)
+def _bn_relu(x: np.ndarray, p: ConvBNParams) -> np.ndarray:
+    return np.maximum(_batch_norm(x, p), 0.0)
+
+
+def _branch_forward(first_cols: np.ndarray, side: int,
+                    branch: HeadBranchParams) -> np.ndarray:
+    """One branch on a side x side map given as its first stage's im2col."""
+    first, *rest = branch.stages
+    x = _bn_relu(_conv_cols(first_cols, first.conv_w, side, side), first)
+    for stage in rest:
+        x = _bn_relu(conv2d_same(x, stage.conv_w), stage)
     x = conv2d_same(x, branch.final_w) + branch.final_b[:, None, None]
     return sigmoid(x)
 
@@ -131,11 +143,15 @@ def tokens_to_map(search_tokens: np.ndarray) -> np.ndarray:
 
 
 def head_forward(search_tokens: np.ndarray, params: HeadParams) -> HeadOutputs:
+    """All three branches; they share the first stage's im2col of the map."""
     fmap = tokens_to_map(search_tokens)
+    side = fmap.shape[1]
+    kh, kw = params.score.stages[0].conv_w.shape[2:]
+    cols = _im2col(fmap, kh, kw)
     return HeadOutputs(
-        score=_branch_forward(fmap, params.score)[0],
-        offset=_branch_forward(fmap, params.offset),
-        size=_branch_forward(fmap, params.size),
+        score=_branch_forward(cols, side, params.score)[0],
+        offset=_branch_forward(cols, side, params.offset),
+        size=_branch_forward(cols, side, params.size),
     )
 
 

@@ -13,10 +13,20 @@ strictly negative through a = -exp(a_log).
 
 The forward scan runs that recurrence over cache-sized blocks of tokens,
 each seeded with the previous block's final state, so the per-token
-(d_inner x d_state) coefficients and states stay in cache (the "keep the
-expanded state in fast memory" idea of Mamba, Gu & Dao, arXiv 2312.00752).
+coefficients and states stay in cache (the "keep the expanded state in fast
+memory" idea of Mamba, Gu & Dao, arXiv 2312.00752). Blocks are laid out
+state-major, (tokens, d_state, d_inner), so every elementwise pass and the
+recurrence run along the wide d_inner axis, and the emission is one
+(1 x d_state) @ (d_state x d_inner) product per token. The coefficients use
+em1 = expm1(delta * a): a_bar = em1 + 1 and b_bar = em1 * (1/a) * b, with
+1/a computed once per call. expm1 keeps full relative precision as
+delta * a -> 0 (until delta * a is subnormal, below 1.2e-38 in float32), so
+the scan needs no series branch there; _phi and its SERIES_THRESHOLD serve
+`discretize` and `scan_backward`. An a so small that 1/a overflows
+(a_log < -88 in float32) is rejected.
 Blocking changes no arithmetic: the result is bit-identical to one
-whole-length recurrence, which the tests keep as the reference.
+whole-length recurrence in the same layout, which the tests keep as the
+reference.
 """
 
 from __future__ import annotations
@@ -155,29 +165,20 @@ def _selection(u: np.ndarray, params: SSMParams):
 
 
 def _coefficients_into(u_sl: np.ndarray, delta_sl: np.ndarray, b_sl: np.ndarray,
-                       a: np.ndarray, abs_a_min: float,
+                       a_t: np.ndarray, inv_a_t: np.ndarray,
                        abar_out: np.ndarray, bx_out: np.ndarray) -> None:
-    """Fill a_bar and bx = b_bar*x for a token slice, in-place into scratch.
+    """Fill a_bar and bx = b_bar*x for a token slice, in place, state-major.
 
-    growth = (exp(da)-1)/a = delta * phi(da); the subtraction only loses
-    digits where |da| < the series threshold, and those entries (usually
-    none, ruled out by a cheap bound first) are patched sparsely.
+    a_t and inv_a_t are a and 1/a transposed to (d_state, d_inner); the
+    outputs are (tokens, d_state, d_inner). With em1 = expm1(delta*a),
+    a_bar = em1 + 1 and bx = em1 * (1/a) * B * x.
     """
-    np.multiply(delta_sl[:, :, None], a, out=abar_out)  # holds da for now
-    small_idx = us = None
-    if float(delta_sl.min()) * abs_a_min < SERIES_THRESHOLD:
-        small = np.abs(abar_out) < SERIES_THRESHOLD
-        if small.any():
-            small_idx = np.nonzero(small)
-            us = abar_out[small_idx]
-    np.exp(abar_out, out=abar_out)
-    np.subtract(abar_out, 1.0, out=bx_out)
-    bx_out /= a
-    if small_idx is not None:
-        ds = delta_sl[small_idx[0], small_idx[1]]
-        bx_out[small_idx] = ds * (1.0 + us / 2.0 + us * us / 6.0 + us * us * us / 24.0)
-    bx_out *= b_sl[:, None, :]
-    bx_out *= u_sl[:, :, None]
+    np.multiply(delta_sl[:, None, :], a_t, out=abar_out)  # delta*a for now
+    np.expm1(abar_out, out=abar_out)
+    np.multiply(abar_out, inv_a_t, out=bx_out)
+    bx_out *= b_sl[:, :, None]
+    bx_out *= u_sl[:, None, :]
+    abar_out += 1.0
 
 
 def _seeded_states(a_bar: np.ndarray, bx: np.ndarray, h: np.ndarray,
@@ -195,9 +196,14 @@ def _seeded_states(a_bar: np.ndarray, bx: np.ndarray, h: np.ndarray,
     return h
 
 
-# Per-array scratch budget for the blocked scan; three live arrays keep the
-# working set inside the last-level cache.
-_BLOCK_BYTES = 2 * 1024 * 1024
+# Per-array scratch budget for the blocked scan. The three live block arrays
+# (a_bar, bx, states) then take 1.5 MiB, inside one core's 2 MiB L2. A sweep
+# at d_inner 768, d_state 16, L 384, float32 (2-vCPU Xeon, 2 MiB L2 per core,
+# medians of 21 interleaved rounds, in BENCH_scan_state_major.json) was flat
+# from 192 to 512 KiB (17.8-19.5 ms) and slower above: 1 MiB 22.0 ms, 2 MiB
+# 24.2 ms. At d_inner 64 it was flat up to 1 MiB and doubled at 2 MiB.
+# 512 KiB is the largest flat budget, so it runs the fewest blocks.
+_BLOCK_BYTES = 512 * 1024
 
 
 def scan_forward_chunked(u: np.ndarray, params: SSMParams) -> np.ndarray:
@@ -207,31 +213,34 @@ def scan_forward_chunked(u: np.ndarray, params: SSMParams) -> np.ndarray:
     output emission are computed one block at a time, each block seeded
     with the previous one's final state. The block holds
     _BLOCK_BYTES // (d_inner * d_state * itemsize) tokens (at least one, at
-    most L), so the (tokens x d_inner x d_state) intermediates never
+    most L), so the (tokens x d_state x d_inner) intermediates never
     round-trip to memory.
     """
     u = _check_input(u)
     L, d = u.shape
     dtype = u.dtype
     _, b_sel, c_sel, _, delta = _selection(u, params)
-    a = -np.exp(params.a_log.astype(dtype, copy=False))
-    abs_a_min = float(np.abs(a).min())
+    a_t = np.ascontiguousarray(-np.exp(params.a_log.astype(dtype, copy=False)).T)
+    with np.errstate(over="ignore", divide="ignore"):
+        inv_a_t = 1.0 / a_t
+    if not np.all(np.isfinite(inv_a_t)):
+        raise ValueError("a_log too small for this dtype: 1/a overflows")
     n = params.d_state
 
     block = max(1, min(L, _BLOCK_BYTES // (d * n * dtype.itemsize)))
-    abar_buf = np.empty((block, d, n), dtype=dtype)
+    abar_buf = np.empty((block, n, d), dtype=dtype)
     bx_buf = np.empty_like(abar_buf)
     hs_buf = np.empty_like(abar_buf)
 
     y = np.empty((L, d), dtype=dtype)
-    h = np.zeros((d, n), dtype=dtype)
+    h = np.zeros((n, d), dtype=dtype)
     for lo in range(0, L, block):
         m = min(block, L - lo)
         sl = slice(lo, lo + m)
         abar, bx, hs = abar_buf[:m], bx_buf[:m], hs_buf[:m]
-        _coefficients_into(u[sl], delta[sl], b_sel[sl], a, abs_a_min, abar, bx)
+        _coefficients_into(u[sl], delta[sl], b_sel[sl], a_t, inv_a_t, abar, bx)
         h = _seeded_states(abar, bx, h, hs)
-        y[sl] = (hs @ c_sel[sl, :, None])[:, :, 0]
+        y[sl] = (c_sel[sl, None, :] @ hs)[:, 0]
     y += u * params.d_skip.astype(dtype, copy=False)
     return y
 

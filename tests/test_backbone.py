@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
-from evtrack.backbone import (BackboneParams, NormParams, LinearParams, causal_conv,
-                              init_backbone, init_vim_block, vim_block, backbone)
+from evtrack.backbone import (BackboneParams, ConvParams, NormParams, LinearParams,
+                              causal_conv, init_backbone, init_vim_block, vim_block,
+                              backbone)
 from evtrack.config import TrackerConfig
 from evtrack.model import count_params, init_model
 from evtrack.ops import layer_norm
@@ -107,10 +109,30 @@ def test_count_params_trivial_cases():
 
 
 def test_causal_conv_shifts_correctly():
-    from evtrack.backbone import ConvParams
     x = np.zeros((5, 1), dtype=np.float64)
     x[2, 0] = 1.0  # impulse at t=2
     conv = ConvParams(weight=np.array([[0.1, 0.2, 0.3, 0.4]]), bias=np.zeros(1))
     out = causal_conv(x, conv)
     # causal: response appears at t >= 2, last tap hits the impulse instant
     np.testing.assert_allclose(out[:, 0], [0, 0, 0.4, 0.3, 0.2])
+
+
+def causal_conv_loop(x, conv):
+    """Reference: every tap's product added to a zero accumulator in turn."""
+    m, d = x.shape
+    k = conv.weight.shape[1]
+    xp = np.vstack([np.zeros((k - 1, d), dtype=x.dtype), x])
+    out = np.zeros_like(x)
+    for j in range(k):
+        out += xp[j:j + m] * conv.weight[:, j]
+    return out + conv.bias
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("m, k", [(384, 4), (64, 4), (3, 4), (1, 4), (50, 1), (50, 7)])
+def test_causal_conv_equals_tap_loop_bitwise(dtype, m, k):
+    rng = np.random.default_rng(m * 10 + k)
+    x = rng.standard_normal((m, 2 * 768)).astype(dtype)[:, :768]  # vim_block's x view
+    conv = ConvParams(weight=rng.standard_normal((768, k)).astype(dtype),
+                      bias=rng.standard_normal(768).astype(dtype))
+    np.testing.assert_array_equal(causal_conv(x, conv), causal_conv_loop(x, conv))

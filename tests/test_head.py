@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from evtrack.events import RegionPatch
-from evtrack.head import (ConvBNParams, HeadOutputs, conv2d_same, decode_bbox,
-                          head_forward, init_head, tokens_to_map)
+from evtrack.head import (ConvBNParams, HeadOutputs, _batch_norm, _im2col, conv2d_same,
+                          decode_bbox, head_forward, init_head, tokens_to_map)
+from evtrack.ops import sigmoid
 
 RNG = np.random.default_rng(0)
 
@@ -65,7 +66,6 @@ class TestHeadForward:
         )
         for c in range(4):
             stage.conv_w[c, c, 1, 1] = 1.0  # identity convolution
-        from evtrack.head import _batch_norm
         np.testing.assert_allclose(_batch_norm(conv2d_same(x, stage.conv_w), stage),
                                    x, rtol=1e-4, atol=1e-5)
 
@@ -91,6 +91,64 @@ class TestHeadForward:
                 for j in range(5):
                     ref = np.sum(w[co] * xp[:, i:i + 3, j:j + 3])
                     assert out[co, i, j] == pytest.approx(ref, rel=1e-10)
+
+
+def im2col_loop(x, kh, kw):
+    """Reference: one column per (channel, dy, dx), copied in turn."""
+    c_in, h, wd = x.shape
+    xp = np.zeros((c_in, h + kh - 1, wd + kw - 1), dtype=x.dtype)
+    xp[:, kh // 2:kh // 2 + h, kw // 2:kw // 2 + wd] = x
+    cols = np.empty((h * wd, c_in * kh * kw), dtype=x.dtype)
+    idx = 0
+    for c in range(c_in):
+        for dy in range(kh):
+            for dx in range(kw):
+                cols[:, idx] = xp[c, dy:dy + h, dx:dx + wd].reshape(-1)
+                idx += 1
+    return cols
+
+
+def branch_reference(fmap, branch):
+    """One branch run on its own, every stage through conv2d_same."""
+    x = fmap
+    for stage in branch.stages:
+        x = np.maximum(_batch_norm(conv2d_same(x, stage.conv_w), stage), 0.0)
+    return sigmoid(conv2d_same(x, branch.final_w) + branch.final_b[:, None, None])
+
+
+class TestIm2col:
+    """The strided im2col equals the column-by-column copy bit for bit."""
+
+    @pytest.mark.parametrize("c_in, c_out, side, k", [
+        (384, 192, 16, 3),  # first Vim-S head stage
+        (48, 2, 16, 3),     # last Vim-S head stage
+        (8, 4, 7, 1),
+        (6, 3, 9, 5),
+    ])
+    def test_equals_loop(self, c_in, c_out, side, k):
+        rng = np.random.default_rng(c_in + k)
+        x = rng.standard_normal((c_in, side, side)).astype(np.float32)
+        w = rng.standard_normal((c_out, c_in, k, k)).astype(np.float32)
+        cols = _im2col(x, k, k)
+        ref = im2col_loop(x, k, k)
+        np.testing.assert_array_equal(cols, ref)
+        expected = (ref @ w.reshape(c_out, -1).T).T.reshape(c_out, side, side)
+        np.testing.assert_array_equal(conv2d_same(x, w), expected)
+
+    def test_channel_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="channel"):
+            conv2d_same(np.zeros((3, 4, 4)), np.zeros((2, 4, 3, 3)))
+
+    def test_shared_first_stage_equals_separate_branches(self):
+        params = init_head(384, np.random.default_rng(5))
+        for branch in (params.score, params.offset, params.size):
+            branch.final_b[:] = np.random.default_rng(6).standard_normal(branch.final_b.shape)
+        tokens = np.random.default_rng(7).standard_normal((256, 384)).astype(np.float32)
+        out = head_forward(tokens, params)
+        fmap = tokens_to_map(tokens)
+        np.testing.assert_array_equal(out.score, branch_reference(fmap, params.score)[0])
+        np.testing.assert_array_equal(out.offset, branch_reference(fmap, params.offset))
+        np.testing.assert_array_equal(out.size, branch_reference(fmap, params.size))
 
 
 class TestDecodeBBox:

@@ -96,6 +96,39 @@ class TestScanForward:
         u = rng.standard_normal((length, 64))
         assert rel_err(scan_forward_chunked(u, params), _sequential_oracle(u, params)) < 1e-6
 
+    @staticmethod
+    def vim_s_params(rng, dtype):
+        """Vim-S width with a random A per channel and state: init_ssm_params
+        gives every channel the same A row, which would hide a transposed A."""
+        params = init_ssm_params(768, 16, 24, rng, dtype)
+        params.a_log[:] = rng.uniform(np.log(0.05), np.log(20.0), params.a_log.shape)
+        return params
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_oracle_at_vim_s_width(self, dtype):
+        rng = np.random.default_rng(12)
+        params = self.vim_s_params(rng, dtype)
+        length = 3 * block_tokens(768, 16, dtype) + 3  # three blocks and a ragged tail
+        u = rng.standard_normal((length, 768)).astype(dtype)
+        assert rel_err(scan_forward_chunked(u, params), _sequential_oracle(u, params)) < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_oracle_for_tiny_steps(self, dtype):
+        # Nearly every |delta*a| < 1e-4, where exp(u) - 1 cancels. With no
+        # skip term and positive B, C and x, y is the state emission alone
+        # and sums without cancellation, so the error seen is the
+        # discretization's.
+        rng = np.random.default_rng(13)
+        params = self.vim_s_params(rng, dtype)
+        params.dt_bias[:] = np.log(np.expm1(1e-6))
+        params.d_skip[:] = 0.0
+        params.x_proj[:, params.dt_rank:] = np.abs(params.x_proj[:, params.dt_rank:])
+        length = 3 * block_tokens(768, 16, dtype) + 3
+        u = np.abs(rng.standard_normal((length, 768))).astype(dtype)
+        delta = ssm._selection(u, params)[-1]
+        assert np.mean(np.abs(delta[:, :, None] * np.exp(params.a_log)) < 1e-4) > 0.9
+        assert rel_err(scan_forward_chunked(u, params), _sequential_oracle(u, params)) < 1e-6
+
     def test_linear_in_input_with_fixed_coefficients(self):
         rng = np.random.default_rng(5)
         L, d, n = 20, 3, 4
@@ -110,6 +143,13 @@ class TestScanForward:
             return hs
 
         np.testing.assert_allclose(run(3.5 * u), 3.5 * run(u), rtol=1e-12)
+
+    def test_a_too_small_for_reciprocal_rejected(self):
+        # a = -exp(-100) is 0 in float32, so 1/a has no finite value
+        params = init_ssm_params(2, 2, 1, np.random.default_rng(0))
+        params.a_log[0, 1] = -100.0
+        with pytest.raises(ValueError, match="a_log"):
+            scan_forward_chunked(np.ones((4, 2), dtype=np.float32), params)
 
     def test_non_finite_input_rejected(self):
         params = init_ssm_params(2, 2, 1, np.random.default_rng(0))
