@@ -7,7 +7,12 @@ For tracking we stack them into fixed-duration 3-channel frames:
     channel 1: per-pixel count of negative events, normalized by the window max
     channel 2: latest-event time at each pixel, normalized to [0, 1) in the window
 
-Pixels that saw no events are 0 in all channels.
+Pixels that saw no events are 0 in all channels. Counts come from one
+`np.bincount` per polarity over the window's flat pixel index y*W + x.
+
+Regions are cropped on a separable grid: the column and row sample positions
+are two 1-D grids, so the bilinear weights, indices and validity masks are
+built per axis and combined by outer product.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ class EventStream:
                 raise ValueError("event x out of sensor bounds")
             if self.ys.min() < 0 or self.ys.max() >= self.sensor_height:
                 raise ValueError("event y out of sensor bounds")
-            if not np.all(np.isin(self.ps, (-1, 1))):
+            if not ((self.ps == 1) | (self.ps == -1)).all():
                 raise ValueError("polarity must be +1 or -1")
 
     def __len__(self) -> int:
@@ -173,6 +178,8 @@ def stack_events(stream: EventStream, window_us: int) -> list[EventFrame]:
     """Stack a stream into consecutive fixed-duration 3-channel frames.
 
     Windows tile [first_t, last_t]; an empty stream yields an empty list.
+    Polarity counts are `np.bincount` over the flat pixel index, and the
+    latest-time surface is `np.maximum.at` on the flattened channel.
     """
     if window_us <= 0:
         raise ValueError("window_us must be positive")
@@ -192,30 +199,32 @@ def stack_events(stream: EventStream, window_us: int) -> list[EventFrame]:
         start = first + k * window_us
         data = np.zeros((3, h, w), dtype=np.float32)
         if hi > lo:
-            xs = stream.xs[lo:hi]
-            ys = stream.ys[lo:hi]
-            ts = stream.ts[lo:hi]
-            ps = stream.ps[lo:hi]
-            pos = ps > 0
-            counts = np.zeros((2, h, w), dtype=np.float64)
-            np.add.at(counts[0], (ys[pos], xs[pos]), 1.0)
-            np.add.at(counts[1], (ys[~pos], xs[~pos]), 1.0)
-            for c in range(2):
-                m = counts[c].max()
+            # Flat pixel index per window: a whole-stream index would hold
+            # one int64 per event for the whole call.
+            flat = stream.ys[lo:hi] * w + stream.xs[lo:hi]
+            pos = stream.ps[lo:hi] > 0
+            for c, sel in enumerate((pos, ~pos)):
+                counts = np.bincount(flat[sel], minlength=h * w)
+                m = counts.max()
                 if m > 0:
-                    data[c] = counts[c] / m
+                    data[c] = (counts / m).reshape(h, w)
             # Latest-event surface: timestamps are sorted, so a running max
             # of the normalized in-window time keeps the last event per pixel.
-            tnorm = (ts - start).astype(np.float64) / window_us
-            np.maximum.at(data[2], (ys, xs), tnorm.astype(np.float32))
+            tnorm = (stream.ts[lo:hi] - start).astype(np.float64) / window_us
+            np.maximum.at(data[2].reshape(-1), flat, tnorm.astype(np.float32))
         frames.append(EventFrame(data=data, window_start=start, window_end=start + window_us))
     return frames
 
 
 def _bilinear_sample(img: np.ndarray, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    """Sample (3, H, W) at continuous positions; outside the image reads 0.
+    """Sample (3, H, W) on the separable grid gy x gx; outside the image reads 0.
 
-    gx/gy are edge-based coordinates (pixel (i, j) spans [j, j+1) x [i, i+1)).
+    gx is the 1-D column grid and gy the 1-D row grid, in edge-based
+    coordinates (pixel (i, j) spans [j, j+1) x [i, i+1)); the result is
+    (3, len(gy), len(gx)). Indices, weights and validity are built per axis,
+    and each corner's weight is their outer product. Corners are summed in
+    the (dy, dx) order (0, 0), (0, 1), (1, 0), (1, 1); another order rounds
+    the float32 sum differently.
     """
     _, h, w = img.shape
     cx = gx - 0.5  # index space: pixel centers at integers
@@ -225,16 +234,16 @@ def _bilinear_sample(img: np.ndarray, gx: np.ndarray, gy: np.ndarray) -> np.ndar
     fx = (cx - x0).astype(img.dtype)
     fy = (cy - y0).astype(img.dtype)
 
-    grid_shape = np.broadcast_shapes(gx.shape, gy.shape)
-    out = np.zeros((img.shape[0],) + grid_shape, dtype=img.dtype)
+    out = np.zeros((img.shape[0], gy.size, gx.size), dtype=img.dtype)
     for dy, wy in ((0, 1.0 - fy), (1, fy)):
+        yi = y0 + dy
+        vy = (yi >= 0) & (yi < h)
+        rows = img.take(np.clip(yi, 0, h - 1), axis=1)
         for dx, wx in ((0, 1.0 - fx), (1, fx)):
             xi = x0 + dx
-            yi = y0 + dy
-            valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-            xs = np.clip(xi, 0, w - 1)
-            ys = np.clip(yi, 0, h - 1)
-            out += (wy * wx * valid) * img[:, ys, xs]
+            vx = (xi >= 0) & (xi < w)
+            weight = wy[:, None] * wx[None, :] * (vy[:, None] & vx[None, :])
+            out += weight * rows.take(np.clip(xi, 0, w - 1), axis=2)
     return out
 
 
@@ -243,7 +252,8 @@ def crop_region(frame: EventFrame, box: BBox, context_factor: float, out_size: i
 
     The crop side is context_factor * sqrt(w * h); out-of-frame area is
     zero-padded. resize_factor = out_size / crop_side is recorded so patch
-    coordinates can be mapped back to frame coordinates.
+    coordinates can be mapped back to frame coordinates. The sample grid is
+    separable: columns at x0 + grid, rows at y0 + grid.
     """
     if context_factor < 1:
         raise ValueError("context_factor must be >= 1")
@@ -254,9 +264,7 @@ def crop_region(frame: EventFrame, box: BBox, context_factor: float, out_size: i
     x0 = box.cx - side / 2.0
     y0 = box.cy - side / 2.0
     grid = (np.arange(out_size, dtype=np.float64) + 0.5) / rf
-    gx = x0 + grid[None, :]
-    gy = y0 + grid[:, None]
-    data = _bilinear_sample(frame.data.astype(np.float32), gx, gy)
+    data = _bilinear_sample(frame.data.astype(np.float32, copy=False), x0 + grid, y0 + grid)
     return RegionPatch(data=data, resize_factor=rf, crop_center=(box.cx, box.cy))
 
 
@@ -404,9 +412,12 @@ def load_events_csv(path, sensor_width: int | None = None,
     """Load an event CSV; sensor size is inferred from the data unless given."""
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
-        if header.replace(" ", "") != "t,x,y,p":
-            raise ValueError(f"bad event file header: {header!r}")
-        rows = np.loadtxt(f, delimiter=",", dtype=np.int64, ndmin=2)
+    if header.replace(" ", "") != "t,x,y,p":
+        raise ValueError(f"bad event file header: {header!r}")
+    # Given the path, loadtxt's parser reads the file itself; handed the open
+    # file it would pull the rows through Python line by line.
+    rows = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2, skiprows=1,
+                      encoding="utf-8")
     if rows.size == 0:
         rows = np.empty((0, 4), dtype=np.int64)
     ts, xs, ys, ps = rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]

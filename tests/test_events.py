@@ -1,9 +1,12 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from evtrack.events import (BBox, EventPoint, EventStream, SynthConfig, crop_region,
-                            load_boxes_csv, load_events_csv, save_boxes_csv,
-                            save_events_csv, stack_events, synth_stream)
+from evtrack.events import (BBox, EventFrame, EventPoint, EventStream, RegionPatch,
+                            SynthConfig, crop_region, load_boxes_csv, load_events_csv,
+                            save_boxes_csv, save_events_csv, stack_events, synth_stream)
 
 
 def make_stream(points, w=16, h=16):
@@ -38,6 +41,42 @@ def stack_oracle(stream, window_us):
         data[2] = np.where(tlast >= 0, tlast, 0.0)
         frames.append(data)
     return frames
+
+
+def stack_ufunc_at_oracle(stream, window_us):
+    """The 2-D `np.add.at` / `np.maximum.at` stacking that bincount replaced."""
+    if len(stream) == 0:
+        return []
+    h, w = stream.sensor_height, stream.sensor_width
+    first = int(stream.ts[0])
+    n_frames = (int(stream.ts[-1]) - first) // window_us + 1
+    bounds = np.searchsorted((stream.ts - first) // window_us, np.arange(n_frames + 1))
+    frames = []
+    for k in range(n_frames):
+        lo, hi = bounds[k], bounds[k + 1]
+        start = first + k * window_us
+        data = np.zeros((3, h, w), dtype=np.float32)
+        if hi > lo:
+            xs, ys = stream.xs[lo:hi], stream.ys[lo:hi]
+            ts, ps = stream.ts[lo:hi], stream.ps[lo:hi]
+            pos = ps > 0
+            counts = np.zeros((2, h, w), dtype=np.float64)
+            np.add.at(counts[0], (ys[pos], xs[pos]), 1.0)
+            np.add.at(counts[1], (ys[~pos], xs[~pos]), 1.0)
+            for c in range(2):
+                m = counts[c].max()
+                if m > 0:
+                    data[c] = counts[c] / m
+            tnorm = (ts - start).astype(np.float64) / window_us
+            np.maximum.at(data[2], (ys, xs), tnorm.astype(np.float32))
+        frames.append(data)
+    return frames
+
+
+def random_stream(rng, n, w, h, duration_us, polarities=(-1, 1)):
+    return EventStream(rng.integers(0, w, n), rng.integers(0, h, n),
+                       np.sort(rng.integers(0, duration_us, n)),
+                       rng.choice(np.array(polarities), n), w, h)
 
 
 class TestStackEvents:
@@ -96,6 +135,49 @@ class TestStackEvents:
         assert np.all(frames[1].data == 0)
 
 
+def _streams_for_ufunc_at_oracle():
+    rng = np.random.default_rng(11)
+    # 8x6 pixels and 3000 events: every pixel repeats, in both polarities
+    yield "repeated_pixels", random_stream(rng, 3000, 8, 6, 40_000)
+    yield "dense_346x260", random_stream(rng, 20_000, 346, 260, 30_000)
+    # window 0 only ON, window 1 empty, window 2 only OFF
+    on = random_stream(rng, 50, 16, 16, 10_000, polarities=(1,))
+    off = random_stream(rng, 50, 16, 16, 10_000, polarities=(-1,))
+    yield "single_polarity_and_empty_middle", EventStream(
+        np.concatenate([on.xs, off.xs]), np.concatenate([on.ys, off.ys]),
+        np.concatenate([on.ts, off.ts + 20_000]), np.concatenate([on.ps, off.ps]), 16, 16)
+    yield "last_row_and_column", make_stream(
+        [(15, 11, 0, 1), (15, 11, 10, -1), (0, 11, 20, 1), (15, 0, 30, -1),
+         (15, 11, 40, 1), (7, 11, 9_999, -1)], w=16, h=12)
+    yield "one_event", make_stream([(2, 3, 17, -1)])
+    yield "non_square", random_stream(rng, 500, 31, 7, 30_000)
+
+
+STACK_CASES = dict(_streams_for_ufunc_at_oracle())
+
+
+class TestStackMatchesUfuncAtOracle:
+    @pytest.mark.parametrize("case", sorted(STACK_CASES))
+    def test_bit_identical(self, case):
+        stream = STACK_CASES[case]
+        frames = stack_events(stream, 10_000)
+        expected = stack_ufunc_at_oracle(stream, 10_000)
+        assert len(frames) == len(expected)
+        for f, e in zip(frames, expected):
+            assert f.data.dtype == e.dtype
+            assert np.array_equal(f.data, e)
+
+    def test_cases_reach_what_they_name(self):
+        frames = stack_events(STACK_CASES["single_polarity_and_empty_middle"], 10_000)
+        assert len(frames) == 3
+        assert frames[0].data[0].any() and not frames[0].data[1].any()
+        assert not frames[1].data.any()
+        assert not frames[2].data[0].any() and frames[2].data[1].any()
+        (edge,) = stack_events(STACK_CASES["last_row_and_column"], 10_000)
+        assert edge.data[0, 11, 15] == 1.0 and edge.data[2, 11, 15] == np.float32(0.004)
+        assert edge.data[2, 11, 7] == np.float32(0.9999)
+
+
 class TestCropRegion:
     def frame(self, h=32, w=32, seed=0):
         from evtrack.events import EventFrame
@@ -138,6 +220,102 @@ class TestCropRegion:
     def test_context_factor_below_one_rejected(self):
         with pytest.raises(ValueError):
             crop_region(self.frame(), BBox(16, 16, 8, 8), 0.5, 16)
+
+
+def bilinear_2d_oracle(img, gx, gy):
+    """The 2-D-broadcast bilinear sampler that the separable one replaced."""
+    _, h, w = img.shape
+    cx = gx - 0.5
+    cy = gy - 0.5
+    x0 = np.floor(cx).astype(np.int64)
+    y0 = np.floor(cy).astype(np.int64)
+    fx = (cx - x0).astype(img.dtype)
+    fy = (cy - y0).astype(img.dtype)
+    grid_shape = np.broadcast_shapes(gx.shape, gy.shape)
+    out = np.zeros((img.shape[0],) + grid_shape, dtype=img.dtype)
+    for dy, wy in ((0, 1.0 - fy), (1, fy)):
+        for dx, wx in ((0, 1.0 - fx), (1, fx)):
+            xi = x0 + dx
+            yi = y0 + dy
+            valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
+            xs = np.clip(xi, 0, w - 1)
+            ys = np.clip(yi, 0, h - 1)
+            out += (wy * wx * valid) * img[:, ys, xs]
+    return out
+
+
+def crop_2d_oracle(frame, box, context_factor, out_size):
+    side = context_factor * math.sqrt(box.w * box.h)
+    rf = out_size / side
+    grid = (np.arange(out_size, dtype=np.float64) + 0.5) / rf
+    gx = box.cx - side / 2.0 + grid[None, :]
+    gy = box.cy - side / 2.0 + grid[:, None]
+    data = bilinear_2d_oracle(frame.data.astype(np.float32), gx, gy)
+    return RegionPatch(data=data, resize_factor=rf, crop_center=(box.cx, box.cy))
+
+
+def _run_recording_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args)
+    return result, sorted(str(c.message) for c in caught)
+
+
+SENSORS = [(240, 180), (346, 260)]
+CROP_BOXES = {
+    "interior": lambda w, h: BBox(w * 0.45, h * 0.55, 31.3, 23.7),
+    "off_top_left": lambda w, h: BBox(3.2, 4.9, 40.0, 30.0),
+    "off_top_right": lambda w, h: BBox(w - 2.7, 6.1, 36.5, 28.0),
+    "off_bottom_left": lambda w, h: BBox(5.5, h - 1.3, 30.0, 41.0),
+    "off_bottom_right": lambda w, h: BBox(w - 0.4, h - 3.6, 33.0, 29.0),
+    "fully_off": lambda w, h: BBox(-500.0, h + 700.0, 40.0, 30.0),
+    "tiny_1e-30": lambda w, h: BBox(w / 2 + 0.3, h / 2 - 0.2, 1e-30, 1e-30),
+    # the box small-dense's seed-1 sequence reaches at frame 58: the int64
+    # cast of the grid overflows and the weights go inf/NaN
+    "exploding_6e18": lambda w, h: BBox(w / 2, h / 2, 6e18, 5e18),
+}
+
+
+class TestCropMatches2DOracle:
+    @staticmethod
+    def frame(w, h):
+        rng = np.random.default_rng(w * h)
+        data = rng.random((3, h, w)).astype(np.float32)
+        data[rng.random((3, h, w)) < 0.7] = 0.0  # mostly empty, like stacked events
+        return EventFrame(data=data, window_start=0, window_end=1)
+
+    @pytest.mark.parametrize("out_size,context", [(128, 2.0), (256, 4.0)])
+    @pytest.mark.parametrize("sensor", SENSORS, ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("case", sorted(CROP_BOXES))
+    def test_bit_identical(self, case, sensor, out_size, context):
+        frame = self.frame(*sensor)
+        box = CROP_BOXES[case](*sensor)
+        patch, got_warnings = _run_recording_warnings(crop_region, frame, box, context, out_size)
+        expected, want_warnings = _run_recording_warnings(crop_2d_oracle, frame, box, context,
+                                                          out_size)
+        assert patch.data.shape == (3, out_size, out_size)
+        assert patch.data.dtype == np.float32
+        assert patch.data.tobytes() == expected.data.tobytes()  # NaN payloads included
+        assert patch.resize_factor == expected.resize_factor
+        assert got_warnings == want_warnings
+        if case == "exploding_6e18" and out_size == 256:
+            # the search crop's grid leaves int64 range
+            assert "invalid value encountered in cast" in want_warnings
+            assert np.isnan(patch.data).any()
+        if case == "fully_off":
+            assert not patch.data.any()
+
+    @pytest.mark.parametrize("side", [math.inf, 1e300])
+    @pytest.mark.parametrize("sensor", SENSORS, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_unbounded_box_raises_like_oracle(self, sensor, side):
+        frame = self.frame(*sensor)
+        box = BBox(sensor[0] / 2, sensor[1] / 2, side, side)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError) as want:
+                crop_2d_oracle(frame, box, 4.0, 256)
+            with pytest.raises(ValueError) as got:
+                crop_region(frame, box, 4.0, 256)
+        assert str(got.value) == str(want.value)
 
 
 class TestSynthStream:
@@ -208,6 +386,38 @@ class TestFileFormats:
         assert (x, y) == (10.5 - 2.5, 20.25 - 4.0)
 
 
+class TestLoadEventsErrors:
+    def write(self, tmp_path, text):
+        path = tmp_path / "events.csv"
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def test_bad_header(self, tmp_path):
+        with pytest.raises(ValueError, match="bad event file header"):
+            load_events_csv(self.write(tmp_path, "x,y,t,p\n0,1,2,1\n"))
+
+    @pytest.mark.parametrize("row", ["5,1,x,1", "5,1,2", "5,1,2,1,0"])
+    def test_malformed_row(self, tmp_path, row):
+        with pytest.raises(ValueError):
+            load_events_csv(self.write(tmp_path, f"t,x,y,p\n0,1,2,1\n{row}\n"))
+
+    def test_header_only_gives_empty_stream(self, tmp_path):
+        with pytest.warns(UserWarning, match="no data"):
+            stream = load_events_csv(self.write(tmp_path, "t,x,y,p\n"))
+        assert len(stream) == 0
+        assert (stream.sensor_width, stream.sensor_height) == (1, 1)
+
+    def test_bad_polarity(self, tmp_path):
+        with pytest.raises(ValueError, match="polarity"):
+            load_events_csv(self.write(tmp_path, "t,x,y,p\n0,1,2,1\n5,1,2,0\n"))
+
+    def test_header_row_is_not_data(self, tmp_path):
+        stream = load_events_csv(self.write(tmp_path, " t, x, y, p \r\n0,1,2,1\r\n7,3,2,-1\r\n"))
+        assert stream.ts.tolist() == [0, 7] and stream.xs.tolist() == [1, 3]
+        assert stream.ts.dtype == np.int64
+        assert (stream.sensor_width, stream.sensor_height) == (4, 3)
+
+
 class TestStreamValidation:
     def test_decreasing_timestamps_rejected(self):
         with pytest.raises(ValueError, match="non-decreasing"):
@@ -218,5 +428,6 @@ class TestStreamValidation:
             make_stream([(99, 0, 0, 1)], w=16, h=16)
 
     def test_bad_polarity_rejected(self):
-        with pytest.raises(ValueError):
-            make_stream([(0, 0, 0, 2)])
+        for p in (2, 0, -2):
+            with pytest.raises(ValueError, match="polarity"):
+                make_stream([(0, 0, 0, 1), (0, 0, 1, p)])
