@@ -17,7 +17,8 @@ Submodules:
 
 from .config import TrackerConfig, load_config
 from .events import (BBox, EventFrame, EventPoint, EventStream, RegionPatch,
-                     SynthConfig, crop_region, stack_events, synth_stream)
+                     SynthConfig, crop_region, iter_event_frames, stack_events,
+                     synth_stream)
 from .head import HeadOutputs, decode_bbox, head_forward
 from .losses import LossWeights, focal_loss, giou, iou, total_loss
 from .memory import MemoryLibrary, TemplateFeature, gram_det, pearson
@@ -38,8 +39,8 @@ __all__ = [
     "TrackerConfig", "WeightFileError", "assemble_input", "count_params",
     "crop_region", "decode_bbox", "discretize", "evaluate",
     "extract_search_tokens", "focal_loss", "giou", "gram_det", "head_forward",
-    "init_model", "iou", "load_config", "load_weights", "patch_embed",
-    "pearson", "save_weights", "scan_backward", "scan_forward_chunked",
+    "init_model", "iou", "iter_event_frames", "load_config", "load_weights",
+    "patch_embed", "pearson", "save_weights", "scan_backward", "scan_forward_chunked",
     "stack_events", "synth_stream",
     "total_loss", "track_frames", "track_sequence", "TemplateFeature",
 ]

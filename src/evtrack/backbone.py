@@ -6,6 +6,18 @@ forward and the reversed direction (independent parameters per direction);
 the summed scans are gated by SiLU(z), projected back to the embedding
 dimension, and added to the residual. The stack ends with a per-token
 normalization and a single linear projection.
+
+Every (L, .) intermediate of a block, its convolutions and its scans lives
+in a Workspace (`ops.Workspace`, which `ssm` shares): the in_proj output,
+the conv output (which then takes the backward scan's output), SiLU, the
+forward scan's output, two shared scratch buffers (norm output, padded
+conv input, conv taps, the scan's pre-activation and delta), the scan's
+selection and block arrays, and two ping-pong token buffers. All blocks and
+both directions reuse it: about 11 MiB at Vim-S and 384 tokens. The caller
+owns the workspace, and a tracker keeps one for its lifetime (see
+`tracker`): a workspace built per call would be allocated and page-faulted
+again on every pass. Calls without one (tests, selftest) get a workspace
+of their own, so there is one code path.
 """
 
 from __future__ import annotations
@@ -14,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import layer_norm, silu
+from .ops import Workspace, layer_norm, silu
 from .ssm import SSMParams, init_ssm_params, scan_forward_chunked
 
 
@@ -108,46 +120,89 @@ def init_backbone(embed_dim: int, depth: int, d_state: int, dt_rank: int,
     )
 
 
-def causal_conv(x: np.ndarray, conv: ConvParams) -> np.ndarray:
+def causal_conv(x: np.ndarray, conv: ConvParams, ws: Workspace | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Depthwise causal convolution over the token axis of (m, d_inner).
 
     Tap products are added first to last through one scratch buffer, so the
     sum rounds exactly as adding each product to a zero accumulator would.
+    The padded input and the scratch come from `ws` (a fresh Workspace if
+    None); the result goes to `out` (a fresh array if None). x may be any
+    view, reversed ones included.
     """
+    ws = Workspace() if ws is None else ws
     m, d = x.shape
     k = conv.weight.shape[1]
     taps = np.ascontiguousarray(conv.weight.T)  # (k, d_inner)
-    xp = np.vstack([np.zeros((k - 1, d), dtype=x.dtype), x])
-    out = np.multiply(xp[:m], taps[0], out=np.empty_like(x))
-    scratch = np.empty_like(x)
+    xp = ws.take("scratch.0", (m + k - 1, d), x.dtype)
+    xp[:k - 1] = 0
+    xp[k - 1:] = x
+    out = np.multiply(xp[:m], taps[0], out=np.empty_like(x) if out is None else out)
+    scratch = ws.take("scratch.1", (m, d), x.dtype)
     for j in range(1, k):
         out += np.multiply(xp[j:j + m], taps[j], out=scratch)
     out += conv.bias
     return out
 
 
-def vim_block(tokens: np.ndarray, params: VimBlockParams) -> np.ndarray:
-    """One bidirectional block with its residual connection."""
-    if not np.all(np.isfinite(tokens)):
+def vim_block(tokens: np.ndarray, params: VimBlockParams, ws: Workspace | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """One bidirectional block with its residual connection.
+
+    Every (L, .) intermediate lives in `ws` (a fresh Workspace if None), and
+    both directions reuse the same conv, SiLU and scan scratch. The result
+    goes to `out` (a fresh array if None), which may not alias tokens.
+    """
+    ws = Workspace() if ws is None else ws
+    L = tokens.shape[0]
+    if not np.isfinite(tokens, out=ws.take("finite", tokens.shape, bool)).all():
         raise ValueError("non-finite input")
-    h = layer_norm(tokens, params.pre_norm.scale, params.pre_norm.shift)
-    xz = h @ params.in_proj
+    scale, shift = params.pre_norm.scale, params.pre_norm.shift
+    h = layer_norm(tokens, scale, shift,
+                   out=ws.take("scratch.0", tokens.shape, np.result_type(tokens, scale, shift)))
+    xz = np.matmul(h, params.in_proj, out=ws.take(
+        "in_proj", (L, params.in_proj.shape[1]), np.result_type(h, params.in_proj)))
     d_inner = params.d_inner
     x, z = xz[:, :d_inner], xz[:, d_inner:]
 
-    y_fwd = scan_forward_chunked(silu(causal_conv(x, params.conv_fwd)), params.ssm_fwd)
-    xr = np.ascontiguousarray(x[::-1])
-    y_bwd = scan_forward_chunked(silu(causal_conv(xr, params.conv_bwd)), params.ssm_bwd)
-    y = (y_fwd + y_bwd[::-1]) * silu(z)
-    return tokens + y @ params.out_proj
+    conv = ws.take("conv", x.shape, x.dtype)
+    act = ws.take("silu", x.shape, x.dtype)
+    y_fwd = ws.take("y_fwd", x.shape, x.dtype)
+    silu(causal_conv(x, params.conv_fwd, ws, out=conv), out=act)
+    scan_forward_chunked(act, params.ssm_fwd, ws, out=y_fwd)
+    silu(causal_conv(x[::-1], params.conv_bwd, ws, out=conv), out=act)
+    # The conv output is spent, so it takes the backward scan's output.
+    y_bwd = scan_forward_chunked(act, params.ssm_bwd, ws, out=conv)
+    # y = (y_fwd + y_bwd[::-1]) * silu(z), accumulated in y_fwd.
+    y = np.add(y_fwd, y_bwd[::-1], out=y_fwd)
+    y *= silu(z, out=act)
+    if out is None:
+        out = np.empty(tokens.shape, dtype=np.result_type(tokens, y, params.out_proj))
+    # tokens + y @ out_proj
+    np.matmul(y, params.out_proj, out=out)
+    return np.add(tokens, out, out=out)
 
 
-def backbone(tokens: np.ndarray, params: BackboneParams) -> np.ndarray:
-    """Apply all residual blocks, then the final Norm + linear projection."""
-    for block in params.blocks:
-        tokens = vim_block(tokens, block)
+def backbone(tokens: np.ndarray, params: BackboneParams,
+             ws: Workspace | None = None) -> np.ndarray:
+    """Apply all residual blocks, then the final Norm + linear projection.
+
+    Blocks run in `ws` (a fresh Workspace if None), passing tokens between
+    two ping-pong buffers; the result is always a fresh array.
+    """
+    ws = Workspace() if ws is None else ws
+    for i, block in enumerate(params.blocks):
+        out = ws.take(f"tokens.{i % 2}", tokens.shape,
+                      np.result_type(tokens, block.pre_norm.scale, block.out_proj))
+        tokens = vim_block(tokens, block, ws, out=out)
     if params.final_norm is not None:
-        tokens = layer_norm(tokens, params.final_norm.scale, params.final_norm.shift)
+        norm = params.final_norm
+        out = (ws.take("scratch.0", tokens.shape, np.result_type(tokens, norm.scale, norm.shift))
+               if params.mlp is not None else None)
+        tokens = layer_norm(tokens, norm.scale, norm.shift, out=out)
     if params.mlp is not None:
-        tokens = tokens @ params.mlp.weight + params.mlp.bias
+        tokens = tokens @ params.mlp.weight
+        tokens += params.mlp.bias
+    elif params.final_norm is None and params.blocks:
+        tokens = tokens.copy()
     return tokens

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -174,26 +174,30 @@ class RegionPatch:
         return ((fx - ox) * self.resize_factor, (fy - oy) * self.resize_factor)
 
 
-def stack_events(stream: EventStream, window_us: int) -> list[EventFrame]:
-    """Stack a stream into consecutive fixed-duration 3-channel frames.
+def iter_event_frames(stream: EventStream, window_us: int) -> Iterator[EventFrame]:
+    """Stack a stream into consecutive fixed-duration 3-channel frames, one
+    window at a time.
 
-    Windows tile [first_t, last_t]; an empty stream yields an empty list.
+    Windows tile [first_t, last_t]; an empty stream yields nothing.
     Polarity counts are `np.bincount` over the flat pixel index, and the
     latest-time surface is `np.maximum.at` on the flattened channel.
     """
     if window_us <= 0:
         raise ValueError("window_us must be positive")
+    return _windows(stream, window_us)
+
+
+def _windows(stream: EventStream, window_us: int) -> Iterator[EventFrame]:
     if len(stream) == 0:
-        return []
+        return
     h, w = stream.sensor_height, stream.sensor_width
     first = int(stream.ts[0])
     last = int(stream.ts[-1])
     n_frames = (last - first) // window_us + 1
-    idx = (stream.ts - first) // window_us
 
-    frames = []
-    # Events are time sorted, so each window is a contiguous slice.
-    bounds = np.searchsorted(idx, np.arange(n_frames + 1))
+    # Events are time sorted, so each window is a contiguous slice; its
+    # bounds are the first events at or after each window edge.
+    bounds = np.searchsorted(stream.ts, first + np.arange(n_frames + 1) * window_us)
     for k in range(n_frames):
         lo, hi = bounds[k], bounds[k + 1]
         start = first + k * window_us
@@ -212,8 +216,12 @@ def stack_events(stream: EventStream, window_us: int) -> list[EventFrame]:
             # of the normalized in-window time keeps the last event per pixel.
             tnorm = (stream.ts[lo:hi] - start).astype(np.float64) / window_us
             np.maximum.at(data[2].reshape(-1), flat, tnorm.astype(np.float32))
-        frames.append(EventFrame(data=data, window_start=start, window_end=start + window_us))
-    return frames
+        yield EventFrame(data=data, window_start=start, window_end=start + window_us)
+
+
+def stack_events(stream: EventStream, window_us: int) -> list[EventFrame]:
+    """Every frame of `iter_event_frames`, as a list."""
+    return list(iter_event_frames(stream, window_us))
 
 
 def _bilinear_sample(img: np.ndarray, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .backbone import BackboneParams, backbone
 from .memory import MemoryLibrary, TemplateFeature
+from .ops import Workspace
 
 
 @dataclass
@@ -26,26 +27,33 @@ class MemMambaParams:
     shared: bool
 
 
-def fuse(templates: Sequence[TemplateFeature], params: MemMambaParams) -> np.ndarray:
+def fuse(templates: Sequence[TemplateFeature], params: MemMambaParams,
+         ws: Workspace | None = None) -> np.ndarray:
     """Fuse m templates (oldest first) into one N_z x C dynamic template.
 
-    The concatenated (m * N_z) x C sequence runs through the full stack; the
-    final N_z rows are returned. No positional embedding is added.
+    The concatenated (m * N_z) x C sequence runs through the full stack in
+    `ws` (a fresh Workspace if None); the final N_z rows are returned. No
+    positional embedding is added.
     """
     if len(templates) == 0:
         raise ValueError("cannot fuse an empty template sequence")
+    ws = Workspace() if ws is None else ws
     n_z = templates[0].tokens.shape[0]
-    seq = np.concatenate([z.tokens for z in templates], axis=0)
-    out = backbone(seq, params.stack)
+    shape = (sum(z.tokens.shape[0] for z in templates), templates[0].tokens.shape[1])
+    dtype = np.result_type(*(z.tokens for z in templates))
+    seq = np.concatenate([z.tokens for z in templates], axis=0,
+                         out=ws.take("fuse.seq", shape, dtype))
+    out = backbone(seq, params.stack, ws)
     return out[-n_z:]
 
 
 def generate_dynamic_template(lib: MemoryLibrary, incoming: TemplateFeature,
-                              params: MemMambaParams) -> np.ndarray:
+                              params: MemMambaParams,
+                              ws: Workspace | None = None) -> np.ndarray:
     """Route by similarity, then fuse the winning library's members.
 
     ST members fuse in FIFO order, LT members in ascending frame order.
     """
     routed = lib.route(incoming)
     members = lib.st_members() if routed == "ST" else lib.lt_members()
-    return fuse(members, params)
+    return fuse(members, params, ws)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import sigmoid, softplus
+from .ops import Workspace, sigmoid, softplus
 
 # Below this |delta * a| the closed form (exp(u)-1)/u loses digits to
 # cancellation; a 4-term Taylor series keeps relative error under 1e-12.
@@ -133,11 +133,11 @@ def discretize(a, b, delta):
     return a_bar, b_bar
 
 
-def _check_input(u: np.ndarray) -> np.ndarray:
+def _check_input(u: np.ndarray, ws: Workspace) -> np.ndarray:
     u = np.asarray(u)
     if u.ndim != 2:
         raise ValueError("input must be L x d_inner")
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u, out=ws.take("finite", u.shape, bool)).all():
         raise ValueError("non-finite input")
     return u
 
@@ -150,17 +150,26 @@ def _cast_params(params: SSMParams, dtype):
             params.dt_bias.astype(dtype, copy=False))
 
 
-def _selection(u: np.ndarray, params: SSMParams):
-    """Input-dependent (delta, B, C) for every token, vectorized over L."""
+def _selection(u: np.ndarray, params: SSMParams, ws: Workspace | None = None,
+               scratch: np.ndarray | None = None):
+    """Input-dependent (delta, B, C) for every token, vectorized over L.
+
+    Every returned array is a view of a buffer of `ws` (a fresh Workspace
+    if None). `scratch`, if given, is an (L, d_inner) buffer for softplus;
+    without it softplus allocates one.
+    """
+    ws = Workspace() if ws is None else ws
     dtype = u.dtype
+    L = u.shape[0]
     a_log, d_skip, x_proj, dt_proj, dt_bias = _cast_params(params, dtype)
-    r, n = params.dt_rank, params.d_state
-    xdbl = u @ x_proj
+    r, n, d = params.dt_rank, params.d_state, params.d_inner
+    xdbl = np.matmul(u, x_proj, out=ws.take("scan.xdbl", (L, r + 2 * n), dtype))
     dt_logit = xdbl[:, :r]
     b_sel = xdbl[:, r:r + n]
     c_sel = xdbl[:, r + n:]
-    pre = dt_logit @ dt_proj + dt_bias
-    delta = softplus(pre)
+    pre = np.matmul(dt_logit, dt_proj, out=ws.take("scratch.0", (L, d), dtype))
+    pre += dt_bias
+    delta = softplus(pre, out=ws.take("scratch.1", (L, d), dtype), scratch=scratch)
     return dt_logit, b_sel, c_sel, pre, delta
 
 
@@ -206,7 +215,8 @@ def _seeded_states(a_bar: np.ndarray, bx: np.ndarray, h: np.ndarray,
 _BLOCK_BYTES = 512 * 1024
 
 
-def scan_forward_chunked(u: np.ndarray, params: SSMParams) -> np.ndarray:
+def scan_forward_chunked(u: np.ndarray, params: SSMParams, ws: Workspace | None = None,
+                         out: np.ndarray | None = None) -> np.ndarray:
     """Selective scan over an (L, d_inner) input; returns (L, d_inner).
 
     "Chunked" means cache-sized token blocks: coefficients, states and
@@ -215,11 +225,17 @@ def scan_forward_chunked(u: np.ndarray, params: SSMParams) -> np.ndarray:
     _BLOCK_BYTES // (d_inner * d_state * itemsize) tokens (at least one, at
     most L), so the (tokens x d_state x d_inner) intermediates never
     round-trip to memory.
+
+    Scratch comes from `ws` (a fresh Workspace if None); the result goes to
+    `out` (a fresh array if None), which may not alias u.
     """
-    u = _check_input(u)
+    ws = Workspace() if ws is None else ws
+    u = _check_input(u, ws)
     L, d = u.shape
     dtype = u.dtype
-    _, b_sel, c_sel, _, delta = _selection(u, params)
+    y = np.empty((L, d), dtype=dtype) if out is None else out
+    # y is written only by the emission below, so it holds softplus's scratch.
+    _, b_sel, c_sel, pre, delta = _selection(u, params, ws, scratch=y)
     a_t = np.ascontiguousarray(-np.exp(params.a_log.astype(dtype, copy=False)).T)
     with np.errstate(over="ignore", divide="ignore"):
         inv_a_t = 1.0 / a_t
@@ -228,11 +244,10 @@ def scan_forward_chunked(u: np.ndarray, params: SSMParams) -> np.ndarray:
     n = params.d_state
 
     block = max(1, min(L, _BLOCK_BYTES // (d * n * dtype.itemsize)))
-    abar_buf = np.empty((block, n, d), dtype=dtype)
-    bx_buf = np.empty_like(abar_buf)
-    hs_buf = np.empty_like(abar_buf)
+    abar_buf = ws.take("scan.abar", (block, n, d), dtype)
+    bx_buf = ws.take("scan.bx", (block, n, d), dtype)
+    hs_buf = ws.take("scan.hs", (block, n, d), dtype)
 
-    y = np.empty((L, d), dtype=dtype)
     h = np.zeros((n, d), dtype=dtype)
     for lo in range(0, L, block):
         m = min(block, L - lo)
@@ -240,8 +255,9 @@ def scan_forward_chunked(u: np.ndarray, params: SSMParams) -> np.ndarray:
         abar, bx, hs = abar_buf[:m], bx_buf[:m], hs_buf[:m]
         _coefficients_into(u[sl], delta[sl], b_sel[sl], a_t, inv_a_t, abar, bx)
         h = _seeded_states(abar, bx, h, hs)
-        y[sl] = (c_sel[sl, None, :] @ hs)[:, 0]
-    y += u * params.d_skip.astype(dtype, copy=False)
+        np.matmul(c_sel[sl, None, :], hs, out=y[sl, None, :])
+    # pre is spent; it holds the skip term.
+    y += np.multiply(u, params.d_skip.astype(dtype, copy=False), out=pre)
     return y
 
 
@@ -253,7 +269,8 @@ def scan_backward(u: np.ndarray, params: SSMParams, dy: np.ndarray,
     Hidden states are not kept for the whole sequence; they are checkpointed
     every `chunk` steps and rebuilt per chunk during the reverse sweep.
     """
-    u = _check_input(u)
+    ws = Workspace()
+    u = _check_input(u, ws)
     dy = np.asarray(dy, dtype=u.dtype)
     if dy.shape != u.shape:
         raise ValueError("cotangent shape mismatch")
@@ -263,7 +280,7 @@ def scan_backward(u: np.ndarray, params: SSMParams, dy: np.ndarray,
     a_log, d_skip, x_proj, dt_proj, dt_bias = _cast_params(params, dtype)
     a = -np.exp(a_log)
 
-    dt_logit, b_sel, c_sel, pre, delta = _selection(u, params)
+    dt_logit, b_sel, c_sel, pre, delta = _selection(u, params, ws)
 
     def chunk_coeffs(sl: slice):
         da = delta[sl, :, None] * a

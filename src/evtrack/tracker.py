@@ -12,22 +12,30 @@ function of the memory contents and the last pushed feature, and only
 afterwards only when a push has happened since the last generation: at the
 start of the next tick's frame by default, or of the very next frame with
 `regenerate_every_frame`. Every other frame reuses the last template.
+
+Each tracker owns one backbone Workspace, which the frame backbone and the
+fusion stack share. It lives as long as the tracker because a workspace
+built per call would re-allocate, and re-fault, about 11 MiB of Vim-S
+scratch on every backbone pass; a persistent one is sized by `init`'s fuse
+and the first frame, grows only when a longer sequence first arrives (an
+LT fuse is up to 1024 tokens), and stepping then allocates nothing large.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Sequence
+from typing import IO, Iterable
 
 import numpy as np
 
 from .backbone import backbone
 from .config import TrackerConfig
-from .events import BBox, EventFrame, EventStream, crop_region, stack_events
+from .events import BBox, EventFrame, EventStream, crop_region, iter_event_frames
 from .fusion import generate_dynamic_template
 from .head import decode_bbox, head_forward
 from .memory import MemoryLibrary, TemplateFeature
 from .model import ModelParams
+from .ops import Workspace
 from .tokenizer import (DYNAMIC, STATIC, SEARCH, TokenSeq, add_position_embedding,
                         assemble_input, extract_search_tokens, patch_embed)
 
@@ -49,6 +57,7 @@ class Tracker:
                                     lt_capacity=config.lt_capacity,
                                     debug_stream=debug_stream)
         self.stats = TrackerStats()
+        self.workspace = Workspace()
         self._static: TokenSeq | None = None
         self._dynamic: np.ndarray | None = None
         self._dynamic_stale = False  # a push happened since the last generation
@@ -66,7 +75,7 @@ class Tracker:
 
     def _regenerate_dynamic(self) -> None:
         self._dynamic = generate_dynamic_template(
-            self.memory, self._last_feature, self.model.fusion_params())
+            self.memory, self._last_feature, self.model.fusion_params(), self.workspace)
         self._dynamic_stale = False
         self.stats.template_regenerations += 1
 
@@ -110,7 +119,7 @@ class Tracker:
         dynamic = TokenSeq.single(self._dynamic, DYNAMIC)
         seq = assemble_input(self._static, dynamic, search)
 
-        out = backbone(seq.tokens, self.model.backbone)
+        out = backbone(seq.tokens, self.model.backbone, self.workspace)
         search_out = extract_search_tokens(seq.with_tokens(out))
         outputs = head_forward(search_out, self.model.head)
         box = decode_bbox(outputs, search_patch)
@@ -130,14 +139,17 @@ class Tracker:
 
 
 def track_frames(config: TrackerConfig, model: ModelParams,
-                 frames: Sequence[EventFrame], init_box: BBox,
+                 frames: Iterable[EventFrame], init_box: BBox,
                  debug_stream: IO[str] | None = None) -> list[BBox]:
-    """Track over pre-stacked frames; the first output box is init_box."""
-    if not frames:
+    """Track over frames, stepping each as it arrives; the first output box
+    is init_box."""
+    frames = iter(frames)
+    first = next(frames, None)
+    if first is None:
         return []
     tracker = Tracker(config, model, debug_stream)
-    boxes = [tracker.init(frames[0], init_box)]
-    for frame in frames[1:]:
+    boxes = [tracker.init(first, init_box)]
+    for frame in frames:
         boxes.append(tracker.step(frame))
     return boxes
 
@@ -145,6 +157,10 @@ def track_frames(config: TrackerConfig, model: ModelParams,
 def track_sequence(config: TrackerConfig, model: ModelParams,
                    stream: EventStream, init_box: BBox,
                    debug_stream: IO[str] | None = None) -> list[BBox]:
-    """Stack a stream into frames and track it; one box per stacked frame."""
-    frames = stack_events(stream, config.window_us)
-    return track_frames(config, model, frames, init_box, debug_stream)
+    """Track a stream one stacked window at a time; one box per window.
+
+    Each frame is stacked just before it is tracked and dropped after, so
+    memory does not grow with the sequence's length.
+    """
+    return track_frames(config, model, iter_event_frames(stream, config.window_us),
+                        init_box, debug_stream)

@@ -5,12 +5,20 @@ Layout: 8-byte magic "MEVTW001", then one record per array:
 All integers little-endian, data IEEE-754 binary32. Every array of the
 model (learned parameters and batch-norm running statistics) appears
 exactly once, keyed by its dotted path.
+
+Reading starts with one pass over the record headers, which seeks past the
+data. `load_weights` then checks every name and shape against the model,
+and only after every check has passed reads each record straight into its
+model array. So a load needs no second copy of the model, and a file that
+fails a check leaves the model untouched.
 """
 
 from __future__ import annotations
 
+import os
 import struct
-from typing import BinaryIO
+import sys
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -45,30 +53,66 @@ def write_weight_file(path, arrays: dict[str, np.ndarray]) -> None:
             f.write(encoded)
             f.write(struct.pack("<I", arr.ndim))
             f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(np.ascontiguousarray(arr).tobytes())
+            f.write(np.ascontiguousarray(arr, dtype="<f4"))
+
+
+class _Record(NamedTuple):
+    shape: tuple[int, ...]
+    offset: int  # of the record's data in the file
+
+
+def _scan_records(f: BinaryIO) -> dict[str, _Record]:
+    """One pass over the record headers, in file order, skipping the data.
+
+    Raises bad_magic, truncated (a header or data cut short) and duplicate
+    in the order the records meet them.
+    """
+    if f.read(len(MAGIC)) != MAGIC:
+        raise WeightFileError("bad_magic", "magic/version mismatch")
+    size = os.fstat(f.fileno()).st_size
+    records: dict[str, _Record] = {}
+    while True:
+        head = f.read(4)
+        if len(head) == 0:
+            break
+        if len(head) != 4:
+            raise WeightFileError("truncated", "unexpected end of file")
+        (name_len,) = struct.unpack("<I", head)
+        name = _read_exact(f, name_len).decode("utf-8")
+        (rank,) = struct.unpack("<I", _read_exact(f, 4))
+        dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank)) if rank else ()
+        count = int(np.prod(dims, dtype=np.int64)) if rank else 1
+        offset = f.tell()
+        if offset + 4 * count > size:
+            raise WeightFileError("truncated", "unexpected end of file")
+        if name in records:
+            raise WeightFileError("duplicate", f"duplicate parameter {name!r}")
+        records[name] = _Record(tuple(dims), offset)
+        f.seek(offset + 4 * count)
+    return records
+
+
+def _read_into(f: BinaryIO, record: _Record, arr: np.ndarray) -> None:
+    """Read a record's data into arr, through a buffer of arr's size only
+    when arr is not C-contiguous float32."""
+    direct = arr.dtype == np.float32 and arr.flags.c_contiguous
+    target = arr if direct else np.empty(arr.shape, dtype=np.float32)
+    f.seek(record.offset)
+    if f.readinto(target.reshape(-1).view(np.uint8)) != target.nbytes:
+        raise WeightFileError("truncated", "unexpected end of file")
+    if sys.byteorder == "big":
+        target.byteswap(inplace=True)
+    if not direct:
+        arr[...] = target
 
 
 def read_weight_file(path) -> dict[str, np.ndarray]:
-    arrays: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
-        magic = f.read(len(MAGIC))
-        if magic != MAGIC:
-            raise WeightFileError("bad_magic", "magic/version mismatch")
-        while True:
-            head = f.read(4)
-            if len(head) == 0:
-                break
-            if len(head) != 4:
-                raise WeightFileError("truncated", "unexpected end of file")
-            (name_len,) = struct.unpack("<I", head)
-            name = _read_exact(f, name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", _read_exact(f, 4))
-            dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank)) if rank else ()
-            count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-            data = _read_exact(f, 4 * count)
-            if name in arrays:
-                raise WeightFileError("duplicate", f"duplicate parameter {name!r}")
-            arrays[name] = np.frombuffer(data, dtype="<f4").reshape(dims).copy()
+        records = _scan_records(f)
+        arrays = {}
+        for name, record in records.items():
+            arrays[name] = np.empty(record.shape, dtype=np.float32)
+            _read_into(f, record, arrays[name])
     return arrays
 
 
@@ -81,20 +125,22 @@ def load_weights(path, model: ModelParams) -> None:
     """Load arrays into an existing model, validating names and shapes.
 
     The file must contain exactly the model's arrays; loads are bit-exact.
+    Every check runs before the first write: on any WeightFileError the
+    model's arrays are as they were.
     """
-    arrays = read_weight_file(path)
-    seen = set()
-    for name, arr, _ in named_arrays(model):
-        if name not in arrays:
-            raise WeightFileError("missing_parameter", f"missing parameter {name!r}")
-        new = arrays[name]
-        if new.shape != arr.shape:
-            raise WeightFileError(
-                "shape_mismatch",
-                f"{name}: expected {arr.shape}, file has {new.shape}")
-        arr[...] = new
-        seen.add(name)
-    extra = set(arrays) - seen
-    if extra:
-        raise WeightFileError("unexpected_parameter",
-                              f"unexpected parameter {sorted(extra)[0]!r}")
+    targets = list(named_arrays(model))
+    with open(path, "rb") as f:
+        records = _scan_records(f)
+        for name, arr, _ in targets:
+            if name not in records:
+                raise WeightFileError("missing_parameter", f"missing parameter {name!r}")
+            shape = records[name].shape
+            if shape != arr.shape:
+                raise WeightFileError("shape_mismatch",
+                                      f"{name}: expected {arr.shape}, file has {shape}")
+        extra = records.keys() - {name for name, _, _ in targets}
+        if extra:
+            raise WeightFileError("unexpected_parameter",
+                                  f"unexpected parameter {sorted(extra)[0]!r}")
+        for name, arr, _ in targets:
+            _read_into(f, records[name], arr)

@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from evtrack import ssm
 from evtrack.backbone import (BackboneParams, ConvParams, NormParams, LinearParams,
                               causal_conv, init_backbone, init_vim_block, vim_block,
                               backbone)
 from evtrack.config import TrackerConfig
 from evtrack.model import count_params, init_model
-from evtrack.ops import layer_norm
+from evtrack.ops import Workspace, layer_norm, sigmoid, silu, softplus
+from evtrack.ssm import scan_forward_chunked
 
 RNG = np.random.default_rng(0)
 
@@ -136,3 +140,171 @@ def test_causal_conv_equals_tap_loop_bitwise(dtype, m, k):
     conv = ConvParams(weight=rng.standard_normal((768, k)).astype(dtype),
                       bias=rng.standard_normal(768).astype(dtype))
     np.testing.assert_array_equal(causal_conv(x, conv), causal_conv_loop(x, conv))
+
+
+# -- workspace: bit-identical to the allocating code it replaced -------------
+
+def _softplus_oracle(x):
+    return np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def _sigmoid_oracle(x):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def _silu_oracle(x):
+    return x * _sigmoid_oracle(x)
+
+
+def _layer_norm_oracle(x, scale, shift, eps=1e-6):
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return (x - mean) / np.sqrt(var + eps) * scale + shift
+
+
+def _scan_oracle(u, params):
+    """scan_forward_chunked as it was before the workspace: every
+    intermediate a fresh array."""
+    L, d = u.shape
+    dtype = u.dtype
+    r, n = params.dt_rank, params.d_state
+    xdbl = u @ params.x_proj.astype(dtype, copy=False)
+    b_sel, c_sel = xdbl[:, r:r + n], xdbl[:, r + n:]
+    pre = xdbl[:, :r] @ params.dt_proj.astype(dtype, copy=False) + params.dt_bias.astype(dtype)
+    delta = _softplus_oracle(pre)
+    a_t = np.ascontiguousarray(-np.exp(params.a_log.astype(dtype, copy=False)).T)
+    inv_a_t = 1.0 / a_t
+    block = max(1, min(L, ssm._BLOCK_BYTES // (d * n * dtype.itemsize)))
+    abar_buf = np.empty((block, n, d), dtype=dtype)
+    bx_buf = np.empty_like(abar_buf)
+    hs_buf = np.empty_like(abar_buf)
+    y = np.empty((L, d), dtype=dtype)
+    h = np.zeros((n, d), dtype=dtype)
+    for lo in range(0, L, block):
+        m = min(block, L - lo)
+        sl = slice(lo, lo + m)
+        abar, bx, hs = abar_buf[:m], bx_buf[:m], hs_buf[:m]
+        ssm._coefficients_into(u[sl], delta[sl], b_sel[sl], a_t, inv_a_t, abar, bx)
+        h = ssm._seeded_states(abar, bx, h, hs)
+        y[sl] = (c_sel[sl, None, :] @ hs)[:, 0]
+    y += u * params.d_skip.astype(dtype, copy=False)
+    return y
+
+
+def _vim_block_oracle(tokens, params):
+    """vim_block as it was before the workspace."""
+    h = _layer_norm_oracle(tokens, params.pre_norm.scale, params.pre_norm.shift)
+    xz = h @ params.in_proj
+    d_inner = params.d_inner
+    x, z = xz[:, :d_inner], xz[:, d_inner:]
+    y_fwd = _scan_oracle(_silu_oracle(causal_conv_loop(x, params.conv_fwd)), params.ssm_fwd)
+    xr = np.ascontiguousarray(x[::-1])
+    y_bwd = _scan_oracle(_silu_oracle(causal_conv_loop(xr, params.conv_bwd)), params.ssm_bwd)
+    y = (y_fwd + y_bwd[::-1]) * _silu_oracle(z)
+    return tokens + y @ params.out_proj
+
+
+def _backbone_oracle(tokens, params):
+    for blk in params.blocks:
+        tokens = _vim_block_oracle(tokens, blk)
+    tokens = _layer_norm_oracle(tokens, params.final_norm.scale, params.final_norm.shift)
+    return tokens @ params.mlp.weight + params.mlp.bias
+
+
+# (embed_dim, d_state, dt_rank): Vim-S and the small benchmark geometry.
+WIDTHS = {"vim_s": (384, 16, 24), "small": (32, 16, 4)}
+
+
+def _tokens(L, C, seed):
+    return np.random.default_rng(seed).standard_normal((L, C)).astype(np.float32)
+
+
+def _bitwise(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ops_out_matches_allocating_formulas_bitwise(dtype):
+    rng = np.random.default_rng(5)
+    x = (rng.standard_normal((96, 40)) * 30).astype(dtype)
+    x[0, :4] = [0.0, -0.0, 1e4, -1e4]
+    scale = rng.standard_normal(40).astype(dtype)
+    shift = rng.standard_normal(40).astype(dtype)
+    for got, want in ((sigmoid(x), _sigmoid_oracle(x)),
+                      (silu(x), _silu_oracle(x)),
+                      (softplus(x), _softplus_oracle(x)),
+                      (layer_norm(x, scale, shift), _layer_norm_oracle(x, scale, shift))):
+        _bitwise(got, want)
+    out = np.empty_like(x)
+    for fn in (sigmoid, silu):
+        assert fn(x, out=out) is out
+        _bitwise(out, fn(x))
+    assert softplus(x, out=out, scratch=np.empty_like(x)) is out
+    _bitwise(out, _softplus_oracle(x))
+    assert layer_norm(x, scale, shift, out=out) is out
+    _bitwise(out, _layer_norm_oracle(x, scale, shift))
+
+
+@pytest.mark.parametrize("L", [384, 128, 1024])
+@pytest.mark.parametrize("width", sorted(WIDTHS))
+def test_vim_block_matches_allocating_oracle_bitwise(width, L):
+    C, n, r = WIDTHS[width]
+    blk = init_vim_block(C, n, r, 4, np.random.default_rng(7))
+    tokens = _tokens(L, C, L)
+    ws = Workspace()
+    out = np.empty_like(tokens)
+    assert vim_block(tokens, blk, ws, out=out) is out
+    _bitwise(out, _vim_block_oracle(tokens, blk))
+    _bitwise(vim_block(tokens, blk), out)  # standalone call, own workspace
+
+
+@pytest.mark.parametrize("width", sorted(WIDTHS))
+def test_scan_matches_allocating_oracle_bitwise(width):
+    C, n, r = WIDTHS[width]
+    params = ssm.init_ssm_params(2 * C, n, r, np.random.default_rng(8))
+    u = _tokens(384, 2 * C, 9)
+    _bitwise(scan_forward_chunked(u, params), _scan_oracle(u, params))
+
+
+def test_one_workspace_reused_across_lengths_and_widths():
+    ws = Workspace()
+    for width, L in (("vim_s", 1024), ("small", 128), ("vim_s", 128), ("small", 1024),
+                     ("vim_s", 384)):
+        C, n, r = WIDTHS[width]
+        params = init_backbone(C, 2, n, r, 4, np.random.default_rng(C))
+        tokens = _tokens(L, C, L + C)
+        _bitwise(backbone(tokens, params, ws), _backbone_oracle(tokens, params))
+
+
+@pytest.mark.parametrize("final", ["norm+mlp", "norm", "mlp", "none"])
+def test_backbone_result_outlives_the_next_call(final):
+    params = init_backbone(32, 2, 16, 4, 4, np.random.default_rng(2))
+    params.final_norm = params.final_norm if "norm" in final else None
+    params.mlp = params.mlp if "mlp" in final else None
+    ws = Workspace()
+    first = backbone(_tokens(64, 32, 1), params, ws)
+    kept = first.copy()
+    backbone(_tokens(64, 32, 2), params, ws)
+    _bitwise(first, kept)
+
+
+def test_warm_backbone_call_allocates_little():
+    # depth 2, L = C = 384 at Vim-S width. The allocating blocks peaked at
+    # 12.9 MiB above the start; what remains is the result and small
+    # per-token and per-channel arrays.
+    C, n, r = WIDTHS["vim_s"]
+    params = init_backbone(C, 2, n, r, 4, np.random.default_rng(3))
+    tokens = _tokens(384, C, 4)
+    ws = Workspace()
+    backbone(tokens, params, ws)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        backbone(tokens, params, ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 3 * 2 ** 20

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from evtrack.events import (BBox, EventFrame, EventPoint, EventStream, RegionPatch,
-                            SynthConfig, crop_region, load_boxes_csv, load_events_csv,
-                            save_boxes_csv, save_events_csv, stack_events, synth_stream)
+                            SynthConfig, crop_region, iter_event_frames, load_boxes_csv,
+                            load_events_csv, save_boxes_csv, save_events_csv, stack_events,
+                            synth_stream)
 
 
 def make_stream(points, w=16, h=16):
@@ -176,6 +177,55 @@ class TestStackMatchesUfuncAtOracle:
         (edge,) = stack_events(STACK_CASES["last_row_and_column"], 10_000)
         assert edge.data[0, 11, 15] == 1.0 and edge.data[2, 11, 15] == np.float32(0.004)
         assert edge.data[2, 11, 7] == np.float32(0.9999)
+
+
+class TestWindowBounds:
+    """Window bounds from the sorted timestamps equal those from a
+    whole-stream window index, for non-negative integer times."""
+
+    @staticmethod
+    def bounds_by_index(ts, window_us):
+        first = int(ts[0])
+        n_frames = (int(ts[-1]) - first) // window_us + 1
+        return np.searchsorted((ts - first) // window_us, np.arange(n_frames + 1))
+
+    @staticmethod
+    def bounds_by_time(ts, window_us):
+        first = int(ts[0])
+        n_frames = (int(ts[-1]) - first) // window_us + 1
+        return np.searchsorted(ts, first + np.arange(n_frames + 1) * window_us)
+
+    def test_random_streams_with_gaps_and_edge_events(self):
+        rng = np.random.default_rng(21)
+        edges_hit = empty_windows = 0
+        for trial in range(300):
+            window_us = int(rng.integers(1, 50))
+            first = int(rng.integers(0, 10 ** 6))
+            n = int(rng.integers(1, 60))
+            # Clustered times: whole windows empty, many events on an edge.
+            offsets = rng.integers(0, 12, n) * window_us
+            offsets += np.where(rng.random(n) < 0.4, 0, rng.integers(0, window_us, n))
+            ts = np.sort(first + offsets - offsets.min())
+            by_time = self.bounds_by_time(ts, window_us)
+            np.testing.assert_array_equal(by_time, self.bounds_by_index(ts, window_us))
+            edges_hit += int(np.any((ts - ts[0]) % window_us == 0) and n > 1)
+            empty_windows += int(np.any(np.diff(by_time) == 0))
+        assert edges_hit > 100 and empty_windows > 100
+
+    def test_frames_use_these_bounds(self):
+        # Events exactly on the edges of windows 1 and 3; window 2 is empty.
+        stream = make_stream([(1, 1, 5, 1), (2, 2, 15, 1), (3, 3, 35, -1), (4, 4, 36, 1)])
+        frames = stack_events(stream, 10)
+        assert [f.window_start for f in frames] == [5, 15, 25, 35]
+        assert [int((f.data[:2] > 0).sum()) for f in frames] == [1, 1, 0, 2]
+
+    def test_iter_event_frames_is_lazy_and_checks_eagerly(self):
+        stream = STACK_CASES["non_square"]
+        frames = iter_event_frames(stream, 10_000)
+        first = next(frames)
+        assert np.array_equal(first.data, stack_events(stream, 10_000)[0].data)
+        with pytest.raises(ValueError):
+            iter_event_frames(stream, 0)
 
 
 class TestCropRegion:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from evtrack.model import named_arrays
+from evtrack.model import init_model, named_arrays
 from evtrack.weights import (MAGIC, WeightFileError, load_weights, read_weight_file,
                              save_weights, write_weight_file)
 
@@ -91,3 +91,114 @@ def test_unexpected_parameter(tmp_path):
 def test_non_float32_rejected_on_write(tmp_path):
     assert_code("dtype", write_weight_file, tmp_path / "w.bin",
                 {"a": np.ones(3, dtype=np.float64)})
+
+
+# -- a failed load leaves the model untouched --------------------------------
+
+def snapshot(model):
+    return {name: arr.tobytes() for name, arr, _ in named_arrays(model)}
+
+
+def other_arrays():
+    """Every array of a differently seeded model, so a partial load shows."""
+    _, other = small_model(seed=99)
+    return model_arrays(other)
+
+
+def bad_missing(path):
+    arrays = other_arrays()
+    arrays.pop(next(iter(arrays)))
+    write_weight_file(path, arrays)
+
+
+def bad_last_shape(path):
+    arrays = other_arrays()
+    last = next(reversed(arrays))
+    arrays[last] = np.zeros(arrays[last].size + 1, dtype=np.float32)
+    write_weight_file(path, arrays)
+
+
+def bad_unexpected(path):
+    arrays = other_arrays()
+    arrays["zz.extra"] = np.zeros(2, dtype=np.float32)
+    write_weight_file(path, arrays)
+
+
+def bad_truncated(path):
+    write_weight_file(path, other_arrays())
+    data = path.read_bytes()
+    path.write_bytes(data[:-3])
+
+
+def bad_duplicate(path):
+    write_weight_file(path, other_arrays())
+    data = path.read_bytes()
+    name_len = int.from_bytes(data[len(MAGIC):len(MAGIC) + 4], "little")
+    # The first record is a 1-D or higher array; its header and data follow.
+    rank_at = len(MAGIC) + 4 + name_len
+    rank = int.from_bytes(data[rank_at:rank_at + 4], "little")
+    dims = [int.from_bytes(data[rank_at + 4 + 4 * i:rank_at + 8 + 4 * i], "little")
+            for i in range(rank)]
+    end = rank_at + 4 + 4 * rank + 4 * int(np.prod(dims))
+    path.write_bytes(data + data[len(MAGIC):end])
+
+
+@pytest.mark.parametrize("code, make", [
+    ("missing_parameter", bad_missing), ("shape_mismatch", bad_last_shape),
+    ("unexpected_parameter", bad_unexpected), ("truncated", bad_truncated),
+    ("duplicate", bad_duplicate)])
+def test_failed_load_leaves_model_untouched(tmp_path, code, make):
+    _, model = small_model(seed=3)
+    before = snapshot(model)
+    path = tmp_path / "w.bin"
+    make(path)
+    assert_code(code, load_weights, path, model)
+    assert snapshot(model) == before
+
+
+def test_float32_file_loads_into_float64_model(tmp_path):
+    cfg, model = small_model(seed=3)
+    wide = init_model(cfg, dtype=np.float64)
+    path = tmp_path / "w.bin"
+    save_weights(path, model)
+    load_weights(path, wide)
+    narrow = model_arrays(model)
+    for name, arr, _ in named_arrays(wide):
+        assert arr.dtype == np.float64
+        np.testing.assert_array_equal(arr, narrow[name].astype(np.float64), err_msg=name)
+    # and back: the float64 values narrow to the file's bytes exactly
+    write_weight_file(tmp_path / "back.bin",
+                      {name: arr.astype(np.float32) for name, arr, _ in named_arrays(wide)})
+    assert (tmp_path / "back.bin").read_bytes() == path.read_bytes()
+
+
+def read_weight_file_oracle(path):
+    """The record-by-record reader that the header pass replaced."""
+    import struct
+    arrays = {}
+    with open(path, "rb") as f:
+        assert f.read(len(MAGIC)) == MAGIC
+        while head := f.read(4):
+            (name_len,) = struct.unpack("<I", head)
+            name = f.read(name_len).decode("utf-8")
+            (rank,) = struct.unpack("<I", f.read(4))
+            dims = struct.unpack(f"<{rank}I", f.read(4 * rank)) if rank else ()
+            count = int(np.prod(dims, dtype=np.int64)) if rank else 1
+            data = f.read(4 * count)
+            arrays[name] = np.frombuffer(data, dtype="<f4").reshape(dims).copy()
+    return arrays
+
+
+def test_read_weight_file_matches_record_reader(tmp_path):
+    _, model = small_model(seed=3)
+    arrays = model_arrays(model)
+    arrays["scalar"] = np.array(2.5, dtype=np.float32)
+    arrays["empty"] = np.zeros((0, 3), dtype=np.float32)
+    path = tmp_path / "w.bin"
+    write_weight_file(path, arrays)
+    got, want = read_weight_file(path), read_weight_file_oracle(path)
+    assert list(got) == list(want) == list(arrays)
+    for name, arr in want.items():
+        assert got[name].dtype == arr.dtype and got[name].shape == arr.shape, name
+        assert got[name].tobytes() == arr.tobytes(), name
+        assert got[name].flags.writeable and got[name].flags.c_contiguous

@@ -1,0 +1,102 @@
+"""Set-up memory and per-frame page faults of one tracker, in this process.
+
+Run from the repository root:
+
+    python3 tools/memprobe.py --workload vims-track --seed 2 --weights 1 --frames 6
+
+It makes the set-up calls `evtrack track` makes, on a perfbench workload's
+inputs: load_config -> init_model -> (load_weights if --weights 1) ->
+load_events_csv -> stack_events -> Tracker.init. After each call it records
+the resident set (VmRSS) and the peak so far (ru_maxrss). It then steps
+--frames frames and reads, per frame, the wall time and the change in
+getrusage's minor faults and system CPU time. Stepping with and without a
+weight load is what separates steady-state stepping from allocator state
+left behind by set-up. One JSON object goes to stdout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import resource
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from evtrack import BBox, Tracker, init_model, load_config, load_weights, stack_events  # noqa: E402
+from evtrack.events import load_events_csv  # noqa: E402
+from workloads import WORKLOADS, prepare  # noqa: E402
+
+
+def rss_mib() -> float:
+    """Current resident set of this process, from /proc/self/status."""
+    with open("/proc/self/status", encoding="ascii") as f:
+        for line in f:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024
+    return float("nan")
+
+
+def peak_mib() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    parser.add_argument("--seed", required=True, type=int)
+    parser.add_argument("--weights", type=int, choices=(0, 1), default=1)
+    parser.add_argument("--frames", type=int, default=6)
+    args = parser.parse_args(argv)
+    inputs = prepare(WORKLOADS[args.workload], args.seed, ROOT)
+
+    stages = {"start": (rss_mib(), peak_mib())}
+    config = load_config(str(inputs.config))
+    model = init_model(config)
+    stages["init_model"] = (rss_mib(), peak_mib())
+    if args.weights:
+        load_weights(inputs.weights, model)
+        stages["load_weights"] = (rss_mib(), peak_mib())
+    stream = load_events_csv(inputs.events)
+    stages["load_events_csv"] = (rss_mib(), peak_mib())
+    frames = stack_events(stream, config.window_us)
+    stages["stack_events"] = (rss_mib(), peak_mib())
+    tracker = Tracker(config, model)
+    tracker.init(frames[0], BBox(*inputs.boxes[0]))
+    stages["tracker_init"] = (rss_mib(), peak_mib())
+
+    per_frame = []
+    for k in range(1, args.frames + 1):
+        frame = frames[k % len(frames)]
+        before = resource.getrusage(resource.RUSAGE_SELF)
+        t0 = perf_counter()
+        tracker.step(frame)
+        wall = perf_counter() - t0
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        per_frame.append({"ms": wall * 1e3,
+                          "minor_faults": after.ru_minflt - before.ru_minflt,
+                          "sys_ms": (after.ru_stime - before.ru_stime) * 1e3})
+    stages["stepped"] = (rss_mib(), peak_mib())
+
+    def median(key):
+        return statistics.median(f[key] for f in per_frame)
+
+    print(json.dumps({
+        "workload": args.workload, "seed": args.seed, "weights": bool(args.weights),
+        "rss_mib": {k: round(v[0], 2) for k, v in stages.items()},
+        "peak_rss_mib": {k: round(v[1], 2) for k, v in stages.items()},
+        "frame_median": {"ms": round(median("ms"), 1),
+                         "minor_faults": median("minor_faults"),
+                         "sys_ms": round(median("sys_ms"), 1)},
+        "frames": per_frame,
+    }))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
