@@ -6,7 +6,7 @@ Submodules:
     ssm        the discretized selective-scan operator (blocked forward, backward)
     backbone   bidirectional Vim blocks and the residual token backbone
     memory     LT/ST template libraries with Gram-determinant admission
-    fusion     dynamic-template generation via the fusion Mamba stack
+    fusion     dynamic-template generation via the Memory Mamba (the backbone)
     head       convolutional score/offset/size head and box decoding
     losses     focal / L1 / GIoU losses with analytic gradients
     metrics    SR / PR / NPR evaluation

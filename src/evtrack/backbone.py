@@ -76,12 +76,12 @@ class VimBlockParams:
 class BackboneParams:
     """L residual blocks plus the final Norm + linear projection.
 
-    final_norm/mlp may both be None for an identity final stage.
+    `fusion` runs the same parameters as its Memory Mamba.
     """
 
     blocks: list[VimBlockParams]
-    final_norm: NormParams | None
-    mlp: LinearParams | None
+    final_norm: NormParams
+    mlp: LinearParams
 
     @property
     def depth(self) -> int:
@@ -195,14 +195,9 @@ def backbone(tokens: np.ndarray, params: BackboneParams,
         out = ws.take(f"tokens.{i % 2}", tokens.shape,
                       np.result_type(tokens, block.pre_norm.scale, block.out_proj))
         tokens = vim_block(tokens, block, ws, out=out)
-    if params.final_norm is not None:
-        norm = params.final_norm
-        out = (ws.take("scratch.0", tokens.shape, np.result_type(tokens, norm.scale, norm.shift))
-               if params.mlp is not None else None)
-        tokens = layer_norm(tokens, norm.scale, norm.shift, out=out)
-    if params.mlp is not None:
-        tokens = tokens @ params.mlp.weight
-        tokens += params.mlp.bias
-    elif params.final_norm is None and params.blocks:
-        tokens = tokens.copy()
+    norm = params.final_norm
+    tokens = layer_norm(tokens, norm.scale, norm.shift, out=ws.take(
+        "scratch.0", tokens.shape, np.result_type(tokens, norm.scale, norm.shift)))
+    tokens = tokens @ params.mlp.weight
+    tokens += params.mlp.bias
     return tokens

@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields, replace
 
-SHARED = "shared"
-SEPARATE = "separate"
+# Field annotation -> (value check, what it requires). JSON true/false are
+# bools, which Python also counts as ints, so the int check excludes them.
+_KINDS = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an int"),
+    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+              and math.isfinite(v), "a finite real number"),
+    "bool": (lambda v: isinstance(v, bool), "a bool"),
+}
 
 
 @dataclass
@@ -28,7 +36,6 @@ class TrackerConfig:
     lt_capacity: int = 16
     st_capacity: int = 6
     update_interval: int = 5
-    memory_mode: str = SHARED  # "shared" or "separate" fusion stack
     # Loss weights
     lambda_l1: float = 5.0
     lambda_focal: float = 1.0
@@ -39,14 +46,19 @@ class TrackerConfig:
     regenerate_every_frame: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            accepts, kind = _KINDS[f.type]
+            value = getattr(self, f.name)
+            if not accepts(value):
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
         positive = ("patch_size", "embed_dim", "depth", "d_state", "dt_rank",
                     "conv_width", "template_size", "search_size", "lt_capacity",
                     "st_capacity", "update_interval", "window_us")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.memory_mode not in (SHARED, SEPARATE):
-            raise ValueError("memory_mode must be 'shared' or 'separate'")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.template_context < 1 or self.search_context < 1:
             raise ValueError("context factors must be >= 1")
         for side in (self.template_size, self.search_size):
@@ -72,7 +84,19 @@ class TrackerConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "TrackerConfig":
-        return cls(**json.loads(text))
+        """Parse a JSON object. Unknown keys are an error; older files' legacy
+        "memory_mode": "shared" (the one mode kept) is dropped."""
+        d = json.loads(text)
+        if not isinstance(d, dict):
+            raise ValueError("tracker config must be a JSON object")
+        mode = d.pop("memory_mode", "shared")
+        if mode != "shared":
+            raise ValueError(f"memory_mode {mode!r} was removed: the fusion "
+                             "stack is always the backbone's own parameters")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        return cls(**d)
 
 
 def load_config(path: str | None) -> TrackerConfig:
@@ -84,5 +108,5 @@ def load_config(path: str | None) -> TrackerConfig:
             cfg = TrackerConfig.from_json(f.read())
     env_seed = os.environ.get("MEVT_SEED")
     if env_seed is not None:
-        cfg.seed = int(env_seed)
+        cfg = replace(cfg, seed=int(env_seed))
     return cfg

@@ -1,15 +1,14 @@
-"""Dynamic-template generation: fuse a memory library with a Mamba stack.
+"""Dynamic-template generation: fuse a memory library with the Memory Mamba.
 
 The selected library's templates are concatenated chronologically into one
-long token sequence and run through a stack whose architecture matches the
-vision backbone; the trailing N_z tokens become the fused dynamic template.
-The stack either shares the backbone's parameters or owns an identical,
-independently parameterized copy.
+long token sequence and run through the Memory Mamba; the trailing N_z
+tokens become the fused dynamic template. The Memory Mamba is the vision
+backbone itself: the same `BackboneParams`, not a copy, so fusion adds no
+parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,19 +18,11 @@ from .memory import MemoryLibrary, TemplateFeature
 from .ops import Workspace
 
 
-@dataclass
-class MemMambaParams:
-    """Fusion stack parameters; `shared` marks backbone parameter aliasing."""
-
-    stack: BackboneParams
-    shared: bool
-
-
-def fuse(templates: Sequence[TemplateFeature], params: MemMambaParams,
+def fuse(templates: Sequence[TemplateFeature], params: BackboneParams,
          ws: Workspace | None = None) -> np.ndarray:
     """Fuse m templates (oldest first) into one N_z x C dynamic template.
 
-    The concatenated (m * N_z) x C sequence runs through the full stack in
+    The concatenated (m * N_z) x C sequence runs through the backbone in
     `ws` (a fresh Workspace if None); the final N_z rows are returned. No
     positional embedding is added.
     """
@@ -43,12 +34,12 @@ def fuse(templates: Sequence[TemplateFeature], params: MemMambaParams,
     dtype = np.result_type(*(z.tokens for z in templates))
     seq = np.concatenate([z.tokens for z in templates], axis=0,
                          out=ws.take("fuse.seq", shape, dtype))
-    out = backbone(seq, params.stack, ws)
+    out = backbone(seq, params, ws)
     return out[-n_z:]
 
 
 def generate_dynamic_template(lib: MemoryLibrary, incoming: TemplateFeature,
-                              params: MemMambaParams,
+                              params: BackboneParams,
                               ws: Workspace | None = None) -> np.ndarray:
     """Route by similarity, then fuse the winning library's members.
 

@@ -9,8 +9,7 @@ from typing import Iterator
 import numpy as np
 
 from .backbone import BackboneParams, init_backbone
-from .config import SEPARATE, TrackerConfig
-from .fusion import MemMambaParams
+from .config import TrackerConfig
 from .head import HeadParams, init_head
 from .tokenizer import PatchEmbedParams, init_patch_embed
 
@@ -21,14 +20,8 @@ BUFFER_FIELDS = frozenset({"bn_mean", "bn_var"})
 @dataclass
 class ModelParams:
     patch_embed: PatchEmbedParams
-    backbone: BackboneParams
-    mem_mamba: BackboneParams | None  # None -> fusion shares the backbone
+    backbone: BackboneParams  # also the Memory Mamba of `fusion`
     head: HeadParams
-
-    def fusion_params(self) -> MemMambaParams:
-        if self.mem_mamba is None:
-            return MemMambaParams(stack=self.backbone, shared=True)
-        return MemMambaParams(stack=self.mem_mamba, shared=False)
 
 
 def init_model(config: TrackerConfig, dtype=np.float32) -> ModelParams:
@@ -38,12 +31,8 @@ def init_model(config: TrackerConfig, dtype=np.float32) -> ModelParams:
                                    config.template_size, config.search_size, rng, dtype)
     net = init_backbone(config.embed_dim, config.depth, config.d_state,
                         config.dt_rank, config.conv_width, rng, dtype)
-    mem = None
-    if config.memory_mode == SEPARATE:
-        mem = init_backbone(config.embed_dim, config.depth, config.d_state,
-                            config.dt_rank, config.conv_width, rng, dtype)
     head = init_head(config.embed_dim, rng, dtype)
-    return ModelParams(patch_embed=patch_embed, backbone=net, mem_mamba=mem, head=head)
+    return ModelParams(patch_embed=patch_embed, backbone=net, head=head)
 
 
 def named_arrays(params, prefix: str = "") -> Iterator[tuple[str, np.ndarray, bool]]:
@@ -52,8 +41,6 @@ def named_arrays(params, prefix: str = "") -> Iterator[tuple[str, np.ndarray, bo
     Walks dataclasses, lists, and tuples; names are dotted paths. Arrays whose
     field name is in BUFFER_FIELDS are flagged as not learned.
     """
-    if params is None:
-        return
     if isinstance(params, np.ndarray):
         leaf = prefix.rsplit(".", 1)[-1]
         yield prefix, params, leaf not in BUFFER_FIELDS
@@ -64,7 +51,7 @@ def named_arrays(params, prefix: str = "") -> Iterator[tuple[str, np.ndarray, bo
     elif isinstance(params, (list, tuple)):
         for i, item in enumerate(params):
             yield from named_arrays(item, f"{prefix}.{i}")
-    # scalars / strings carry no parameters
+    # scalars, strings and None carry no parameters
 
 
 def count_params(params) -> int:

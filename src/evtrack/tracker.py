@@ -75,7 +75,7 @@ class Tracker:
 
     def _regenerate_dynamic(self) -> None:
         self._dynamic = generate_dynamic_template(
-            self.memory, self._last_feature, self.model.fusion_params(), self.workspace)
+            self.memory, self._last_feature, self.model.backbone, self.workspace)
         self._dynamic_stale = False
         self.stats.template_regenerations += 1
 

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from evtrack import ssm
-from evtrack.backbone import (BackboneParams, ConvParams, NormParams, LinearParams,
-                              causal_conv, init_backbone, init_vim_block, vim_block,
-                              backbone)
+from evtrack.backbone import (ConvParams, LinearParams, causal_conv, init_backbone,
+                              init_vim_block, vim_block, backbone)
 from evtrack.config import TrackerConfig
 from evtrack.model import count_params, init_model
 from evtrack.ops import Workspace, layer_norm, sigmoid, silu, softplus
@@ -34,12 +33,6 @@ def test_backbone_reduces_to_final_stage_with_zero_out_proj():
     expected = layer_norm(tokens, params.final_norm.scale, params.final_norm.shift)
     expected = expected @ params.mlp.weight + params.mlp.bias
     np.testing.assert_allclose(backbone(tokens, params), expected, rtol=1e-6)
-
-
-def test_empty_stack_identity_final_stage():
-    params = BackboneParams(blocks=[], final_norm=None, mlp=None)
-    tokens = RNG.standard_normal((5, 8))
-    np.testing.assert_array_equal(backbone(tokens, params), tokens)
 
 
 def test_single_token_block():
@@ -106,7 +99,6 @@ def test_default_model_total_parameters():
 
 
 def test_count_params_trivial_cases():
-    assert count_params(BackboneParams(blocks=[], final_norm=None, mlp=None)) == 0
     lin = LinearParams(weight=np.zeros((4, 4), dtype=np.float32),
                        bias=np.zeros(4, dtype=np.float32))
     assert count_params(lin) == 20
@@ -278,11 +270,8 @@ def test_one_workspace_reused_across_lengths_and_widths():
         _bitwise(backbone(tokens, params, ws), _backbone_oracle(tokens, params))
 
 
-@pytest.mark.parametrize("final", ["norm+mlp", "norm", "mlp", "none"])
-def test_backbone_result_outlives_the_next_call(final):
+def test_backbone_result_outlives_the_next_call():
     params = init_backbone(32, 2, 16, 4, 4, np.random.default_rng(2))
-    params.final_norm = params.final_norm if "norm" in final else None
-    params.mlp = params.mlp if "mlp" in final else None
     ws = Workspace()
     first = backbone(_tokens(64, 32, 1), params, ws)
     kept = first.copy()

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+import evtrack.tracker as tracker_module
 from evtrack.backbone import backbone
 from evtrack.config import TrackerConfig
-from evtrack.fusion import MemMambaParams, fuse, generate_dynamic_template
+from evtrack.events import stack_events, synth_stream
+from evtrack.fusion import fuse, generate_dynamic_template
 from evtrack.memory import MemoryLibrary, TemplateFeature
-from evtrack.model import count_params, init_model
+from evtrack.model import count_params
+from evtrack.tracker import Tracker
 
-from _utils import small_config, small_model
+from _utils import SMALL_SYNTH, small_model
 
 
 def feats(rng, count, n_z=4, dim=16, start_frame=0):
@@ -19,7 +22,7 @@ def feats(rng, count, n_z=4, dim=16, start_frame=0):
 @pytest.fixture(scope="module")
 def setup():
     cfg, model = small_model()
-    return cfg, model, model.fusion_params()
+    return cfg, model, model.backbone
 
 
 def test_single_template_equals_backbone(setup):
@@ -46,10 +49,25 @@ def test_six_templates_consume_384_concatenated_rows():
     assert 6 * n_z == 384
 
 
-def test_shared_mode_aliases_backbone_parameters(setup):
-    cfg, model, params = setup
-    assert params.shared
-    assert params.stack is model.backbone
+def test_shared_mode_aliases_backbone_parameters(setup, monkeypatch):
+    # The Memory Mamba is the backbone itself: every regeneration the
+    # tracker runs (init, and the ticks after a push) gets model.backbone.
+    cfg, model, _ = setup
+    stream, gt = synth_stream(SMALL_SYNTH)
+    frames = stack_events(stream, cfg.window_us)[:11]
+    received = []
+
+    def recording(lib, incoming, params, ws=None):
+        received.append(params)
+        return generate_dynamic_template(lib, incoming, params, ws)
+
+    monkeypatch.setattr(tracker_module, "generate_dynamic_template", recording)
+    tracker = Tracker(cfg, model)
+    tracker.init(frames[0], gt[0])
+    for frame in frames[1:]:
+        tracker.step(frame)
+    assert len(received) == 2  # init and the t = 10 tick
+    assert all(params is model.backbone for params in received)
 
 
 def test_order_sensitivity(setup):
@@ -104,9 +122,10 @@ def test_lt_fusion_uses_frame_order(setup):
                                             params))
 
 
-def test_shared_mode_adds_no_parameters():
-    shared = init_model(small_config(memory_mode="shared"))
-    separate = init_model(small_config(memory_mode="separate"))
-    backbone_count = count_params(shared.backbone)
-    assert count_params(separate) == count_params(shared) + backbone_count
-    assert not separate.fusion_params().shared
+def test_shared_mode_adds_no_parameters(setup):
+    # Fusion owns no parameters: the model is the patch embedding, the
+    # backbone and the head.
+    _, model, _ = setup
+    assert count_params(model) == (count_params(model.patch_embed)
+                                   + count_params(model.backbone)
+                                   + count_params(model.head))

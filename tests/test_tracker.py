@@ -63,7 +63,7 @@ def test_kept_template_equals_a_fresh_regeneration():
         tracker.step(frame)
         if not tracker._dynamic_stale:
             fresh = generate_dynamic_template(tracker.memory, tracker._last_feature,
-                                              model.fusion_params())
+                                              model.backbone)
             np.testing.assert_array_equal(tracker._dynamic, fresh)
             checked += 1
     assert checked == 16  # 20 steps minus the 4 ticks
