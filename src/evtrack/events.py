@@ -10,6 +10,12 @@ For tracking we stack them into fixed-duration 3-channel frames:
 Pixels that saw no events are 0 in all channels. Counts come from one
 `np.bincount` per polarity over the window's flat pixel index y*W + x.
 
+A stream is held in 13 bytes per event: ts int64, xs and ys int16, ps int8.
+The CSV parser writes those columns directly, so no (N, 4) int64 block is
+ever built. int16 coordinates cap a sensor side at 32768 px, and a window's
+ys are widened to np.intp before the flat index is formed, because y * W
+overflows int16 from row 95 on a 346-px-wide sensor.
+
 Regions are cropped on a separable grid: the column and row sample positions
 are two 1-D grids, so the bilinear weights, indices and validity masks are
 built per axis and combined by outer product.
@@ -34,12 +40,23 @@ class EventPoint(NamedTuple):
     p: int  # +1 (ON) or -1 (OFF)
 
 
+MAX_SENSOR_SIDE = 32768  # int16 coordinates reach 32767
+# Stored dtype of each EventStream column, in the CSV's t,x,y,p order; the
+# CSV parser fills one record of these per row.
+_COLUMN_DTYPES = {"ts": np.int64, "xs": np.int16, "ys": np.int16, "ps": np.int8}
+_CSV_RECORD = np.dtype([(name[0], dtype) for name, dtype in _COLUMN_DTYPES.items()])
+
+
 @dataclass(frozen=True)
 class EventStream:
     """Time-ordered event arrays plus the sensor geometry they live on.
 
     Immutable after construction; timestamps must be non-decreasing and all
-    coordinates must lie on the sensor.
+    coordinates must lie on the sensor. Any integer input is checked in its
+    own dtype (other input is first converted to int64), and only then
+    stored compactly: ts int64, xs/ys int16, ps int8, 13 bytes per event.
+    Sensor sides above MAX_SENSOR_SIDE (32768 px) are rejected, so a stored
+    coordinate never wraps.
     """
 
     xs: np.ndarray
@@ -50,16 +67,21 @@ class EventStream:
     sensor_height: int
 
     def __post_init__(self):
-        for name in ("xs", "ys", "ts", "ps"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
+        for name in _COLUMN_DTYPES:
+            arr = np.asarray(getattr(self, name))
+            if arr.dtype.kind not in "iu":
+                arr = arr.astype(np.int64)
             object.__setattr__(self, name, arr)
         n = self.xs.size
         if not (self.ys.size == self.ts.size == self.ps.size == n):
             raise ValueError("event arrays must have equal length")
         if self.sensor_width <= 0 or self.sensor_height <= 0:
             raise ValueError("sensor dimensions must be positive")
+        if max(self.sensor_width, self.sensor_height) > MAX_SENSOR_SIDE:
+            raise ValueError(f"sensor sides above {MAX_SENSOR_SIDE} px are not supported")
         if n:
-            if np.any(np.diff(self.ts) < 0):
+            # Not np.diff: that would make an int64 temporary per event.
+            if (self.ts[1:] < self.ts[:-1]).any():
                 raise ValueError("timestamps must be non-decreasing")
             if self.xs.min() < 0 or self.xs.max() >= self.sensor_width:
                 raise ValueError("event x out of sensor bounds")
@@ -67,6 +89,8 @@ class EventStream:
                 raise ValueError("event y out of sensor bounds")
             if not ((self.ps == 1) | (self.ps == -1)).all():
                 raise ValueError("polarity must be +1 or -1")
+        for name, dtype in _COLUMN_DTYPES.items():
+            object.__setattr__(self, name, getattr(self, name).astype(dtype, copy=False))
 
     def __len__(self) -> int:
         return int(self.xs.size)
@@ -204,8 +228,9 @@ def _windows(stream: EventStream, window_us: int) -> Iterator[EventFrame]:
         data = np.zeros((3, h, w), dtype=np.float32)
         if hi > lo:
             # Flat pixel index per window: a whole-stream index would hold
-            # one int64 per event for the whole call.
-            flat = stream.ys[lo:hi] * w + stream.xs[lo:hi]
+            # one int64 per event for the whole call. ys is widened first,
+            # as int16 y * w overflows from y = 32768 // w.
+            flat = stream.ys[lo:hi].astype(np.intp) * w + stream.xs[lo:hi]
             pos = stream.ps[lo:hi] > 0
             for c, sel in enumerate((pos, ~pos)):
                 counts = np.bincount(flat[sel], minlength=h * w)
@@ -242,16 +267,22 @@ def _bilinear_sample(img: np.ndarray, gx: np.ndarray, gy: np.ndarray) -> np.ndar
     fx = (cx - x0).astype(img.dtype)
     fy = (cy - y0).astype(img.dtype)
 
+    # Both column sets are gathered from the frame once, then each one's rows
+    # per dy: the values and products of a row-first gather, but each take
+    # reads a (3, H, len(gx)) array, not a (3, len(gy), W) one per dx.
+    columns = []
+    for dx, wx in ((0, 1.0 - fx), (1, fx)):
+        xi = x0 + dx
+        vx = (xi >= 0) & (xi < w)
+        columns.append((wx, vx, img.take(np.clip(xi, 0, w - 1), axis=2)))
     out = np.zeros((img.shape[0], gy.size, gx.size), dtype=img.dtype)
     for dy, wy in ((0, 1.0 - fy), (1, fy)):
         yi = y0 + dy
         vy = (yi >= 0) & (yi < h)
-        rows = img.take(np.clip(yi, 0, h - 1), axis=1)
-        for dx, wx in ((0, 1.0 - fx), (1, fx)):
-            xi = x0 + dx
-            vx = (xi >= 0) & (xi < w)
+        yc = np.clip(yi, 0, h - 1)
+        for wx, vx, cols in columns:
             weight = wy[:, None] * wx[None, :] * (vy[:, None] & vx[None, :])
-            out += weight * rows.take(np.clip(xi, 0, w - 1), axis=2)
+            out += weight * cols.take(yc, axis=1)
     return out
 
 
@@ -408,27 +439,38 @@ def synth_stream(cfg: SynthConfig) -> tuple[EventStream, list[BBox]]:
 # (`x,y,w,h` top-left, one line per frame). UTF-8, LF.
 # ---------------------------------------------------------------------------
 
+_SAVE_CHUNK = 1 << 16  # rows per write; a chunk's Python ints take about 8 MiB
+
+
 def save_events_csv(stream: EventStream, path) -> None:
+    """Write `t,x,y,p` rows, one %-format call per chunk of rows."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("t,x,y,p\n")
-        for i in range(len(stream)):
-            f.write(f"{stream.ts[i]},{stream.xs[i]},{stream.ys[i]},{stream.ps[i]}\n")
+        for lo in range(0, len(stream), _SAVE_CHUNK):
+            hi = lo + _SAVE_CHUNK
+            rows = np.column_stack((stream.ts[lo:hi], stream.xs[lo:hi],
+                                    stream.ys[lo:hi], stream.ps[lo:hi]))
+            f.write(("%d,%d,%d,%d\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def load_events_csv(path, sensor_width: int | None = None,
                     sensor_height: int | None = None) -> EventStream:
-    """Load an event CSV; sensor size is inferred from the data unless given."""
+    """Load an event CSV; sensor size is inferred from the data unless given.
+
+    Rows are parsed straight into the stream's compact columns, so a value
+    outside its column's range (x = 40000, p = 300) fails in the parser with
+    "could not convert ...".
+    """
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
     if header.replace(" ", "") != "t,x,y,p":
         raise ValueError(f"bad event file header: {header!r}")
     # Given the path, loadtxt's parser reads the file itself; handed the open
     # file it would pull the rows through Python line by line.
-    rows = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2, skiprows=1,
-                      encoding="utf-8")
-    if rows.size == 0:
-        rows = np.empty((0, 4), dtype=np.int64)
-    ts, xs, ys, ps = rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
+    records = np.loadtxt(path, delimiter=",", dtype=_CSV_RECORD, ndmin=1, skiprows=1,
+                         encoding="utf-8")
+    ts, xs, ys, ps = (np.ascontiguousarray(records[f]) for f in _CSV_RECORD.names)
+    del records
     if sensor_width is None:
         sensor_width = int(xs.max()) + 1 if xs.size else 1
     if sensor_height is None:

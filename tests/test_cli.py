@@ -52,6 +52,17 @@ def test_missing_events_file_exits_1(files, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_event_value_outside_its_column_exits_1(files, capsys):
+    tmp, config, _, gt = files
+    events = tmp / "wide.csv"
+    events.write_text("t,x,y,p\n0,1,2,1\n5,40000,2,1\n", encoding="utf-8")
+    code = main(["track", "--config", str(config), "--events", str(events),
+                 "--init-bbox", first_box(gt), "--out", str(tmp / "pred.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "40000" in err
+
+
 def test_corrupt_weights_exit_1(files, capsys):
     tmp, config, events, gt = files
     weights = tmp / "weights.bin"

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import evtrack.events
 from evtrack.events import (BBox, EventFrame, EventPoint, EventStream, RegionPatch,
                             SynthConfig, crop_region, iter_event_frames, load_boxes_csv,
                             load_events_csv, save_boxes_csv, save_events_csv, stack_events,
@@ -151,6 +153,10 @@ def _streams_for_ufunc_at_oracle():
         [(15, 11, 0, 1), (15, 11, 10, -1), (0, 11, 20, 1), (15, 0, 30, -1),
          (15, 11, 40, 1), (7, 11, 9_999, -1)], w=16, h=12)
     yield "one_event", make_stream([(2, 3, 17, -1)])
+    # int16 y * 346 overflows from row 95 on: the flat index must be widened
+    rows = random_stream(rng, 5000, 346, 165, 30_000)
+    yield "rows_95_to_259_of_346x260", EventStream(rows.xs, rows.ys + 95, rows.ts, rows.ps,
+                                                   346, 260)
     yield "non_square", random_stream(rng, 500, 31, 7, 30_000)
 
 
@@ -436,6 +442,85 @@ class TestFileFormats:
         assert (x, y) == (10.5 - 2.5, 20.25 - 4.0)
 
 
+def save_events_per_event_oracle(stream, path):
+    """The per-event writer that the chunked one replaced."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("t,x,y,p\n")
+        for i in range(len(stream)):
+            f.write(f"{stream.ts[i]},{stream.xs[i]},{stream.ys[i]},{stream.ps[i]}\n")
+
+
+SAVE_CASES = {
+    "empty": lambda: make_stream([]),
+    "one_event": lambda: make_stream([(3, 4, 0, 1)]),
+    "negative_polarity": lambda: make_stream([(0, 15, 7, -1), (15, 0, 7, -1), (1, 1, 9, 1)]),
+    "compact_extremes": lambda: EventStream(np.array([0, 32767], np.int16),
+                                            np.array([32767, 0], np.int16),
+                                            np.array([-2 ** 63, 2 ** 63 - 1]),
+                                            np.array([-1, 1], np.int8), 32768, 32768),
+    "synthetic": lambda: synth_stream(SynthConfig(duration_us=30_000, seed=1))[0],
+}
+
+
+class TestSaveEventsCsv:
+    @pytest.mark.parametrize("case", sorted(SAVE_CASES))
+    @pytest.mark.parametrize("chunk", [2, 1 << 16])
+    def test_bytes_equal_per_event_writer(self, tmp_path, monkeypatch, case, chunk):
+        monkeypatch.setattr(evtrack.events, "_SAVE_CHUNK", chunk)
+        stream = SAVE_CASES[case]()
+        save_events_csv(stream, tmp_path / "chunked.csv")
+        save_events_per_event_oracle(stream, tmp_path / "oracle.csv")
+        assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+class TestCompactStore:
+    """A stream holds ts int64, xs/ys int16 and ps int8: 13 bytes per event."""
+
+    @staticmethod
+    def assert_compact(stream):
+        assert [a.dtype for a in (stream.ts, stream.xs, stream.ys, stream.ps)] == [
+            np.int64, np.int16, np.int16, np.int8]
+        assert sum(a.nbytes for a in (stream.ts, stream.xs, stream.ys, stream.ps)) == (
+            13 * len(stream))
+
+    def test_every_constructor_stores_compact_columns(self, tmp_path):
+        stream, _ = synth_stream(SynthConfig(duration_us=30_000, seed=1))
+        self.assert_compact(stream)
+        self.assert_compact(make_stream([(3, 4, 0, 1), (5, 6, 1, -1)]))
+        self.assert_compact(make_stream([]))
+        save_events_csv(stream, tmp_path / "events.csv")
+        self.assert_compact(load_events_csv(tmp_path / "events.csv"))
+
+    def test_loading_peaks_below_28_bytes_per_event(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 200_000
+        path = tmp_path / "events.csv"
+        save_events_csv(random_stream(rng, n, 346, 260, 10 ** 7), path)
+        tracemalloc.start()
+        try:
+            stream = load_events_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stream) == n
+        # an (N, 4) int64 parse alone would be 32 bytes per event
+        assert peak / n <= 28
+
+    def test_sensor_side_limit(self):
+        with pytest.raises(ValueError, match="above 32768 px"):
+            EventStream([70000], [0], [0], [1], 80000, 1)
+        with pytest.raises(ValueError, match="above 32768 px"):
+            EventStream([0], [0], [0], [1], 1, 32769)
+        edge = EventStream([32767], [32767], [0], [1], 32768, 32768)
+        assert (edge.xs.tolist(), edge.ys.tolist()) == ([32767], [32767])
+
+    def test_float_input_is_truncated_as_int64(self):
+        stream = EventStream(np.array([1.7, 2.2]), np.array([0.0, 3.9]),
+                             np.array([0.5, 10.0]), np.array([1.0, -1.0]), 4, 4)
+        assert (stream.xs.tolist(), stream.ys.tolist(), stream.ts.tolist()) == (
+            [1, 2], [0, 3], [0, 10])
+
+
 class TestLoadEventsErrors:
     def write(self, tmp_path, text):
         path = tmp_path / "events.csv"
@@ -449,6 +534,12 @@ class TestLoadEventsErrors:
     @pytest.mark.parametrize("row", ["5,1,x,1", "5,1,2", "5,1,2,1,0"])
     def test_malformed_row(self, tmp_path, row):
         with pytest.raises(ValueError):
+            load_events_csv(self.write(tmp_path, f"t,x,y,p\n0,1,2,1\n{row}\n"))
+
+    @pytest.mark.parametrize("row, value", [("5,40000,2,1", "40000"), ("5,1,-32769,1", "-32769"),
+                                            ("5,1,2,300", "300")])
+    def test_value_outside_its_column(self, tmp_path, row, value):
+        with pytest.raises(ValueError, match=f"could not convert string '{value}'"):
             load_events_csv(self.write(tmp_path, f"t,x,y,p\n0,1,2,1\n{row}\n"))
 
     def test_header_only_gives_empty_stream(self, tmp_path):
@@ -477,7 +568,15 @@ class TestStreamValidation:
         with pytest.raises(ValueError):
             make_stream([(99, 0, 0, 1)], w=16, h=16)
 
+    # 65539 and 65536 would wrap to 3 and 0 in int16 (and polarity 257 to 1
+    # in int8): the checks must run before the columns are narrowed.
+    @pytest.mark.parametrize("point, message", [((65539, 0, 0, 1), "x out of"),
+                                                ((0, 65536, 0, 1), "y out of")])
+    def test_out_of_bounds_before_narrowing_rejected(self, point, message):
+        with pytest.raises(ValueError, match=message):
+            make_stream([point], w=16, h=16)
+
     def test_bad_polarity_rejected(self):
-        for p in (2, 0, -2):
+        for p in (2, 0, -2, 257):
             with pytest.raises(ValueError, match="polarity"):
                 make_stream([(0, 0, 0, 1), (0, 0, 1, p)])

@@ -7,7 +7,8 @@ Run from the repository root:
 It makes the set-up calls `evtrack track` makes, on a perfbench workload's
 inputs: load_config -> init_model -> (load_weights if --weights 1) ->
 load_events_csv -> stack_events -> Tracker.init. After each call it records
-the resident set (VmRSS) and the peak so far (ru_maxrss). It then steps
+the resident set (VmRSS) and the peak so far (ru_maxrss), and the bytes the
+loaded event stream's columns hold, in all and per event. It then steps
 --frames frames and reads, per frame, the wall time and the change in
 getrusage's minor faults and system CPU time. Stepping with and without a
 weight load is what separates steady-state stepping from allocator state
@@ -64,6 +65,7 @@ def main(argv: list[str] | None = None) -> int:
         stages["load_weights"] = (rss_mib(), peak_mib())
     stream = load_events_csv(inputs.events)
     stages["load_events_csv"] = (rss_mib(), peak_mib())
+    stream_bytes = sum(getattr(stream, name).nbytes for name in ("ts", "xs", "ys", "ps"))
     frames = stack_events(stream, config.window_us)
     stages["stack_events"] = (rss_mib(), peak_mib())
     tracker = Tracker(config, model)
@@ -90,6 +92,8 @@ def main(argv: list[str] | None = None) -> int:
         "workload": args.workload, "seed": args.seed, "weights": bool(args.weights),
         "rss_mib": {k: round(v[0], 2) for k, v in stages.items()},
         "peak_rss_mib": {k: round(v[1], 2) for k, v in stages.items()},
+        "stream_bytes": stream_bytes,
+        "stream_bytes_per_event": round(stream_bytes / max(len(stream), 1), 2),
         "frame_median": {"ms": round(median("ms"), 1),
                          "minor_faults": median("minor_faults"),
                          "sys_ms": round(median("sys_ms"), 1)},
