@@ -14,10 +14,12 @@ forward scan's output, two shared scratch buffers (norm output, padded
 conv input, conv taps, the scan's pre-activation and delta), the scan's
 selection and block arrays, and two ping-pong token buffers. All blocks and
 both directions reuse it: about 11 MiB at Vim-S and 384 tokens. The caller
-owns the workspace, and a tracker keeps one for its lifetime (see
+owns the workspace, and a tracker keeps two for its lifetime, one for the
+frame backbone and one for the fuses its worker thread runs (see
 `tracker`): a workspace built per call would be allocated and page-faulted
-again on every pass. Calls without one (tests, selftest) get a workspace
-of their own, so there is one code path.
+again on every pass. A workspace serves one thread at a time. Calls without
+one (tests, selftest) get a workspace of their own, so there is one code
+path.
 """
 
 from __future__ import annotations

@@ -9,25 +9,47 @@ the frame is tracked.
 The dynamic template (route, then fuse the routed library) is a pure
 function of the memory contents and the last pushed feature, and only
 `init` and a tick's push change those. So it is generated in `init`, and
-afterwards only when a push has happened since the last generation: at the
-start of the next tick's frame by default, or of the very next frame with
+afterwards only when a push has happened since the last generation: for the
+next tick's frame by default, or for the very next frame with
 `regenerate_every_frame`. Every other frame reuses the last template.
 
-Each tracker owns one backbone Workspace, which the frame backbone and the
-fusion stack share. It lives as long as the tracker because a workspace
-built per call would re-allocate, and re-fault, about 11 MiB of Vim-S
-scratch on every backbone pass; a persistent one is sized by `init`'s fuse
-and the first frame, grows only when a longer sequence first arrives (an
-LT fuse is up to 1024 tokens), and stepping then allocates nothing large.
+By default the fuse runs behind the frames that do not read it. A tick's
+push (end of frame t) fixes every input of the next fuse, and nothing reads
+its result before the next tick, t + update_interval. So at the start of
+frame t + 1 the fuse starts on a worker thread, while frames t + 1 ...
+keep the old template; at the start of the next tick the tracker joins the
+worker and installs its result, so every frame sees the template it would
+see if the fuse ran inline there. A worker's error is raised at that tick,
+naming the frame. A fuse needed on the frame where it would start (`init`,
+`regenerate_every_frame`, `update_interval` 1) runs inline on the stepping
+thread instead. A step that raises joins an in-flight fuse first and keeps
+its outcome for the next tick, and `track_frames` joins before it returns,
+so a sequence ends by waiting for at most one fuse. At most one fuse is in
+flight: pushes happen only at ticks, after the join.
+
+Each tracker owns two backbone Workspaces: `workspace` for the frame
+backbone and inline fuses, `fuse_workspace` for the worker's fuses. They
+live as long as the tracker because a workspace built per call would
+re-allocate, and re-fault, about 11 MiB of Vim-S scratch on every backbone
+pass; each grows only when a longer sequence first arrives (an LT fuse is up
+to 1024 tokens), and stepping then allocates nothing large.
+
+OpenBLAS's default second thread would spin on the core the worker needs,
+so BLAS is pinned to one thread (`blas.pin_one`) just before a worker
+starts, and restored (`blas.restore`) by the first step start that finds
+the worker finished, or by a join. Both happen on the stepping thread while
+no worker runs BLAS, since the count is process-wide.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 from typing import IO, Iterable
 
 import numpy as np
 
+from . import blas
 from .backbone import backbone
 from .config import TrackerConfig
 from .events import BBox, EventFrame, EventStream, crop_region, iter_event_frames
@@ -46,6 +68,35 @@ class TrackerStats:
     template_regenerations: int = 0
 
 
+class _FuseWorker(threading.Thread):
+    """One `generate_dynamic_template` call; keeps its result or its error."""
+
+    def __init__(self, *args):
+        # Not a daemon: interpreter exit waits for at most one fuse rather
+        # than stopping a thread inside numpy.
+        super().__init__(name="evtrack-fuse")
+        self._args = args
+        self.result: np.ndarray | None = None
+        self.error: BaseException | None = None
+
+    def run(self) -> None:
+        try:
+            self.result = generate_dynamic_template(*self._args)
+        except BaseException as exc:  # raised on the stepping thread at install
+            self.error = exc
+
+
+def _at_frame(error: BaseException, t: int) -> BaseException:
+    """`error`, of the same type where possible, with frame t in its message."""
+    message = f"template fuse for frame {t} failed: {error}"
+    try:
+        named = type(error)(message)
+    except Exception:
+        named = RuntimeError(message)
+    named.__cause__ = error
+    return named
+
+
 class Tracker:
     """Single-sequence tracker; mutable state is this instance's alone."""
 
@@ -58,9 +109,12 @@ class Tracker:
                                     debug_stream=debug_stream)
         self.stats = TrackerStats()
         self.workspace = Workspace()
+        self.fuse_workspace = Workspace()
         self._static: TokenSeq | None = None
         self._dynamic: np.ndarray | None = None
-        self._dynamic_stale = False  # a push happened since the last generation
+        self._dynamic_stale = False  # a push happened since the last fuse started
+        self._fuse: _FuseWorker | None = None  # started, not yet installed
+        self._blas_pinned = False
         self._last_feature: TemplateFeature | None = None
         self._frame_index = 0
         self._box: BBox | None = None
@@ -78,6 +132,52 @@ class Tracker:
             self.memory, self._last_feature, self.model.backbone, self.workspace)
         self._dynamic_stale = False
         self.stats.template_regenerations += 1
+
+    def _start_fuse(self) -> None:
+        blas.pin_one()
+        self._blas_pinned = True
+        self._fuse = _FuseWorker(self.memory, self._last_feature, self.model.backbone,
+                                 self.fuse_workspace)
+        self._dynamic_stale = False
+        self._fuse.start()
+
+    def _install_fuse(self, t: int) -> None:
+        self.join()
+        worker, self._fuse = self._fuse, None
+        if worker.error is not None:
+            self._dynamic_stale = True  # the next tick's fuse retries, as inline
+            raise _at_frame(worker.error, t)
+        self._dynamic = worker.result
+        self.stats.template_regenerations += 1
+
+    def _update_template(self, t: int, tick: bool) -> None:
+        if self._fuse is not None:
+            if tick:
+                self._install_fuse(t)
+            elif not self._fuse.is_alive():
+                self.join()  # restores BLAS threads for the rest of the cycle
+        elif self._dynamic_stale:
+            if tick or self.config.regenerate_every_frame:
+                self._regenerate_dynamic()
+            else:
+                self._start_fuse()
+
+    @property
+    def fuse_running(self) -> bool:
+        """Whether a worker is still running a fuse."""
+        return self._fuse is not None and self._fuse.is_alive()
+
+    def join(self) -> None:
+        """Wait for an in-flight fuse and restore BLAS threads.
+
+        The fuse's result or error is kept, and installed or raised at the
+        next tick as usual.
+        """
+        if self._fuse is not None:
+            self._fuse.join()
+        if self._blas_pinned:
+            blas.restore()
+            self._blas_pinned = False
 
     # -- protocol ----------------------------------------------------------
 
@@ -108,10 +208,24 @@ class Tracker:
         self._frame_index += 1
         t = self._frame_index
         tick = t % cfg.update_interval == 0
+        try:
+            self._update_template(t, tick)
+            box = self._track(frame)
+            if tick:
+                feature = self._template_feature(frame, box, frame_index=t)
+                self.memory.st_push(feature)
+                self.stats.memory_updates += 1
+                self._last_feature = feature
+                self._dynamic_stale = True
+        except BaseException:
+            self.join()
+            raise
+        self._box = box
+        return box
 
-        if (tick or cfg.regenerate_every_frame) and self._dynamic_stale:
-            self._regenerate_dynamic()
-
+    def _track(self, frame: EventFrame) -> BBox:
+        """The box predicted on `frame` with the current dynamic template."""
+        cfg = self.config
         search_patch = crop_region(frame, self._box, cfg.search_context, cfg.search_size)
         search = add_position_embedding(
             patch_embed(search_patch, self.model.patch_embed, SEARCH),
@@ -124,33 +238,26 @@ class Tracker:
         outputs = head_forward(search_out, self.model.head)
         box = decode_bbox(outputs, search_patch)
         # Keep the next search crop anchored on the sensor.
-        box = BBox(float(np.clip(box.cx, 0, frame.width - 1)),
-                   float(np.clip(box.cy, 0, frame.height - 1)), box.w, box.h)
-
-        if tick:
-            feature = self._template_feature(frame, box, frame_index=t)
-            self.memory.st_push(feature)
-            self.stats.memory_updates += 1
-            self._last_feature = feature
-            self._dynamic_stale = True
-
-        self._box = box
-        return box
+        return BBox(float(np.clip(box.cx, 0, frame.width - 1)),
+                    float(np.clip(box.cy, 0, frame.height - 1)), box.w, box.h)
 
 
 def track_frames(config: TrackerConfig, model: ModelParams,
                  frames: Iterable[EventFrame], init_box: BBox,
                  debug_stream: IO[str] | None = None) -> list[BBox]:
     """Track over frames, stepping each as it arrives; the first output box
-    is init_box."""
+    is init_box. Any in-flight fuse is joined before this returns or raises."""
     frames = iter(frames)
     first = next(frames, None)
     if first is None:
         return []
     tracker = Tracker(config, model, debug_stream)
-    boxes = [tracker.init(first, init_box)]
-    for frame in frames:
-        boxes.append(tracker.step(frame))
+    try:
+        boxes = [tracker.init(first, init_box)]
+        for frame in frames:
+            boxes.append(tracker.step(frame))
+    finally:
+        tracker.join()
     return boxes
 
 

@@ -51,23 +51,33 @@ def test_six_templates_consume_384_concatenated_rows():
 
 def test_shared_mode_aliases_backbone_parameters(setup, monkeypatch):
     # The Memory Mamba is the backbone itself: every regeneration the
-    # tracker runs (init, and the ticks after a push) gets model.backbone.
+    # tracker runs (init inline, and a worker's fuse after a push) gets
+    # model.backbone.
     cfg, model, _ = setup
     stream, gt = synth_stream(SMALL_SYNTH)
     frames = stack_events(stream, cfg.window_us)[:11]
     received = []
 
     def recording(lib, incoming, params, ws=None):
-        received.append(params)
+        received.append((params, ws))
         return generate_dynamic_template(lib, incoming, params, ws)
 
     monkeypatch.setattr(tracker_module, "generate_dynamic_template", recording)
     tracker = Tracker(cfg, model)
     tracker.init(frames[0], gt[0])
-    for frame in frames[1:]:
+    started = installed = None
+    for t, frame in enumerate(frames[1:], start=1):
+        worker, dynamic = tracker._fuse, tracker._dynamic
         tracker.step(frame)
-    assert len(received) == 2  # init and the t = 10 tick
-    assert all(params is model.backbone for params in received)
+        if tracker._fuse is not None and tracker._fuse is not worker:
+            started = t
+        if tracker._dynamic is not dynamic:
+            installed = t
+    # init, and the t = 5 push's fuse: started at t = 6, installed at t = 10
+    assert (started, installed) == (6, 10)
+    assert len(received) == 2
+    assert received[0][1] is tracker.workspace and received[1][1] is tracker.fuse_workspace
+    assert all(params is model.backbone for params, _ in received)
 
 
 def test_order_sensitivity(setup):

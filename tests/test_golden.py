@@ -1,12 +1,14 @@
 """Golden end-to-end sequence: boxes, admissions and templates are pinned.
 
 A fixed small-geometry synthetic stream is tracked in both
-`regenerate_every_frame` modes; every box, every long-term admission record
-and the dynamic template each frame used must match the checked-in CSVs bit
-for bit (floats are stored as their shortest round-trip repr, templates as
-the SHA-256 of their bytes). The templates are pinned separately because at
+`regenerate_every_frame` modes; every box, every long-term admission record,
+the dynamic template each frame used and the debug stream's sequence of
+operations must match the checked-in CSVs bit for bit (floats are stored as
+their shortest round-trip repr, templates as the SHA-256 of their bytes). The templates are pinned separately because at
 this geometry, with initial weights, the head's float32 maps round the
-template's influence away and the boxes alone would not notice a wrong one.
+template's influence away and the boxes alone would not notice a wrong one. The operation sequence pins
+the order of routes, pushes and admissions, which a fuse on a worker thread
+must not change.
 Refactors and performance work keep this test passing unchanged. To
 re-record after a deliberate behaviour change:
 
@@ -17,11 +19,13 @@ import csv
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from evtrack import blas
 from evtrack.events import stack_events, synth_stream
 from evtrack.model import init_model
 from evtrack.tracker import Tracker
@@ -32,6 +36,7 @@ DATA = Path(__file__).resolve().parent / "data"
 BOXES_CSV = DATA / "golden_boxes.csv"
 ADMISSIONS_CSV = DATA / "golden_admissions.csv"
 TEMPLATES_CSV = DATA / "golden_templates.csv"
+OPS_CSV = DATA / "golden_ops.csv"
 MODES = (False, True)  # regenerate_every_frame
 
 
@@ -40,7 +45,8 @@ def _digest(template: np.ndarray) -> str:
 
 
 def run_sequence(regenerate_every_frame: bool):
-    """Track the golden stream; returns (box rows, admission rows, template rows).
+    """Track the golden stream; returns (box rows, admission rows, template
+    rows, debug-stream operation rows).
 
     lt_capacity=2 is the only LT size that can leave the all-copies initial
     state in one replacement, so the sequence accepts admissions.
@@ -59,12 +65,13 @@ def run_sequence(regenerate_every_frame: bool):
         templates.append(_digest(tracker._dynamic))  # the template this step used
     mode = int(regenerate_every_frame)
     box_rows = [[mode, t, b.cx, b.cy, b.w, b.h] for t, b in enumerate(boxes)]
-    records = (json.loads(line) for line in log.getvalue().splitlines())
+    records = [json.loads(line) for line in log.getvalue().splitlines()]
     admission_rows = [[mode, r["frame"], r["accepted"], r["replaced_index"],
                        r["det_before"], r["det_after"]]
                       for r in records if r["op"] == "lt_admit"]
     template_rows = [[mode, t, digest] for t, digest in enumerate(templates)]
-    return box_rows, admission_rows, template_rows
+    op_rows = [[mode, r["frame"], r["op"], r["routed"]] for r in records]
+    return box_rows, admission_rows, template_rows, op_rows
 
 
 def _fmt(value) -> str:
@@ -82,16 +89,41 @@ def runs():
 
 
 @pytest.mark.parametrize("which, path", [(0, BOXES_CSV), (1, ADMISSIONS_CSV),
-                                         (2, TEMPLATES_CSV)],
-                         ids=["boxes", "admissions", "templates"])
+                                         (2, TEMPLATES_CSV), (3, OPS_CSV)],
+                         ids=["boxes", "admissions", "templates", "ops"])
 def test_matches_golden_csv(runs, which, path):
     got = [[_fmt(v) for v in row] for mode in MODES for row in runs[mode][which]]
     assert got == _read(path)
 
 
+def _assert_matches_mode_0(got):
+    """run_sequence(False)'s rows equal mode 0's rows of every golden CSV."""
+    for which, path in enumerate((BOXES_CSV, ADMISSIONS_CSV, TEMPLATES_CSV, OPS_CSV)):
+        want = [row for row in _read(path) if row[0] == "0"]
+        assert [[_fmt(v) for v in row] for row in got[which]] == want
+
+
+def test_without_blas_thread_symbols_matches_golden_csvs(monkeypatch):
+    # Without OpenBLAS's set-threads symbol the tracker skips the pin.
+    monkeypatch.setattr(blas, "_functions", lambda: None)
+    _assert_matches_mode_0(run_sequence(False))
+
+
+def test_short_switch_interval_matches_golden_csvs():
+    # Thread switches every microsecond interleave the fuse worker with the
+    # frames it runs behind as finely as the interpreter allows.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run_sequence(False)
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_matches_mode_0(got)
+
+
 def test_sequence_covers_ticks_and_accepted_admissions(runs):
     for mode in MODES:
-        boxes, admissions, _ = runs[mode]
+        boxes, admissions, *_ = runs[mode]
         assert len(boxes) - 1 >= 3 * small_config().update_interval
         assert any(accepted for _, _, accepted, *_ in admissions)
 
@@ -103,7 +135,8 @@ def record() -> None:
             (BOXES_CSV, ["mode", "frame", "cx", "cy", "w", "h"], 0),
             (ADMISSIONS_CSV, ["mode", "frame", "accepted", "replaced_index",
                               "det_before", "det_after"], 1),
-            (TEMPLATES_CSV, ["mode", "frame", "sha256"], 2)):
+            (TEMPLATES_CSV, ["mode", "frame", "sha256"], 2),
+            (OPS_CSV, ["mode", "frame", "op", "routed"], 3)):
         with open(path, "w", newline="", encoding="utf-8") as f:
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(header)

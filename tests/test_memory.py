@@ -6,9 +6,16 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evtrack.events import stack_events, synth_stream
 from evtrack.memory import (PSD_FLOOR, AdmissionRecord, MemoryLibrary, TemplateFeature,
                             checked_det, gram_det, gram_matrix, pearson)
+from evtrack.model import init_model
+from evtrack.tracker import Tracker
+
+from _utils import SMALL_SYNTH, small_config
 
 
 def feat(values, frame_index=0):
@@ -399,3 +406,50 @@ class TestInitAndDebug:
         assert records[-1]["routed"] in ("ST", "LT")
         assert all(set(r) == {"frame", "op", "accepted", "replaced_index",
                               "det_before", "det_after", "routed"} for r in records)
+
+
+class TestGramCache:
+    """The library's cached LT Gram matrix against a rebuild, byte for byte."""
+
+    @staticmethod
+    def _assert_cache_current(lib):
+        assert all(a is b for a, b in zip(lib._gram_members, lib.lt))
+        assert lib._gram.tobytes() == gram_matrix(lib.lt).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), capacity=st.integers(1, 5),
+           offers=st.lists(st.integers(0, 14), max_size=25))
+    def test_cache_equals_rebuild_after_every_offer(self, seed, capacity, offers):
+        pool = _member_pool(np.random.default_rng(seed))
+        lib = MemoryLibrary(st_capacity=1, lt_capacity=capacity)
+        lib.init_memory(pool[0])
+        for i in offers:
+            lib.lt_admit(pool[i])
+            self._assert_cache_current(lib)
+
+    def test_golden_run_keeps_the_cache_current(self, monkeypatch):
+        admit = MemoryLibrary.lt_admit
+        outcomes = []
+
+        def checked(lib, z):
+            record = admit(lib, z)
+            self._assert_cache_current(lib)
+            outcomes.append(record.accepted)
+            return record
+
+        monkeypatch.setattr(MemoryLibrary, "lt_admit", checked)
+        cfg = small_config(lt_capacity=2, seed=1)
+        stream, gt = synth_stream(SMALL_SYNTH)
+        frames = stack_events(stream, cfg.window_us)
+        tracker = Tracker(cfg, init_model(cfg))
+        tracker.init(frames[0], gt[0])
+        for frame in frames[1:]:
+            tracker.step(frame)
+        assert len(outcomes) == 4 and any(outcomes)
+
+    def test_direct_assignment_rebuilds(self):
+        rng = np.random.default_rng(7)
+        lib = fresh_library(rng)
+        lib.lt_gram()
+        lib.lt = [rand_feat(rng, i) for i in range(5)]
+        assert lib.lt_gram().tobytes() == gram_matrix(lib.lt).tobytes()

@@ -1,8 +1,13 @@
 """Tracker loop: when the dynamic template is regenerated."""
 
+import threading
+import time
+
 import numpy as np
+import pytest
 
 import evtrack.tracker as tracker_module
+from evtrack import blas
 from evtrack.events import iter_event_frames, stack_events, synth_stream
 from evtrack.fusion import generate_dynamic_template
 from evtrack.model import init_model
@@ -11,41 +16,86 @@ from evtrack.tracker import Tracker, track_frames, track_sequence
 from _utils import SMALL_SYNTH, small_config
 
 
-def run_counting(monkeypatch, regenerate_every_frame):
-    """Track 21 frames; returns the tracker and the frame index of every
-    regeneration (0 is init)."""
-    cfg = small_config(regenerate_every_frame=regenerate_every_frame)
+def run_recording(monkeypatch, **overrides):
+    """Track 21 frames; returns the tracker, the frame index at which each
+    fuse started and the one from which its template was used (0 is init),
+    and per fuse call whether it ran on the stepping thread."""
+    cfg = small_config(**overrides)
     model = init_model(cfg)
     stream, gt = synth_stream(SMALL_SYNTH)
     frames = stack_events(stream, cfg.window_us)
     tracker = Tracker(cfg, model)
-    calls = []
+    on_main = []
 
-    def counting(*args, **kwargs):
-        calls.append(tracker._frame_index)
+    def recording(*args, **kwargs):
+        on_main.append(threading.current_thread() is threading.main_thread())
         return generate_dynamic_template(*args, **kwargs)
 
-    monkeypatch.setattr(tracker_module, "generate_dynamic_template", counting)
+    monkeypatch.setattr(tracker_module, "generate_dynamic_template", recording)
     tracker.init(frames[0], gt[0])
-    for frame in frames[1:]:
+    starts, installs = [0], [0]
+    for t, frame in enumerate(frames[1:], start=1):
+        worker, dynamic, inline = tracker._fuse, tracker._dynamic, on_main.count(True)
         tracker.step(frame)
+        if tracker._fuse is not None and tracker._fuse is not worker:
+            starts.append(t)  # a worker was started in this step
+        elif on_main.count(True) > inline:
+            starts.append(t)  # an inline fuse ran in this step
+        if tracker._dynamic is not dynamic:
+            installs.append(t)
+    tracker.join()
     assert len(frames) == 21
-    return tracker, calls
+    return tracker, starts, installs, on_main
 
 
 def test_default_mode_regenerates_at_ticks_after_a_push(monkeypatch):
-    # Pushes happen at the end of t = 5, 10, 15, 20; the t = 5 tick has no
-    # push behind it, so its template is the one init built.
-    tracker, calls = run_counting(monkeypatch, regenerate_every_frame=False)
-    assert calls == [0, 10, 15, 20]
-    assert tracker.stats.template_regenerations == len(calls)
+    # Pushes happen at the end of t = 5, 10, 15, 20. Each push's fuse starts
+    # on a worker at the start of the next frame and is installed at the next
+    # tick; the t = 20 push has no frame after it, so no fuse starts.
+    tracker, starts, installs, on_main = run_recording(monkeypatch)
+    assert starts == [0, 6, 11, 16]
+    assert installs == [0, 10, 15, 20]
+    assert on_main == [True, False, False, False]
+    assert tracker.stats.template_regenerations == len(installs)
     assert tracker.stats.memory_updates == 4
 
 
 def test_every_frame_mode_regenerates_on_the_frame_after_a_push(monkeypatch):
-    tracker, calls = run_counting(monkeypatch, regenerate_every_frame=True)
-    assert calls == [0, 6, 11, 16]
-    assert tracker.stats.template_regenerations == len(calls)
+    tracker, starts, installs, on_main = run_recording(monkeypatch,
+                                                       regenerate_every_frame=True)
+    assert starts == installs == [0, 6, 11, 16]
+    assert on_main == [True] * 4
+    assert tracker.stats.template_regenerations == len(installs)
+
+
+def test_interval_one_fuses_inline_on_every_frame_after_init(monkeypatch):
+    # Every frame is a tick, so each push's template is needed on the very
+    # next frame and nothing can run behind it. The first push ends t = 1.
+    tracker, starts, installs, on_main = run_recording(monkeypatch, update_interval=1)
+    assert starts == installs == [0, *range(2, 21)]
+    assert on_main == [True] * 20
+
+
+def test_async_templates_equal_inline_fuses_at_their_ticks():
+    # The template a worker installs at a tick is the one an inline fuse of
+    # the memory at that tick's start gives.
+    cfg = small_config()
+    model = init_model(cfg)
+    stream, gt = synth_stream(SMALL_SYNTH)
+    frames = stack_events(stream, cfg.window_us)
+    tracker = Tracker(cfg, model)
+    tracker.init(frames[0], gt[0])
+    checked = 0
+    for t, frame in enumerate(frames[1:], start=1):
+        if t % cfg.update_interval == 0 and tracker._fuse is not None:
+            fresh = generate_dynamic_template(tracker.memory, tracker._last_feature,
+                                              model.backbone)
+            tracker.step(frame)
+            np.testing.assert_array_equal(tracker._dynamic, fresh)
+            checked += 1
+        else:
+            tracker.step(frame)
+    assert checked == 3
 
 
 def test_kept_template_equals_a_fresh_regeneration():
@@ -110,9 +160,120 @@ def test_tracker_workspace_persists_across_steps():
     frames = stack_events(stream, cfg.window_us)
     tracker = Tracker(cfg, model)
     tracker.init(frames[0], gt[0])
-    workspace = tracker.workspace
+    workspace, fuse_workspace = tracker.workspace, tracker.fuse_workspace
+    assert fuse_workspace.nbytes == 0  # init fuses inline
     tracker.step(frames[1])  # a frame is longer than this config's fuse
     size = workspace.nbytes
-    for frame in frames[2:]:
+    for frame in frames[2:7]:
         tracker.step(frame)
+    tracker.join()  # the first worker fuse started at t = 6
+    fuse_size = fuse_workspace.nbytes
+    assert fuse_size > 0
+    for frame in frames[7:]:
+        tracker.step(frame)
+    tracker.join()
     assert tracker.workspace is workspace and workspace.nbytes == size
+    assert tracker.fuse_workspace is fuse_workspace and fuse_workspace.nbytes == fuse_size
+
+
+def _slow_fuse(monkeypatch, seconds=0.2):
+    """Make every worker fuse wait `seconds` first; returns the BLAS thread
+    counts the worker saw."""
+    seen = []
+
+    def slow(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            seen.append(blas.threads())
+            time.sleep(seconds)
+        return generate_dynamic_template(*args, **kwargs)
+
+    monkeypatch.setattr(tracker_module, "generate_dynamic_template", slow)
+    return seen
+
+
+def test_track_frames_joins_an_in_flight_fuse(monkeypatch):
+    # 8 frames: the t = 5 push starts a fuse at t = 6 that no tick installs.
+    cfg = small_config()
+    model = init_model(cfg)
+    stream, gt = synth_stream(SMALL_SYNTH)
+    frames = stack_events(stream, cfg.window_us)[:8]
+    threads, blas_threads = threading.active_count(), blas.threads()
+    seen = _slow_fuse(monkeypatch)
+    assert len(track_frames(cfg, model, frames, gt[0])) == 8
+    assert threading.active_count() == threads
+    assert blas.threads() == blas_threads
+    assert len(seen) == 1 and seen[0] in (None, 1)  # BLAS pinned while it ran
+
+
+def test_step_that_raises_mid_cycle_joins_and_keeps_the_fuse(monkeypatch):
+    cfg = small_config()
+    model = init_model(cfg)
+    stream, gt = synth_stream(SMALL_SYNTH)
+    frames = stack_events(stream, cfg.window_us)
+    reference = Tracker(cfg, model)
+    reference.init(frames[0], gt[0])
+    for frame in frames[1:11]:
+        reference.step(frame)
+
+    threads, blas_threads = threading.active_count(), blas.threads()
+    _slow_fuse(monkeypatch)
+    head_forward = tracker_module.head_forward
+    tracker = Tracker(cfg, model)
+
+    def failing(*args, **kwargs):
+        if tracker._frame_index == 7:
+            raise ValueError("head failed")
+        return head_forward(*args, **kwargs)
+
+    monkeypatch.setattr(tracker_module, "head_forward", failing)
+    tracker.init(frames[0], gt[0])
+    for frame in frames[1:7]:
+        tracker.step(frame)
+    assert tracker.fuse_running
+    with pytest.raises(ValueError, match="head failed"):
+        tracker.step(frames[7])
+    assert not tracker.fuse_running
+    assert threading.active_count() == threads
+    assert blas.threads() == blas_threads
+    for frame in frames[8:11]:
+        tracker.step(frame)
+    # The fuse started at t = 6 read only memory fixed at t = 5, so the
+    # template installed at t = 10 is the undisturbed run's.
+    np.testing.assert_array_equal(tracker._dynamic, reference._dynamic)
+
+
+def test_worker_error_raises_at_the_installing_tick(monkeypatch):
+    cfg = small_config()
+    model = init_model(cfg)
+    stream, gt = synth_stream(SMALL_SYNTH)
+    frames = stack_events(stream, cfg.window_us)
+    threads, blas_threads = threading.active_count(), blas.threads()
+
+    def failing(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("fuse failed")
+        return generate_dynamic_template(*args, **kwargs)
+
+    monkeypatch.setattr(tracker_module, "generate_dynamic_template", failing)
+    tracker = Tracker(cfg, model)
+    tracker.init(frames[0], gt[0])
+    for frame in frames[1:10]:  # the fuse fails during t = 6 .. 9
+        tracker.step(frame)
+    with pytest.raises(FloatingPointError, match="template fuse for frame 10 failed: "
+                                                 "fuse failed") as info:
+        tracker.step(frames[10])
+    assert isinstance(info.value.__cause__, FloatingPointError)
+    assert threading.active_count() == threads
+    assert blas.threads() == blas_threads
+
+
+def test_blas_restore_returns_to_the_count_before_the_first_pin():
+    # A tracker dropped mid-fuse leaves BLAS pinned; the next restore undoes it.
+    before = blas.threads()
+    if before is None:
+        pytest.skip("no OpenBLAS thread symbols in this numpy")
+    blas.pin_one()
+    assert blas.threads() == 1
+    blas.pin_one()  # a second pin must not save 1 as the count to restore
+    blas.restore()
+    assert blas.threads() == before

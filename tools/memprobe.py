@@ -10,9 +10,12 @@ load_events_csv -> stack_events -> Tracker.init. After each call it records
 the resident set (VmRSS) and the peak so far (ru_maxrss), and the bytes the
 loaded event stream's columns hold, in all and per event. It then steps
 --frames frames and reads, per frame, the wall time and the change in
-getrusage's minor faults and system CPU time. Stepping with and without a
-weight load is what separates steady-state stepping from allocator state
-left behind by set-up. One JSON object goes to stdout.
+getrusage's minor faults and system CPU time, and after the step the bytes
+held by the tracker's two workspaces (frame and worker fuse), OpenBLAS's
+thread count and whether a template fuse was still running on the worker.
+Stepping with and without a weight load is what separates steady-state
+stepping from allocator state left behind by set-up. The tracker is joined
+before the final stage is read. One JSON object goes to stdout.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from evtrack import BBox, Tracker, init_model, load_config, load_weights, stack_events  # noqa: E402
+from evtrack import BBox, Tracker, blas, init_model, load_config, load_weights, stack_events  # noqa: E402
 from evtrack.events import load_events_csv  # noqa: E402
 from workloads import WORKLOADS, prepare  # noqa: E402
 
@@ -82,7 +85,12 @@ def main(argv: list[str] | None = None) -> int:
         after = resource.getrusage(resource.RUSAGE_SELF)
         per_frame.append({"ms": wall * 1e3,
                           "minor_faults": after.ru_minflt - before.ru_minflt,
-                          "sys_ms": (after.ru_stime - before.ru_stime) * 1e3})
+                          "sys_ms": (after.ru_stime - before.ru_stime) * 1e3,
+                          "workspace_bytes": tracker.workspace.nbytes,
+                          "fuse_workspace_bytes": tracker.fuse_workspace.nbytes,
+                          "blas_threads": blas.threads(),
+                          "fuse_in_flight": tracker.fuse_running})
+    tracker.join()
     stages["stepped"] = (rss_mib(), peak_mib())
 
     def median(key):
