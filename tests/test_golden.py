@@ -1,14 +1,16 @@
-"""Golden end-to-end sequence: boxes, admissions and templates are pinned.
+"""Golden end-to-end sequence: boxes, admissions, templates and head maps are pinned.
 
 A fixed small-geometry synthetic stream is tracked in both
 `regenerate_every_frame` modes; every box, every long-term admission record,
-the dynamic template each frame used and the debug stream's sequence of
-operations must match the checked-in CSVs bit for bit (floats are stored as
-their shortest round-trip repr, templates as the SHA-256 of their bytes). The templates are pinned separately because at
-this geometry, with initial weights, the head's float32 maps round the
-template's influence away and the boxes alone would not notice a wrong one. The operation sequence pins
-the order of routes, pushes and admissions, which a fuse on a worker thread
-must not change.
+the dynamic template each frame used, the head's score/offset/size maps on
+every step and the debug stream's sequence of operations must match the
+checked-in CSVs bit for bit (floats are stored as their shortest round-trip
+repr, templates and maps as the SHA-256 of their bytes). At this geometry,
+with initial weights, the argmax cell and the decoded size round the dynamic
+template's influence away, so the boxes alone would not notice a wrong
+template or a wrong token layout; the float32 head maps do. The operation
+sequence pins the order of routes, pushes and admissions, which a fuse on a
+worker thread must not change.
 Refactors and performance work keep this test passing unchanged. To
 re-record after a deliberate behaviour change:
 
@@ -25,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import evtrack.tracker as tracker_module
 from evtrack import blas
 from evtrack.events import stack_events, synth_stream
 from evtrack.model import init_model
@@ -37,6 +40,8 @@ BOXES_CSV = DATA / "golden_boxes.csv"
 ADMISSIONS_CSV = DATA / "golden_admissions.csv"
 TEMPLATES_CSV = DATA / "golden_templates.csv"
 OPS_CSV = DATA / "golden_ops.csv"
+MAPS_CSV = DATA / "golden_maps.csv"
+CSVS = (BOXES_CSV, ADMISSIONS_CSV, TEMPLATES_CSV, OPS_CSV, MAPS_CSV)
 MODES = (False, True)  # regenerate_every_frame
 
 
@@ -46,7 +51,7 @@ def _digest(template: np.ndarray) -> str:
 
 def run_sequence(regenerate_every_frame: bool):
     """Track the golden stream; returns (box rows, admission rows, template
-    rows, debug-stream operation rows).
+    rows, debug-stream operation rows, head-map rows).
 
     lt_capacity=2 is the only LT size that can leave the all-copies initial
     state in one replacement, so the sequence accepts admissions.
@@ -57,12 +62,26 @@ def run_sequence(regenerate_every_frame: bool):
     stream, gt = synth_stream(SMALL_SYNTH)
     frames = stack_events(stream, cfg.window_us)
     log = io.StringIO()
+    maps = []
+    head_forward = tracker_module.head_forward
+
+    def recording(search_tokens, params):
+        out = head_forward(search_tokens, params)
+        maps.append([_digest(m) for m in (out.score, out.offset, out.size)])
+        return out
+
     tracker = Tracker(cfg, model, log)
-    boxes = [tracker.init(frames[0], gt[0])]
-    templates = [_digest(tracker._dynamic)]
-    for frame in frames[1:]:
-        boxes.append(tracker.step(frame))
-        templates.append(_digest(tracker._dynamic))  # the template this step used
+    tracker_module.head_forward = recording
+    try:
+        boxes = [tracker.init(frames[0], gt[0])]
+        templates = [_digest(tracker._dynamic)]
+        for frame in frames[1:]:
+            boxes.append(tracker.step(frame))
+            templates.append(_digest(tracker._dynamic))  # the template this step used
+    finally:
+        tracker_module.head_forward = head_forward
+        tracker.join()
+    assert len(maps) == len(frames) - 1  # one head pass per step
     mode = int(regenerate_every_frame)
     box_rows = [[mode, t, b.cx, b.cy, b.w, b.h] for t, b in enumerate(boxes)]
     records = [json.loads(line) for line in log.getvalue().splitlines()]
@@ -71,7 +90,8 @@ def run_sequence(regenerate_every_frame: bool):
                       for r in records if r["op"] == "lt_admit"]
     template_rows = [[mode, t, digest] for t, digest in enumerate(templates)]
     op_rows = [[mode, r["frame"], r["op"], r["routed"]] for r in records]
-    return box_rows, admission_rows, template_rows, op_rows
+    map_rows = [[mode, t, *digests] for t, digests in enumerate(maps, start=1)]
+    return box_rows, admission_rows, template_rows, op_rows, map_rows
 
 
 def _fmt(value) -> str:
@@ -88,9 +108,8 @@ def runs():
     return {mode: run_sequence(mode) for mode in MODES}
 
 
-@pytest.mark.parametrize("which, path", [(0, BOXES_CSV), (1, ADMISSIONS_CSV),
-                                         (2, TEMPLATES_CSV), (3, OPS_CSV)],
-                         ids=["boxes", "admissions", "templates", "ops"])
+@pytest.mark.parametrize("which, path", list(enumerate(CSVS)),
+                         ids=["boxes", "admissions", "templates", "ops", "maps"])
 def test_matches_golden_csv(runs, which, path):
     got = [[_fmt(v) for v in row] for mode in MODES for row in runs[mode][which]]
     assert got == _read(path)
@@ -98,7 +117,7 @@ def test_matches_golden_csv(runs, which, path):
 
 def _assert_matches_mode_0(got):
     """run_sequence(False)'s rows equal mode 0's rows of every golden CSV."""
-    for which, path in enumerate((BOXES_CSV, ADMISSIONS_CSV, TEMPLATES_CSV, OPS_CSV)):
+    for which, path in enumerate(CSVS):
         want = [row for row in _read(path) if row[0] == "0"]
         assert [[_fmt(v) for v in row] for row in got[which]] == want
 
@@ -136,7 +155,9 @@ def record() -> None:
             (ADMISSIONS_CSV, ["mode", "frame", "accepted", "replaced_index",
                               "det_before", "det_after"], 1),
             (TEMPLATES_CSV, ["mode", "frame", "sha256"], 2),
-            (OPS_CSV, ["mode", "frame", "op", "routed"], 3)):
+            (OPS_CSV, ["mode", "frame", "op", "routed"], 3),
+            (MAPS_CSV, ["mode", "frame", "score_sha256", "offset_sha256",
+                        "size_sha256"], 4)):
         with open(path, "w", newline="", encoding="utf-8") as f:
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(header)
