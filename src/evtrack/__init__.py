@@ -2,7 +2,7 @@
 
 Submodules:
     events     event streams, frame stacking, crops, synthetic sequences
-    tokenizer  patch embedding and token assembly
+    tokenizer  patch embedding (the tracker lays out the token sequence)
     ssm        the discretized selective-scan operator (blocked forward, backward)
     backbone   bidirectional Vim blocks and the residual token backbone
     memory     LT/ST template libraries with Gram-determinant admission
@@ -25,22 +25,19 @@ from .memory import MemoryLibrary, TemplateFeature, gram_det, pearson
 from .metrics import EvalReport, evaluate
 from .model import ModelParams, count_params, init_model
 from .ssm import SSMParams, discretize, scan_backward, scan_forward_chunked
-from .tokenizer import (DYNAMIC, SEARCH, STATIC, TokenSeq, assemble_input,
-                        extract_search_tokens, patch_embed)
+from .tokenizer import patch_embed
 from .tracker import Tracker, track_frames, track_sequence
 from .weights import WeightFileError, load_weights, save_weights
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BBox", "DYNAMIC", "EvalReport", "EventFrame", "EventPoint", "EventStream",
+    "BBox", "EvalReport", "EventFrame", "EventPoint", "EventStream",
     "HeadOutputs", "LossWeights", "MemoryLibrary", "ModelParams", "RegionPatch",
-    "SEARCH", "SSMParams", "STATIC", "SynthConfig", "TokenSeq", "Tracker",
-    "TrackerConfig", "WeightFileError", "assemble_input", "count_params",
-    "crop_region", "decode_bbox", "discretize", "evaluate",
-    "extract_search_tokens", "focal_loss", "giou", "gram_det", "head_forward",
-    "init_model", "iou", "iter_event_frames", "load_config", "load_weights",
-    "patch_embed", "pearson", "save_weights", "scan_backward", "scan_forward_chunked",
-    "stack_events", "synth_stream",
-    "total_loss", "track_frames", "track_sequence", "TemplateFeature",
+    "SSMParams", "SynthConfig", "TemplateFeature", "Tracker", "TrackerConfig",
+    "WeightFileError", "count_params", "crop_region", "decode_bbox", "discretize",
+    "evaluate", "focal_loss", "giou", "gram_det", "head_forward", "init_model",
+    "iou", "iter_event_frames", "load_config", "load_weights", "patch_embed",
+    "pearson", "save_weights", "scan_backward", "scan_forward_chunked",
+    "stack_events", "synth_stream", "total_loss", "track_frames", "track_sequence",
 ]

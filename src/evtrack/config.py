@@ -36,10 +36,6 @@ class TrackerConfig:
     lt_capacity: int = 16
     st_capacity: int = 6
     update_interval: int = 5
-    # Loss weights
-    lambda_l1: float = 5.0
-    lambda_focal: float = 1.0
-    lambda_giou: float = 2.0
     # Event stacking and determinism
     window_us: int = 10_000
     seed: int = 0
@@ -64,8 +60,6 @@ class TrackerConfig:
         for side in (self.template_size, self.search_size):
             if side % self.patch_size:
                 raise ValueError("crop sides must be divisible by patch_size")
-        if min(self.lambda_l1, self.lambda_focal, self.lambda_giou) < 0:
-            raise ValueError("loss weights must be non-negative")
 
     @property
     def d_inner(self) -> int:
@@ -84,11 +78,15 @@ class TrackerConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "TrackerConfig":
-        """Parse a JSON object. Unknown keys are an error; older files' legacy
-        "memory_mode": "shared" (the one mode kept) is dropped."""
+        """Parse a JSON object. Unknown keys are an error. Older files' legacy
+        keys are dropped: "memory_mode": "shared" (the one mode kept) and the
+        loss weights, whatever their value (`losses.total_loss` takes its own
+        `LossWeights`)."""
         d = json.loads(text)
         if not isinstance(d, dict):
             raise ValueError("tracker config must be a JSON object")
+        for legacy in ("lambda_l1", "lambda_focal", "lambda_giou"):
+            d.pop(legacy, None)
         mode = d.pop("memory_mode", "shared")
         if mode != "shared":
             raise ValueError(f"memory_mode {mode!r} was removed: the fusion "

@@ -1,10 +1,10 @@
-"""Patch embedding and token-sequence assembly.
+"""Patch embedding.
 
 A region patch is cut into non-overlapping P x P patches in row-major order;
 each patch is flattened channel-major and linearly projected to the embedding
-dimension. The backbone input is the concatenation
-[static template | dynamic template | search region]; positional embeddings
-are added to the static template and search tokens only.
+dimension. `PatchEmbedParams` also holds the positional tables of the static
+template and the search region; the tracker adds them where it lays out the
+backbone input (see `tracker`), and dynamic-template tokens get none.
 """
 
 from __future__ import annotations
@@ -14,55 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import RegionPatch
-
-STATIC = 0
-DYNAMIC = 1
-SEARCH = 2
-
-_SEGMENT_NAMES = {STATIC: "STATIC", DYNAMIC: "DYNAMIC", SEARCH: "SEARCH"}
-
-
-@dataclass
-class TokenSeq:
-    """Token matrix (m x C) with a per-token segment label.
-
-    Segment runs must be contiguous and ordered [STATIC, DYNAMIC, SEARCH].
-    """
-
-    tokens: np.ndarray
-    segments: np.ndarray
-
-    def __post_init__(self):
-        self.segments = np.asarray(self.segments, dtype=np.int8)
-        if self.tokens.ndim != 2:
-            raise ValueError("tokens must be m x C")
-        if self.segments.shape != (self.tokens.shape[0],):
-            raise ValueError("one segment label per token required")
-        if self.segments.size and not np.all(np.isin(self.segments, (STATIC, DYNAMIC, SEARCH))):
-            raise ValueError("unknown segment label")
-        if np.any(np.diff(self.segments) < 0):
-            raise ValueError("segments must be contiguous runs in order [STATIC, DYNAMIC, SEARCH]")
-
-    @property
-    def embed_dim(self) -> int:
-        return self.tokens.shape[1]
-
-    def count(self, segment: int) -> int:
-        return int(np.sum(self.segments == segment))
-
-    @property
-    def segment_counts(self) -> tuple[int, int, int]:
-        return (self.count(STATIC), self.count(DYNAMIC), self.count(SEARCH))
-
-    @classmethod
-    def single(cls, tokens: np.ndarray, segment: int) -> "TokenSeq":
-        return cls(tokens, np.full(tokens.shape[0], segment, dtype=np.int8))
-
-    def with_tokens(self, tokens: np.ndarray) -> "TokenSeq":
-        """Same segment labels over a transformed token matrix."""
-        if tokens.shape[0] != self.segments.shape[0]:
-            raise ValueError("token count must match segment labels")
-        return TokenSeq(tokens, self.segments.copy())
 
 
 @dataclass
@@ -117,56 +68,15 @@ def patchify(data: np.ndarray, patch_size: int) -> np.ndarray:
     return tiles.reshape(g * g, c * p * p)
 
 
-def patch_embed(patch: RegionPatch, params: PatchEmbedParams, segment: int = SEARCH) -> TokenSeq:
-    """Embed a region patch into a single-segment token sequence.
+def patch_embed(patch: RegionPatch, params: PatchEmbedParams,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Embed a region patch into an (n_patches, C) token matrix.
 
     Token i corresponds to grid cell (i // g, i % g) with g = side / P.
-    No positional embedding is added here.
+    No positional embedding is added here. With `out`, an (n_patches, C)
+    array, the tokens are written into it and it is returned.
     """
     flat = patchify(patch.data, params.patch_size)
-    tokens = flat.astype(params.projection.dtype) @ params.projection + params.bias
-    return TokenSeq.single(tokens, segment)
-
-
-def add_position_embedding(seq: TokenSeq, params: PatchEmbedParams) -> TokenSeq:
-    """Add the positional table matching the sequence's segment.
-
-    Only static-template and search tokens carry positional embeddings;
-    dynamic-template tokens are returned unchanged.
-    """
-    seg = int(seq.segments[0]) if seq.segments.size else DYNAMIC
-    if seg == STATIC:
-        table = params.pos_embed_template
-    elif seg == SEARCH:
-        table = params.pos_embed_search
-    else:
-        return seq
-    if seq.tokens.shape != table.shape:
-        raise ValueError(f"{_SEGMENT_NAMES[seg]} tokens do not match the positional table shape")
-    return seq.with_tokens(seq.tokens + table)
-
-
-def assemble_input(static_t: TokenSeq, dynamic_t: TokenSeq, search_t: TokenSeq) -> TokenSeq:
-    """Concatenate [STATIC, DYNAMIC, SEARCH] into the backbone input.
-
-    Positional embeddings are expected to be already added to the static and
-    search tokens; dynamic tokens never receive one.
-    """
-    parts = (static_t, dynamic_t, search_t)
-    dims = {p.embed_dim for p in parts if p.tokens.size}
-    if len(dims) > 1:
-        raise ValueError("embedding dimension mismatch")
-    for p, seg in zip(parts, (STATIC, DYNAMIC, SEARCH)):
-        if p.segments.size and not np.all(p.segments == seg):
-            raise ValueError(f"expected a pure {_SEGMENT_NAMES[seg]} sequence")
-    tokens = np.concatenate([p.tokens for p in parts], axis=0)
-    segments = np.concatenate([p.segments for p in parts])
-    return TokenSeq(tokens, segments)
-
-
-def extract_search_tokens(seq: TokenSeq) -> np.ndarray:
-    """Return exactly the SEARCH-labeled rows, in order."""
-    mask = seq.segments == SEARCH
-    if not mask.any():
-        raise ValueError("sequence has no SEARCH tokens")
-    return seq.tokens[mask]
+    tokens = np.matmul(flat.astype(params.projection.dtype), params.projection, out=out)
+    tokens += params.bias
+    return tokens

@@ -1,10 +1,23 @@
 """End-to-end tracking loop wiring all modules together.
 
-Per frame: crop the search region at the previous prediction, tokenize,
-assemble [static | dynamic | search], run the backbone, decode the head
-outputs back to frame coordinates. Every `update_interval` frames (a tick)
-the predicted crop's embedded feature is pushed into short-term memory after
-the frame is tracked.
+Per frame: crop the search region at the previous prediction, embed it into
+the backbone input, run the backbone, decode the head outputs back to frame
+coordinates. Every `update_interval` frames (a tick) the predicted crop's
+embedded feature is pushed into short-term memory after the frame is
+tracked.
+
+The backbone input is one (2 N_z + N_x, C) array per tracker, laid out at
+fixed row offsets: the static template in rows [0, N_z), the dynamic
+template in [N_z, 2 N_z) and the search region in the last N_x rows, with
+N_z = `n_template_tokens` and N_x = `n_search_tokens` of the config. `init`
+writes the static rows once (embedding plus `pos_embed_template`); every
+install of a dynamic template, inline or from the worker, copies it into the
+dynamic rows on the stepping thread; each frame embeds its search crop
+straight into the search rows and adds `pos_embed_search` in place. The head
+reads the backbone output's last N_x rows. The array is a plain attribute
+rather than a `Workspace` buffer because the static and dynamic rows must
+persist across steps, and a Workspace leaves a buffer's contents undefined
+between takes.
 
 The dynamic template (route, then fuse the routed library) is a pure
 function of the memory contents and the last pushed feature, and only
@@ -58,8 +71,7 @@ from .head import decode_bbox, head_forward
 from .memory import MemoryLibrary, TemplateFeature
 from .model import ModelParams
 from .ops import Workspace
-from .tokenizer import (DYNAMIC, STATIC, SEARCH, TokenSeq, add_position_embedding,
-                        assemble_input, extract_search_tokens, patch_embed)
+from .tokenizer import patch_embed
 
 
 @dataclass
@@ -110,8 +122,12 @@ class Tracker:
         self.stats = TrackerStats()
         self.workspace = Workspace()
         self.fuse_workspace = Workspace()
-        self._static: TokenSeq | None = None
-        self._dynamic: np.ndarray | None = None
+        self._n_z = config.n_template_tokens
+        self._n_x = config.n_search_tokens
+        # [static | dynamic | search]; see the module docstring.
+        self._tokens = np.empty((2 * self._n_z + self._n_x, config.embed_dim),
+                                model.patch_embed.projection.dtype)
+        self._dynamic: np.ndarray | None = None  # the installed dynamic template
         self._dynamic_stale = False  # a push happened since the last fuse started
         self._fuse: _FuseWorker | None = None  # started, not yet installed
         self._blas_pinned = False
@@ -124,14 +140,18 @@ class Tracker:
     def _template_feature(self, frame: EventFrame, box: BBox, frame_index: int) -> TemplateFeature:
         patch = crop_region(frame, box, self.config.template_context,
                             self.config.template_size)
-        tokens = patch_embed(patch, self.model.patch_embed, DYNAMIC).tokens
+        tokens = patch_embed(patch, self.model.patch_embed)
         return TemplateFeature(tokens=tokens, frame_index=frame_index)
 
-    def _regenerate_dynamic(self) -> None:
-        self._dynamic = generate_dynamic_template(
-            self.memory, self._last_feature, self.model.backbone, self.workspace)
-        self._dynamic_stale = False
+    def _install(self, dynamic: np.ndarray) -> None:
+        self._dynamic = dynamic
+        self._tokens[self._n_z:2 * self._n_z] = dynamic
         self.stats.template_regenerations += 1
+
+    def _regenerate_dynamic(self) -> None:
+        self._install(generate_dynamic_template(
+            self.memory, self._last_feature, self.model.backbone, self.workspace))
+        self._dynamic_stale = False
 
     def _start_fuse(self) -> None:
         blas.pin_one()
@@ -147,8 +167,7 @@ class Tracker:
         if worker.error is not None:
             self._dynamic_stale = True  # the next tick's fuse retries, as inline
             raise _at_frame(worker.error, t)
-        self._dynamic = worker.result
-        self.stats.template_regenerations += 1
+        self._install(worker.result)
 
     def _update_template(self, t: int, tick: bool) -> None:
         if self._fuse is not None:
@@ -188,11 +207,11 @@ class Tracker:
         cfg = self.config
         template_patch = crop_region(frame, init_box, cfg.template_context,
                                      cfg.template_size)
-        # One embedding serves both: patch_embed ignores the segment label.
-        static = patch_embed(template_patch, self.model.patch_embed, STATIC)
-        self._static = add_position_embedding(static, self.model.patch_embed)
+        tokens = patch_embed(template_patch, self.model.patch_embed)
+        np.add(tokens, self.model.patch_embed.pos_embed_template,
+               out=self._tokens[:self._n_z])
 
-        initial = TemplateFeature(tokens=static.tokens, frame_index=0)
+        initial = TemplateFeature(tokens=tokens, frame_index=0)
         self.memory.init_memory(initial)
         self._last_feature = initial
         self._regenerate_dynamic()
@@ -227,15 +246,12 @@ class Tracker:
         """The box predicted on `frame` with the current dynamic template."""
         cfg = self.config
         search_patch = crop_region(frame, self._box, cfg.search_context, cfg.search_size)
-        search = add_position_embedding(
-            patch_embed(search_patch, self.model.patch_embed, SEARCH),
-            self.model.patch_embed)
-        dynamic = TokenSeq.single(self._dynamic, DYNAMIC)
-        seq = assemble_input(self._static, dynamic, search)
+        search = patch_embed(search_patch, self.model.patch_embed,
+                             out=self._tokens[-self._n_x:])
+        search += self.model.patch_embed.pos_embed_search
 
-        out = backbone(seq.tokens, self.model.backbone, self.workspace)
-        search_out = extract_search_tokens(seq.with_tokens(out))
-        outputs = head_forward(search_out, self.model.head)
+        out = backbone(self._tokens, self.model.backbone, self.workspace)
+        outputs = head_forward(out[-self._n_x:], self.model.head)
         box = decode_bbox(outputs, search_patch)
         # Keep the next search crop anchored on the sensor.
         return BBox(float(np.clip(box.cx, 0, frame.width - 1)),

@@ -10,7 +10,7 @@ from evtrack.config import TrackerConfig, load_config
 POSITIVE = ("patch_size", "embed_dim", "depth", "d_state", "dt_rank", "conv_width",
             "template_size", "search_size", "lt_capacity", "st_capacity",
             "update_interval", "window_us")
-REAL = ("template_context", "search_context", "lambda_l1", "lambda_focal", "lambda_giou")
+REAL = ("template_context", "search_context")
 
 
 @pytest.mark.parametrize("name", POSITIVE)
@@ -38,13 +38,6 @@ def test_context_factors_at_least_one(name):
 def test_crop_sides_divisible_by_patch_size(kw):
     with pytest.raises(ValueError, match="divisible by patch_size"):
         TrackerConfig(**kw)
-
-
-@pytest.mark.parametrize("name", ["lambda_l1", "lambda_focal", "lambda_giou"])
-def test_loss_weights_non_negative(name):
-    assert getattr(TrackerConfig(**{name: 0.0}), name) == 0.0
-    with pytest.raises(ValueError, match="loss weights"):
-        TrackerConfig(**{name: -0.5})
 
 
 @pytest.mark.parametrize("name, value", [
@@ -90,6 +83,23 @@ def test_from_json_names_unknown_keys():
         TrackerConfig.from_json('{"widht": 3, "depth": 2, "deepth": 2}')
 
 
+@pytest.mark.parametrize("weights", [
+    dict(lambda_l1=5.0, lambda_focal=1.0, lambda_giou=2.0),
+    dict(lambda_l1=-1, lambda_focal="x", lambda_giou=None),
+    dict(lambda_giou=0.0)])
+def test_legacy_loss_weights_are_dropped(weights):
+    # Every config written before the fields were removed carries them.
+    legacy = dict(asdict(TrackerConfig(depth=2)), **weights)
+    assert TrackerConfig.from_json(json.dumps(legacy)) == TrackerConfig(depth=2)
+
+
+def test_legacy_keys_leave_other_unknown_keys_rejected():
+    legacy = dict(asdict(TrackerConfig()), lambda_l1=5.0, memory_mode="shared",
+                  lambda_iou=1.0)
+    with pytest.raises(ValueError, match="unknown config keys: lambda_iou$"):
+        TrackerConfig.from_json(json.dumps(legacy))
+
+
 def test_legacy_shared_memory_mode_is_dropped():
     legacy = dict(asdict(TrackerConfig(depth=2)), memory_mode="shared")
     assert TrackerConfig.from_json(json.dumps(legacy)) == TrackerConfig(depth=2)
@@ -104,7 +114,7 @@ def test_other_memory_modes_name_the_removed_mode(mode):
 @pytest.mark.parametrize("cfg", [
     TrackerConfig(),
     TrackerConfig(embed_dim=16, depth=1, template_size=32, search_size=64,
-                  template_context=1.5, lambda_giou=0, seed=7,
+                  template_context=1.5, search_context=3, seed=7,
                   regenerate_every_frame=True)])
 def test_json_round_trip(cfg):
     text = cfg.to_json()

@@ -8,7 +8,8 @@ checked-in CSVs bit for bit (floats are stored as their shortest round-trip
 repr, templates and maps as the SHA-256 of their bytes). At this geometry,
 with initial weights, the argmax cell and the decoded size round the dynamic
 template's influence away, so the boxes alone would not notice a wrong
-template or a wrong token layout; the float32 head maps do. The operation
+template or a wrong token layout; the float32 head maps do, on the steps
+before the growing box turns every search crop into padding. The operation
 sequence pins the order of routes, pushes and admissions, which a fuse on a
 worker thread must not change.
 Refactors and performance work keep this test passing unchanged. To

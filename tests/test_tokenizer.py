@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from evtrack.events import RegionPatch
-from evtrack.tokenizer import (DYNAMIC, SEARCH, STATIC, PatchEmbedParams, TokenSeq,
-                               add_position_embedding, assemble_input,
-                               extract_search_tokens, init_patch_embed, patch_embed,
-                               patchify)
-
-RNG = np.random.default_rng(0)
+from evtrack.tokenizer import PatchEmbedParams, init_patch_embed, patch_embed, patchify
 
 
 def params(patch=16, dim=8):
@@ -21,15 +16,15 @@ def region(side, seed=0):
 
 def test_token_counts_for_crop_sizes():
     p = params()
-    assert patch_embed(region(128), p, STATIC).tokens.shape[0] == 64
-    assert patch_embed(region(256), p, SEARCH).tokens.shape[0] == 256
+    assert patch_embed(region(128), p).shape == (64, 8)
+    assert patch_embed(region(256), p).shape == (256, 8)
 
 
 def test_zero_patch_zero_bias_gives_zero_tokens():
     p = params()
     patch = RegionPatch(data=np.zeros((3, 128, 128), dtype=np.float32),
                         resize_factor=1.0, crop_center=(64, 64))
-    assert np.all(patch_embed(patch, p).tokens == 0)
+    assert np.all(patch_embed(patch, p) == 0)
 
 
 def test_patch_embed_linear_in_input():
@@ -37,8 +32,8 @@ def test_patch_embed_linear_in_input():
     a, b = region(128, 1), region(128, 2)
     mix = RegionPatch(data=(0.3 * a.data + 0.7 * b.data), resize_factor=1.0,
                       crop_center=(64, 64))
-    lhs = patch_embed(mix, p).tokens - p.bias
-    rhs = 0.3 * (patch_embed(a, p).tokens - p.bias) + 0.7 * (patch_embed(b, p).tokens - p.bias)
+    lhs = patch_embed(mix, p) - p.bias
+    rhs = 0.3 * (patch_embed(a, p) - p.bias) + 0.7 * (patch_embed(b, p) - p.bias)
     np.testing.assert_allclose(lhs, rhs, atol=1e-4)
 
 
@@ -59,69 +54,17 @@ def test_indivisible_side_rejected():
         patch_embed(region(100), p)
 
 
-def test_assemble_counts_default_geometry():
-    dim = 8
-    static = TokenSeq.single(RNG.random((64, dim)), STATIC)
-    dynamic = TokenSeq.single(RNG.random((64, dim)), DYNAMIC)
-    search = TokenSeq.single(RNG.random((256, dim)), SEARCH)
-    seq = assemble_input(static, dynamic, search)
-    assert seq.tokens.shape == (384, dim)
-    assert seq.segment_counts == (64, 64, 256)
-
-
-def test_assemble_empty_dynamic_segment():
-    dim = 8
-    static = TokenSeq.single(RNG.random((64, dim)), STATIC)
-    dynamic = TokenSeq.single(np.empty((0, dim)), DYNAMIC)
-    search = TokenSeq.single(RNG.random((256, dim)), SEARCH)
-    seq = assemble_input(static, dynamic, search)
-    assert seq.tokens.shape[0] == 320
-    assert seq.segment_counts == (64, 0, 256)
-
-
-def test_assemble_dimension_mismatch_rejected():
-    static = TokenSeq.single(RNG.random((4, 8)), STATIC)
-    dynamic = TokenSeq.single(RNG.random((4, 8)), DYNAMIC)
-    search = TokenSeq.single(RNG.random((4, 6)), SEARCH)
-    with pytest.raises(ValueError, match="dimension"):
-        assemble_input(static, dynamic, search)
-
-
-def test_segment_order_enforced():
-    with pytest.raises(ValueError, match="contiguous"):
-        TokenSeq(RNG.random((2, 4)), np.array([SEARCH, STATIC]))
-
-
-def test_extract_is_inverse_of_assemble():
-    dim = 8
-    search_tokens = RNG.random((256, dim))
-    seq = assemble_input(TokenSeq.single(RNG.random((64, dim)), STATIC),
-                         TokenSeq.single(RNG.random((64, dim)), DYNAMIC),
-                         TokenSeq.single(search_tokens, SEARCH))
-    out = extract_search_tokens(seq)
-    assert out.shape == (256, dim)
-    np.testing.assert_array_equal(out, search_tokens)
-    # per-row checksums preserved (no transformation applied)
-    np.testing.assert_array_equal(out.sum(axis=1), search_tokens.sum(axis=1))
-
-
-def test_extract_without_search_rejected():
-    seq = TokenSeq.single(RNG.random((4, 8)), STATIC)
-    with pytest.raises(ValueError, match="SEARCH"):
-        extract_search_tokens(seq)
-
-
-def test_position_embedding_only_for_static_and_search():
+def test_embedding_into_out_equals_a_fresh_embedding():
+    # The tracker embeds each search crop straight into its input array's
+    # last rows; that must give the very bits of a fresh embedding.
     p = params(dim=8)
-    static = patch_embed(region(128), p, STATIC)
-    search = patch_embed(region(256), p, SEARCH)
-    dynamic = patch_embed(region(128), p, DYNAMIC)
-    np.testing.assert_allclose(add_position_embedding(static, p).tokens,
-                               static.tokens + p.pos_embed_template, atol=1e-6)
-    np.testing.assert_allclose(add_position_embedding(search, p).tokens,
-                               search.tokens + p.pos_embed_search, atol=1e-6)
-    np.testing.assert_array_equal(add_position_embedding(dynamic, p).tokens,
-                                  dynamic.tokens)
+    buffer = np.full((320, 8), np.nan, dtype=np.float32)
+    rows = buffer[64:]
+    assert patch_embed(region(256), p, out=rows) is rows
+    np.testing.assert_array_equal(rows, patch_embed(region(256), p))
+    assert np.isnan(buffer[:64]).all()
+    with pytest.raises(ValueError):
+        patch_embed(region(256), p, out=buffer[:64])  # 64 rows for 256 tokens
 
 
 def test_token_count_formula_other_patch_size():
@@ -132,4 +75,4 @@ def test_token_count_formula_other_patch_size():
         pos_embed_search=np.zeros((1024, 4), dtype=np.float32),
         patch_size=8,
     )
-    assert patch_embed(region(64), p).tokens.shape[0] == 64  # (64/8)^2
+    assert patch_embed(region(64), p).shape[0] == 64  # (64/8)^2

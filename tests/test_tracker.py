@@ -1,4 +1,5 @@
-"""Tracker loop: when the dynamic template is regenerated."""
+"""Tracker loop: the backbone input's layout, and when the dynamic template
+is regenerated."""
 
 import threading
 import time
@@ -8,9 +9,10 @@ import pytest
 
 import evtrack.tracker as tracker_module
 from evtrack import blas
-from evtrack.events import iter_event_frames, stack_events, synth_stream
+from evtrack.events import crop_region, iter_event_frames, stack_events, synth_stream
 from evtrack.fusion import generate_dynamic_template
 from evtrack.model import init_model
+from evtrack.tokenizer import patchify
 from evtrack.tracker import Tracker, track_frames, track_sequence
 
 from _utils import SMALL_SYNTH, small_config
@@ -117,6 +119,60 @@ def test_kept_template_equals_a_fresh_regeneration():
             np.testing.assert_array_equal(tracker._dynamic, fresh)
             checked += 1
     assert checked == 16  # 20 steps minus the 4 ticks
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, dict(regenerate_every_frame=True), dict(update_interval=1),
+    dict(search_size=32), dict(patch_size=8)],
+    ids=["worker-installs", "inline-installs", "interval-1", "n_z-equals-n_x", "patch-8"])
+def test_backbone_input_is_static_dynamic_search(monkeypatch, overrides):
+    # The golden stream. On every step the backbone input must be the
+    # independently built [static + pos_t | installed dynamic | search +
+    # pos_s], and the head must read exactly the output's last N_x rows.
+    # With N_z = N_x the two positional tables have one shape, so only
+    # their values tell them apart.
+    cfg = small_config(lt_capacity=2, seed=1, **overrides)
+    model = init_model(cfg)
+    pe = model.patch_embed
+    stream, gt = synth_stream(SMALL_SYNTH)
+    frames = stack_events(stream, cfg.window_us)
+
+    def embed(frame, box, context, size):
+        flat = patchify(crop_region(frame, box, context, size).data, pe.patch_size)
+        return flat.astype(pe.projection.dtype) @ pe.projection + pe.bias
+
+    calls = []
+    backbone, head_forward = tracker_module.backbone, tracker_module.head_forward
+
+    def recording_backbone(tokens, *args):
+        out = backbone(tokens, *args)
+        calls.append([tokens.copy(), out.copy()])
+        return out
+
+    def recording_head(search_tokens, params):
+        calls[-1].append(search_tokens.copy())
+        return head_forward(search_tokens, params)
+
+    monkeypatch.setattr(tracker_module, "backbone", recording_backbone)
+    monkeypatch.setattr(tracker_module, "head_forward", recording_head)
+    tracker = Tracker(cfg, model)
+    tracker.init(frames[0], gt[0])
+    static = (embed(frames[0], gt[0], cfg.template_context, cfg.template_size)
+              + pe.pos_embed_template)
+    for frame in frames[1:]:
+        box = tracker._box
+        tracker.step(frame)
+        search = embed(frame, box, cfg.search_context, cfg.search_size) + pe.pos_embed_search
+        (tokens, out, head_input), = calls
+        calls.clear()
+        # `static` was built once from the init frame, so this also pins
+        # that no step changes the static rows.
+        np.testing.assert_array_equal(
+            tokens, np.concatenate([static, tracker._dynamic, search]))
+        assert head_input.shape == (cfg.n_search_tokens, cfg.embed_dim)
+        np.testing.assert_array_equal(head_input, out[-cfg.n_search_tokens:])
+    tracker.join()
+    assert tracker.stats.template_regenerations >= 4  # the steps saw installs after init
 
 
 def test_track_sequence_equals_tracking_prestacked_frames():
