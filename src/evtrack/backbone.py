@@ -18,8 +18,7 @@ owns the workspace, and a tracker keeps two for its lifetime, one for the
 frame backbone and one for the fuses its worker thread runs (see
 `tracker`): a workspace built per call would be allocated and page-faulted
 again on every pass. A workspace serves one thread at a time. Calls without
-one (tests, selftest) get a workspace of their own, so there is one code
-path.
+one (tests) get a workspace of their own, so there is one code path.
 """
 
 from __future__ import annotations

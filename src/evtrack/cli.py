@@ -4,7 +4,6 @@ Subcommands:
     track     run the tracker over an event CSV, write one box per frame
     eval      score predictions against ground truth, write a JSON report
     synth     generate a synthetic event stream and its ground truth
-    selftest  run the built-in invariant/oracle suite (exit 0 iff all pass)
     params    print the learned-parameter count for a configuration
 
 Exit codes: 0 success, 1 runtime failure, 2 bad arguments.
@@ -20,7 +19,6 @@ from .events import (BBox, SynthConfig, load_boxes_csv, load_events_csv,
                      save_boxes_csv, save_events_csv, synth_stream)
 from .metrics import evaluate
 from .model import count_params, init_model
-from .selftest import run_selftest
 from .tracker import track_sequence
 from .weights import load_weights, save_weights
 
@@ -55,8 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="SynthConfig JSON (defaults if omitted)")
     p.add_argument("--out-events", required=True)
     p.add_argument("--out-gt", required=True)
-
-    sub.add_parser("selftest", help="run the invariant/oracle suite")
 
     p = sub.add_parser("params", help="print the learned-parameter count")
     p.add_argument("--config", help="tracker config JSON")
@@ -116,8 +112,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_eval(args)
         if args.command == "synth":
             return _cmd_synth(args)
-        if args.command == "selftest":
-            return 0 if run_selftest() else 1
         if args.command == "params":
             return _cmd_params(args)
         return 2

@@ -5,8 +5,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import os
-from dataclasses import dataclass, asdict, fields, replace
+from dataclasses import dataclass, asdict, fields
 
 # Field annotation -> (value check, what it requires). JSON true/false are
 # bools, which Python also counts as ints, so the int check excludes them.
@@ -98,13 +97,9 @@ class TrackerConfig:
 
 
 def load_config(path: str | None) -> TrackerConfig:
-    """Load a config file (or defaults); MEVT_SEED overrides the seed."""
+    """Load a config file, or the defaults when `path` is None. The file is
+    the only source of the values: no environment variable overrides them."""
     if path is None:
-        cfg = TrackerConfig()
-    else:
-        with open(path, "r", encoding="utf-8") as f:
-            cfg = TrackerConfig.from_json(f.read())
-    env_seed = os.environ.get("MEVT_SEED")
-    if env_seed is not None:
-        cfg = replace(cfg, seed=int(env_seed))
-    return cfg
+        return TrackerConfig()
+    with open(path, "r", encoding="utf-8") as f:
+        return TrackerConfig.from_json(f.read())

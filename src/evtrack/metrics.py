@@ -26,22 +26,6 @@ NORM_THRESHOLDS = np.linspace(0.0, 0.5, 21)  # step 0.025, endpoints exact
 
 
 @dataclass(frozen=True)
-class SuccessCurve:
-    thresholds: np.ndarray
-    values: np.ndarray  # fraction of frames succeeding at each threshold
-
-    @property
-    def auc(self) -> float:
-        return float(self.values.mean())
-
-
-def success_curve(ious: Sequence[float]) -> SuccessCurve:
-    arr = np.asarray(ious, dtype=np.float64)
-    values = np.array([(arr >= t).mean() for t in IOU_THRESHOLDS])
-    return SuccessCurve(IOU_THRESHOLDS.copy(), values)
-
-
-@dataclass(frozen=True)
 class EvalReport:
     sr: float
     pr: float
@@ -65,7 +49,7 @@ def evaluate(pred_boxes: Sequence[BBox], gt_boxes: Sequence[BBox]) -> EvalReport
                     for p, g in zip(pred_boxes, gt_boxes)])
     diag = np.array([math.hypot(g.w, g.h) for g in gt_boxes])
 
-    sr = success_curve(ious).auc
+    sr = float(np.mean([(ious >= t).mean() for t in IOU_THRESHOLDS]))
     pr = float((err <= PRECISION_THRESHOLD_PX).mean())
     norm_err = err / diag
     npr = float(np.mean([(norm_err <= t).mean() for t in NORM_THRESHOLDS]))

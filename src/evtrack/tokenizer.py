@@ -77,6 +77,7 @@ def patch_embed(patch: RegionPatch, params: PatchEmbedParams,
     array, the tokens are written into it and it is returned.
     """
     flat = patchify(patch.data, params.patch_size)
-    tokens = np.matmul(flat.astype(params.projection.dtype), params.projection, out=out)
+    tokens = np.matmul(flat.astype(params.projection.dtype, copy=False), params.projection,
+                       out=out)
     tokens += params.bias
     return tokens

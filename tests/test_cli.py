@@ -11,9 +11,8 @@ from _utils import SMALL_SYNTH, small_config
 
 
 @pytest.fixture
-def files(tmp_path, monkeypatch):
+def files(tmp_path):
     """A tiny tracker config, a synthetic sequence and its ground truth."""
-    monkeypatch.delenv("MEVT_SEED", raising=False)
     config = tmp_path / "config.json"
     config.write_text(small_config().to_json())
     synth = tmp_path / "synth.json"
@@ -75,10 +74,9 @@ def test_corrupt_weights_exit_1(files, capsys):
 
 
 @pytest.mark.parametrize("mode, code", [("shared", 0), ("separate", 1)])
-def test_params_reads_legacy_memory_mode(tmp_path, monkeypatch, capsys, mode, code):
+def test_params_reads_legacy_memory_mode(tmp_path, capsys, mode, code):
     # Config files written while the fusion stack was a mode carry
     # "memory_mode": "shared", which still loads; "separate" no longer exists.
-    monkeypatch.delenv("MEVT_SEED", raising=False)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(dict(json.loads(small_config().to_json()), memory_mode=mode)))
     assert main(["params", "--config", str(config)]) == code
@@ -98,7 +96,9 @@ def test_bad_init_bbox_exits_2(files, bbox):
     assert exc.value.code == 2
 
 
-def test_unknown_subcommand_exits_2():
+@pytest.mark.parametrize("command", ["bench", "selftest"])
+def test_unknown_subcommand_exits_2(command):
+    # Removed subcommands are invalid choices, not silent no-ops.
     with pytest.raises(SystemExit) as exc:
-        main(["bench"])
+        main([command])
     assert exc.value.code == 2

@@ -1,4 +1,4 @@
-"""TrackerConfig: field types and values, JSON round trips, MEVT_SEED."""
+"""TrackerConfig: field types and values, JSON round trips, loading a file."""
 
 import json
 from dataclasses import asdict
@@ -129,21 +129,13 @@ def config_file(tmp_path):
     return str(path)
 
 
-def test_load_config_reads_the_file(config_file, monkeypatch):
-    monkeypatch.delenv("MEVT_SEED", raising=False)
+def test_load_config_reads_the_file(config_file):
     assert load_config(config_file) == TrackerConfig(depth=2, seed=5)
     assert load_config(None) == TrackerConfig()
 
 
-def test_mevt_seed_overrides_the_seed(config_file, monkeypatch):
+def test_environment_does_not_override_the_seed(config_file, monkeypatch):
+    # A run's values come from its config file alone, whatever the environment holds.
     monkeypatch.setenv("MEVT_SEED", "11")
-    assert load_config(config_file) == TrackerConfig(depth=2, seed=11)
-    assert load_config(None) == TrackerConfig(seed=11)
-
-
-@pytest.mark.parametrize("value, message", [("eleven", "invalid literal"),
-                                            ("-3", "seed must be non-negative")])
-def test_mevt_seed_is_checked(monkeypatch, value, message):
-    monkeypatch.setenv("MEVT_SEED", value)
-    with pytest.raises(ValueError, match=message):
-        load_config(None)
+    assert load_config(config_file) == TrackerConfig(depth=2, seed=5)
+    assert load_config(None) == TrackerConfig()

@@ -1,14 +1,52 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from evtrack import ssm
-from evtrack.selftest import _sequential_oracle, _unblocked_scan
-from evtrack.ssm import (SSMParams, _seeded_states, discretize, init_ssm_params,
-                         scan_backward, scan_forward_chunked)
+from evtrack.ssm import (SSMParams, _coefficients_into, _seeded_states, _selection,
+                         discretize, init_ssm_params, scan_backward, scan_forward_chunked)
 
 from _utils import assert_grad_close, central_difference
+
+
+def _sequential_oracle(u, params):
+    """Plain-python recurrence in extended precision."""
+    ld = np.longdouble
+    a = -np.exp(params.a_log.astype(ld))
+    L, d = u.shape
+    r, n = params.dt_rank, params.d_state
+    y = np.zeros((L, d), dtype=ld)
+    h = np.zeros((d, n), dtype=ld)
+    for t in range(L):
+        xdbl = u[t].astype(ld) @ params.x_proj.astype(ld)
+        pre = xdbl[:r] @ params.dt_proj.astype(ld) + params.dt_bias.astype(ld)
+        delta = np.log1p(np.exp(pre))
+        b_sel, c_sel = xdbl[r:r + n], xdbl[r + n:]
+        da = delta[:, None] * a
+        h = np.exp(da) * h + (np.expm1(da) / a) * b_sel[None, :] * u[t].astype(ld)[:, None]
+        y[t] = h @ c_sel + params.d_skip.astype(ld) * u[t]
+    return y.astype(np.float64)
+
+
+def _unblocked_scan(u, params):
+    """Whole-length scan: every token's coefficients at once, then one plain
+    recurrence from the zero state; the reference for scan_forward_chunked.
+    Same state-major (L, d_state, d_inner) arithmetic, unblocked."""
+    _, b_sel, c_sel, _, delta = _selection(u, params)
+    a_t = np.ascontiguousarray(-np.exp(params.a_log.astype(u.dtype, copy=False)).T)
+    L, d = u.shape
+    a_bar = np.empty((L, params.d_state, d), dtype=u.dtype)
+    bx = np.empty_like(a_bar)
+    _coefficients_into(u, delta, b_sel, a_t, 1.0 / a_t, a_bar, bx)
+    hs = np.empty_like(bx)
+    h = np.zeros((params.d_state, d), dtype=u.dtype)
+    for t in range(L):
+        np.multiply(h, a_bar[t], out=h)
+        h += bx[t]
+        hs[t] = h
+    return (c_sel[:, None, :] @ hs)[:, 0] + u * params.d_skip.astype(u.dtype, copy=False)
 
 
 def block_tokens(d_inner, d_state, dtype):
@@ -51,10 +89,12 @@ class TestDiscretize:
         assert err.max() < 1e-12
 
     def test_series_branch_continuity(self):
-        for a in (-1.0, 1.0):
-            below = discretize(a, 1.0, 1e-4 * (1 - 1e-9))[1]
-            above = discretize(a, 1.0, 1e-4 * (1 + 1e-9))[1]
-            assert abs(below - above) < 1e-10
+        # float64 inputs: Python floats would run in float32, where both
+        # steps round to the same value and meet only one branch.
+        below, above = np.float64(1e-4 * (1 - 1e-9)), np.float64(1e-4 * (1 + 1e-9))
+        assert below < ssm.SERIES_THRESHOLD < above
+        for a in (np.float64(-1.0), np.float64(1.0)):
+            assert abs(discretize(a, 1.0, below)[1] - discretize(a, 1.0, above)[1]) < 1e-10
 
     def test_a_bar_in_unit_interval(self):
         rng = np.random.default_rng(1)
@@ -195,6 +235,31 @@ class TestScanChunked:
         for tokens in (2, 7, 16, 100, 517):  # 517 tokens: ragged tail on purpose
             monkeypatch.setattr(ssm, "_BLOCK_BYTES", tokens * 6 * 8 * 8)
             self.assert_blocked_equals_reference(rng, 6, 8, np.float64, (517,))
+
+
+def _best_of(fns, repeats: int) -> list[float]:
+    """Best wall time of each function over `repeats` rounds. Each round runs
+    every function once, so a change in host speed hits all of them alike."""
+    best = [np.inf] * len(fns)
+    for _ in range(repeats):
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best
+
+
+def test_scan_blocking_no_regression():
+    """Cache blocking must not make the scan slower than the whole-length
+    reference at a Vim-S-like width (d_inner 384, d_state 16, L 1024)."""
+    rng = np.random.default_rng(10)
+    params = init_ssm_params(384, 16, 24, rng, np.float32)
+    u = rng.standard_normal((1024, 384)).astype(np.float32)
+    _unblocked_scan(u, params)  # warm up caches and BLAS threads
+    t_ref, t_blk = _best_of([lambda: _unblocked_scan(u, params),
+                             lambda: scan_forward_chunked(u, params)], 5)
+    print(f"blocked scan speed-up {t_ref / t_blk:.2f}x")  # shown by pytest -rP
+    assert t_ref / t_blk >= 1.0, f"blocked scan slower: {t_ref / t_blk:.2f}x"
 
 
 class TestScanBackward:
