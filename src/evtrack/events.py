@@ -258,10 +258,16 @@ def _bilinear_sample(img: np.ndarray, gx: np.ndarray, gy: np.ndarray) -> np.ndar
     and each corner's weight is their outer product. Corners are summed in
     the (dy, dx) order (0, 0), (0, 1), (1, 0), (1, 1); another order rounds
     the float32 sum differently.
+
+    A non-finite grid raises ValueError. A finite grid is clipped to
+    [-1, side + 1] per axis first: every sample beyond that reads 0 wherever
+    it lies, and the clip keeps the int64 casts in range.
     """
     _, h, w = img.shape
-    cx = gx - 0.5  # index space: pixel centers at integers
-    cy = gy - 0.5
+    if not (np.isfinite(gx).all() and np.isfinite(gy).all()):
+        raise ValueError("crop grid must be finite")
+    cx = np.clip(gx, -1.0, w + 1.0) - 0.5  # index space: pixel centers at integers
+    cy = np.clip(gy, -1.0, h + 1.0) - 0.5
     x0 = np.floor(cx).astype(np.int64)
     y0 = np.floor(cy).astype(np.int64)
     fx = (cx - x0).astype(img.dtype)

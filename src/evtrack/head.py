@@ -6,7 +6,18 @@ through Conv-BN-ReLU stages (C -> C/2 -> C/4 -> C/8) and ends in a plain
 3x3 convolution to its output width (1, 2, 2); all stages preserve the
 spatial resolution. Score and the two regression maps pass through a
 sigmoid, keeping score in (0,1), offsets in [0,1) per cell, and sizes in
-(0,1] of the search side.
+[0,1] of the search side.
+
+The size branch's final bias starts at logit(1/search_context). The search
+side is search_context x sqrt(w h), so a size map of 1/search_context
+decodes to a box of the previous box's scale: an untrained head holds the
+box's area instead of multiplying it by the same factor on every frame.
+Loaded weights keep their own bias.
+
+`decode_bbox` bounds every box to the frame, as OSTrack's `clip_box` does:
+the centre is clipped onto the frame's pixels and each side to
+[MIN_BOX_SIDE, the frame's side], so neither a collapsing nor an exploding
+size map can leave the tracker without a crop to search.
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ from .events import BBox, RegionPatch
 from .ops import sigmoid
 
 BN_EPS = 1e-5
+MIN_BOX_SIDE = 1.0  # px
 
 
 @dataclass
@@ -78,12 +90,17 @@ def _init_branch(embed_dim: int, out_channels: int, rng: np.random.Generator,
     )
 
 
-def init_head(embed_dim: int, rng: np.random.Generator, dtype=np.float32) -> HeadParams:
-    return HeadParams(
+def init_head(embed_dim: int, search_context: float, rng: np.random.Generator,
+              dtype=np.float32) -> HeadParams:
+    params = HeadParams(
         score=_init_branch(embed_dim, 1, rng, dtype),
         offset=_init_branch(embed_dim, 2, rng, dtype),
         size=_init_branch(embed_dim, 2, rng, dtype),
     )
+    # logit(1/search_context); at search_context 1 a finite bias whose
+    # sigmoid is 1 - 1e-6 stands in for logit(1) = inf.
+    params.size.final_b[:] = -math.log(max(search_context - 1.0, 1e-6))
+    return params
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
@@ -155,12 +172,15 @@ def head_forward(search_tokens: np.ndarray, params: HeadParams) -> HeadOutputs:
     )
 
 
-def decode_bbox(out: HeadOutputs, search_patch: RegionPatch) -> BBox:
-    """Decode the head maps into a frame-coordinate box.
+def decode_bbox(out: HeadOutputs, search_patch: RegionPatch,
+                width: int, height: int) -> BBox:
+    """Decode the head maps into a box on a width x height frame.
 
     The score argmax (row-major first on ties) picks the cell; the offset
     refines the center inside the cell, sizes are fractions of the search
     side, and the crop geometry maps everything back to frame coordinates.
+    The center is then clipped onto [0, width - 1] x [0, height - 1] and the
+    sides onto [MIN_BOX_SIDE, width] and [MIN_BOX_SIDE, height].
     """
     side = out.map_size
     cell_px = search_patch.out_size // side
@@ -171,5 +191,7 @@ def decode_bbox(out: HeadOutputs, search_patch: RegionPatch) -> BBox:
     w_patch = float(out.size[0, i, j]) * search_patch.out_size
     h_patch = float(out.size[1, i, j]) * search_patch.out_size
     cx, cy = search_patch.patch_to_frame(px, py)
-    return BBox(cx, cy, w_patch / search_patch.resize_factor,
-                h_patch / search_patch.resize_factor)
+    rf = search_patch.resize_factor
+    return BBox(float(np.clip(cx, 0, width - 1)), float(np.clip(cy, 0, height - 1)),
+                float(np.clip(w_patch / rf, MIN_BOX_SIDE, width)),
+                float(np.clip(h_patch / rf, MIN_BOX_SIDE, height)))

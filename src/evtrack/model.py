@@ -31,7 +31,7 @@ def init_model(config: TrackerConfig, dtype=np.float32) -> ModelParams:
                                    config.template_size, config.search_size, rng, dtype)
     net = init_backbone(config.embed_dim, config.depth, config.d_state,
                         config.dt_rank, config.conv_width, rng, dtype)
-    head = init_head(config.embed_dim, rng, dtype)
+    head = init_head(config.embed_dim, config.search_context, rng, dtype)
     return ModelParams(patch_embed=patch_embed, backbone=net, head=head)
 
 

@@ -122,7 +122,8 @@ def discretize(a, b, delta):
     b_bar = ((exp(delta*a) - 1)/a) * b = delta * phi(delta*a) * b.
     The a -> 0 limit gives b_bar = delta * b.
     """
-    a = np.asarray(a, dtype=np.result_type(a, np.float32))
+    a = np.asarray(a)  # a Python float is float64 here, not a weak scalar
+    a = a.astype(np.result_type(a, np.float32), copy=False)
     b = np.asarray(b, dtype=a.dtype)
     delta = np.asarray(delta, dtype=a.dtype)
     if np.any(delta < 0):

@@ -4,7 +4,9 @@ Per frame: crop the search region at the previous prediction, embed it into
 the backbone input, run the backbone, decode the head outputs back to frame
 coordinates. Every `update_interval` frames (a tick) the predicted crop's
 embedded feature is pushed into short-term memory after the frame is
-tracked.
+tracked. `decode_bbox` bounds every predicted box to the frame: its centre
+lies on the frame's pixels, and each side in [`head.MIN_BOX_SIDE`, the
+frame's side], so the next search crop always overlaps the sensor.
 
 The backbone input is one (2 N_z + N_x, C) array per tracker, laid out at
 fixed row offsets: the static template in rows [0, N_z), the dynamic
@@ -252,10 +254,7 @@ class Tracker:
 
         out = backbone(self._tokens, self.model.backbone, self.workspace)
         outputs = head_forward(out[-self._n_x:], self.model.head)
-        box = decode_bbox(outputs, search_patch)
-        # Keep the next search crop anchored on the sensor.
-        return BBox(float(np.clip(box.cx, 0, frame.width - 1)),
-                    float(np.clip(box.cy, 0, frame.height - 1)), box.w, box.h)
+        return decode_bbox(outputs, search_patch, frame.width, frame.height)
 
 
 def track_frames(config: TrackerConfig, model: ModelParams,

@@ -326,8 +326,9 @@ CROP_BOXES = {
     "off_bottom_right": lambda w, h: BBox(w - 0.4, h - 3.6, 33.0, 29.0),
     "fully_off": lambda w, h: BBox(-500.0, h + 700.0, 40.0, 30.0),
     "tiny_1e-30": lambda w, h: BBox(w / 2 + 0.3, h / 2 - 0.2, 1e-30, 1e-30),
-    # the box small-dense's seed-1 sequence reaches at frame 58: the int64
-    # cast of the grid overflows and the weights go inf/NaN
+    # the box small-dense's seed-1 sequence reached at frame 58 before boxes
+    # were bounded: the oracle's int64 cast of the grid overflows and its
+    # weights go inf/NaN, while the sampler clips the grid and reads 0
     "exploding_6e18": lambda w, h: BBox(w / 2, h / 2, 6e18, 5e18),
 }
 
@@ -347,17 +348,17 @@ class TestCropMatches2DOracle:
         frame = self.frame(*sensor)
         box = CROP_BOXES[case](*sensor)
         patch, got_warnings = _run_recording_warnings(crop_region, frame, box, context, out_size)
-        expected, want_warnings = _run_recording_warnings(crop_2d_oracle, frame, box, context,
-                                                          out_size)
         assert patch.data.shape == (3, out_size, out_size)
         assert patch.data.dtype == np.float32
-        assert patch.data.tobytes() == expected.data.tobytes()  # NaN payloads included
+        if case == "exploding_6e18":
+            # Every sample lies far off the frame: all zero, with no cast warning.
+            assert not patch.data.any() and got_warnings == []
+            return
+        expected, want_warnings = _run_recording_warnings(crop_2d_oracle, frame, box, context,
+                                                          out_size)
+        assert patch.data.tobytes() == expected.data.tobytes()
         assert patch.resize_factor == expected.resize_factor
         assert got_warnings == want_warnings
-        if case == "exploding_6e18" and out_size == 256:
-            # the search crop's grid leaves int64 range
-            assert "invalid value encountered in cast" in want_warnings
-            assert np.isnan(patch.data).any()
         if case == "fully_off":
             assert not patch.data.any()
 
@@ -366,12 +367,13 @@ class TestCropMatches2DOracle:
     def test_unbounded_box_raises_like_oracle(self, sensor, side):
         frame = self.frame(*sensor)
         box = BBox(sensor[0] / 2, sensor[1] / 2, side, side)
+        # The oracle fails only when it builds the patch (resize factor 0);
+        # the sampler rejects the non-finite grid first.
         with np.errstate(all="ignore"):
-            with pytest.raises(ValueError) as want:
+            with pytest.raises(ValueError, match="resize_factor must be positive"):
                 crop_2d_oracle(frame, box, 4.0, 256)
-            with pytest.raises(ValueError) as got:
+            with pytest.raises(ValueError, match="crop grid must be finite"):
                 crop_region(frame, box, 4.0, 256)
-        assert str(got.value) == str(want.value)
 
 
 class TestSynthStream:

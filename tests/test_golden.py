@@ -2,16 +2,16 @@
 
 A fixed small-geometry synthetic stream is tracked in both
 `regenerate_every_frame` modes; every box, every long-term admission record,
-the dynamic template each frame used, the head's score/offset/size maps on
-every step and the debug stream's sequence of operations must match the
-checked-in CSVs bit for bit (floats are stored as their shortest round-trip
-repr, templates and maps as the SHA-256 of their bytes). At this geometry,
-with initial weights, the argmax cell and the decoded size round the dynamic
-template's influence away, so the boxes alone would not notice a wrong
-template or a wrong token layout; the float32 head maps do, on the steps
-before the growing box turns every search crop into padding. The operation
-sequence pins the order of routes, pushes and admissions, which a fuse on a
-worker thread must not change.
+the dynamic template each frame used, the backbone output's search rows and
+the head's score/offset/size maps on every step, and the debug stream's
+sequence of operations must match the checked-in CSVs bit for bit (floats
+are stored as their shortest round-trip repr, templates, rows and maps as
+the SHA-256 of their bytes). At this geometry, with initial weights, the
+argmax cell and the decoded size round the dynamic template's influence
+away, so the boxes alone would not notice a wrong template or a wrong token
+layout; the search rows do on every step, and the float32 head maps on most.
+The operation sequence pins the order of routes, pushes and admissions,
+which a fuse on a worker thread must not change.
 Refactors and performance work keep this test passing unchanged. To
 re-record after a deliberate behaviour change:
 
@@ -68,7 +68,7 @@ def run_sequence(regenerate_every_frame: bool):
 
     def recording(search_tokens, params):
         out = head_forward(search_tokens, params)
-        maps.append([_digest(m) for m in (out.score, out.offset, out.size)])
+        maps.append([_digest(m) for m in (search_tokens, out.score, out.offset, out.size)])
         return out
 
     tracker = Tracker(cfg, model, log)
@@ -148,6 +148,31 @@ def test_sequence_covers_ticks_and_accepted_admissions(runs):
         assert any(accepted for _, _, accepted, *_ in admissions)
 
 
+def test_untrained_boxes_keep_the_initial_area(runs):
+    # The size branch's bias init holds the box's scale: 32 x 24 at init,
+    # about 28 x 28 after. Without it each frame doubled the box.
+    for mode in MODES:
+        boxes = runs[mode][0]
+        area = boxes[0][4] * boxes[0][5]
+        assert all(area / 1.25 <= w * h <= area * 1.25 for *_, w, h in boxes)
+
+
+def test_every_search_digest_sees_the_dynamic_template(runs, monkeypatch):
+    # With the dynamic rows of the backbone input zeroed, every step's
+    # search rows change, so the maps CSV pins the template on every step.
+    backbone = tracker_module.backbone
+    n_z = small_config().n_template_tokens
+
+    def zeroing(tokens, *args):
+        tokens[n_z:2 * n_z] = 0
+        return backbone(tokens, *args)
+
+    monkeypatch.setattr(tracker_module, "backbone", zeroing)
+    zeroed = run_sequence(False)[4]
+    assert len(zeroed) == len(runs[False][4]) == 20
+    assert all(got[2] != want[2] for got, want in zip(zeroed, runs[False][4]))
+
+
 def record() -> None:
     DATA.mkdir(exist_ok=True)
     results = {mode: run_sequence(mode) for mode in MODES}
@@ -157,8 +182,8 @@ def record() -> None:
                               "det_before", "det_after"], 1),
             (TEMPLATES_CSV, ["mode", "frame", "sha256"], 2),
             (OPS_CSV, ["mode", "frame", "op", "routed"], 3),
-            (MAPS_CSV, ["mode", "frame", "score_sha256", "offset_sha256",
-                        "size_sha256"], 4)):
+            (MAPS_CSV, ["mode", "frame", "search_sha256", "score_sha256",
+                        "offset_sha256", "size_sha256"], 4)):
         with open(path, "w", newline="", encoding="utf-8") as f:
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(header)

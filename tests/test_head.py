@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from evtrack.events import RegionPatch
-from evtrack.head import (ConvBNParams, HeadOutputs, _batch_norm, _im2col, conv2d_same,
-                          decode_bbox, head_forward, init_head, tokens_to_map)
+from evtrack.head import (MIN_BOX_SIDE, ConvBNParams, HeadOutputs, _batch_norm, _im2col,
+                          conv2d_same, decode_bbox, head_forward, init_head, tokens_to_map)
 from evtrack.ops import sigmoid
 
 RNG = np.random.default_rng(0)
+FRAME = (1024, 1024)  # (width, height): larger than any box these tests decode
 
 
 def identity_patch(size=256, rf=1.0, center=None):
@@ -28,19 +29,23 @@ def make_outputs(score=None, offset=None, size=None, side=16):
 
 class TestHeadForward:
     def test_zero_network_gives_half_score(self):
-        params = init_head(16, RNG)
-        for branch in (params.score, params.offset, params.size):
-            for stage in branch.stages:
-                stage.conv_w[:] = 0
-            branch.final_w[:] = 0
-            branch.final_b[:] = 0
-        tokens = RNG.standard_normal((64, 16)).astype(np.float32)  # 8x8 map
-        out = head_forward(tokens, params)
-        np.testing.assert_allclose(out.score, 0.5)
-        np.testing.assert_allclose(out.offset, 0.5)
+        # The size bias alone is left: sizes are then 1/search_context, which
+        # decodes to a box of the search crop's own box scale.
+        for search_context, size in ((4.0, 0.25), (1.5, 2 / 3), (1.0, 1 - 1e-6)):
+            params = init_head(16, search_context, RNG)
+            for branch in (params.score, params.offset, params.size):
+                for stage in branch.stages:
+                    stage.conv_w[:] = 0
+                branch.final_w[:] = 0
+            params.score.final_b[:] = params.offset.final_b[:] = 0
+            tokens = RNG.standard_normal((64, 16)).astype(np.float32)  # 8x8 map
+            out = head_forward(tokens, params)
+            np.testing.assert_allclose(out.score, 0.5)
+            np.testing.assert_allclose(out.offset, 0.5)
+            np.testing.assert_allclose(out.size, size, rtol=1e-6)
 
     def test_default_spatial_size(self):
-        params = init_head(32, np.random.default_rng(1))
+        params = init_head(32, 4.0, np.random.default_rng(1))
         tokens = RNG.standard_normal((256, 32)).astype(np.float32)
         out = head_forward(tokens, params)
         assert out.score.shape == (16, 16)
@@ -48,7 +53,7 @@ class TestHeadForward:
         assert out.size.shape == (2, 16, 16)
 
     def test_output_ranges(self):
-        params = init_head(16, np.random.default_rng(2))
+        params = init_head(16, 4.0, np.random.default_rng(2))
         tokens = (10 * RNG.standard_normal((64, 16))).astype(np.float32)
         out = head_forward(tokens, params)
         assert np.all(out.score > 0) and np.all(out.score < 1)
@@ -70,7 +75,7 @@ class TestHeadForward:
                                    x, rtol=1e-4, atol=1e-5)
 
     def test_non_square_token_count_rejected(self):
-        params = init_head(16, np.random.default_rng(3))
+        params = init_head(16, 4.0, np.random.default_rng(3))
         with pytest.raises(ValueError, match="square"):
             head_forward(RNG.standard_normal((60, 16)), params)
 
@@ -140,7 +145,7 @@ class TestIm2col:
             conv2d_same(np.zeros((3, 4, 4)), np.zeros((2, 4, 3, 3)))
 
     def test_shared_first_stage_equals_separate_branches(self):
-        params = init_head(384, np.random.default_rng(5))
+        params = init_head(384, 4.0, np.random.default_rng(5))
         for branch in (params.score, params.offset, params.size):
             branch.final_b[:] = np.random.default_rng(6).standard_normal(branch.final_b.shape)
         tokens = np.random.default_rng(7).standard_normal((256, 384)).astype(np.float32)
@@ -155,19 +160,19 @@ class TestDecodeBBox:
     def test_plugin_arithmetic(self):
         score = np.zeros((16, 16))
         score[8, 8] = 1.0
-        box = decode_bbox(make_outputs(score=score), identity_patch())
+        box = decode_bbox(make_outputs(score=score), identity_patch(), *FRAME)
         assert (box.cx, box.cy) == (136.0, 136.0)
         assert (box.w, box.h) == (64.0, 64.0)
 
     def test_uniform_score_tie_breaks_at_origin(self):
-        box = decode_bbox(make_outputs(), identity_patch())
+        box = decode_bbox(make_outputs(), identity_patch(), *FRAME)
         assert (box.cx, box.cy) == (8.0, 8.0)  # cell (0,0), offset 0.5
 
     def test_identity_geometry_passthrough(self):
         score = np.zeros((16, 16))
         score[3, 12] = 1.0
         out = make_outputs(score=score)
-        box = decode_bbox(out, identity_patch())
+        box = decode_bbox(out, identity_patch(), *FRAME)
         assert box.cx == (12 + 0.5) * 16 and box.cy == (3 + 0.5) * 16
 
     def test_monotone_transform_invariance(self):
@@ -175,7 +180,7 @@ class TestDecodeBBox:
         out1 = make_outputs(score=score)
         out2 = make_outputs(score=0.1 + 0.5 * score ** 3)  # strictly monotone
         patch = identity_patch()
-        assert decode_bbox(out1, patch) == decode_bbox(out2, patch)
+        assert decode_bbox(out1, patch, *FRAME) == decode_bbox(out2, patch, *FRAME)
 
     def test_center_inside_patch_and_size_bounds(self):
         rng = np.random.default_rng(4)
@@ -184,7 +189,7 @@ class TestDecodeBBox:
             out = make_outputs(score=rng.random((16, 16)),
                                offset=rng.random((2, 16, 16)),
                                size=np.clip(rng.random((2, 16, 16)), 1e-6, 1.0))
-            box = decode_bbox(out, patch)
+            box = decode_bbox(out, patch, *FRAME)
             assert 0 <= box.cx < 256 and 0 <= box.cy < 256
             assert 0 < box.w <= 256 and 0 < box.h <= 256
 
@@ -194,6 +199,19 @@ class TestDecodeBBox:
         # crop of side 128 centered at (100, 60): rf = 2
         patch = RegionPatch(data=np.zeros((3, 256, 256), dtype=np.float32),
                             resize_factor=2.0, crop_center=(100.0, 60.0))
-        box = decode_bbox(make_outputs(score=score), patch)
+        box = decode_bbox(make_outputs(score=score), patch, *FRAME)
         assert box.cx == 100 - 64 + 136 / 2.0
         assert box.w == 64 / 2.0
+
+    def test_box_bounded_to_frame(self):
+        # A crop 128000 px wide centred off a 240 x 180 frame: a size map of 0
+        # collapses to MIN_BOX_SIDE, one of 1 spans the frame, and the centre
+        # lands on the frame's nearest pixel.
+        score = np.zeros((16, 16))
+        score[8, 8] = 1.0
+        patch = RegionPatch(data=np.zeros((3, 256, 256), dtype=np.float32),
+                            resize_factor=2e-3, crop_center=(-50.0, 500.0))
+        for size, sides in ((0.0, (MIN_BOX_SIDE, MIN_BOX_SIDE)), (1.0, (240.0, 180.0))):
+            box = decode_bbox(make_outputs(score=score, size=np.full((2, 16, 16), size)),
+                              patch, 240, 180)
+            assert (box.cx, box.cy, (box.w, box.h)) == (239.0, 179.0, sides)

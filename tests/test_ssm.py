@@ -89,12 +89,17 @@ class TestDiscretize:
         assert err.max() < 1e-12
 
     def test_series_branch_continuity(self):
-        # float64 inputs: Python floats would run in float32, where both
-        # steps round to the same value and meet only one branch.
-        below, above = np.float64(1e-4 * (1 - 1e-9)), np.float64(1e-4 * (1 + 1e-9))
+        # Python floats run in float64, where the two steps straddle the
+        # threshold. Both branches must give expm1(delta a) / a there to
+        # 1e-14: dropping the series' u^3/24 term errs by 4e-14.
+        below, above = 1e-4 * (1 - 1e-9), 1e-4 * (1 + 1e-9)
         assert below < ssm.SERIES_THRESHOLD < above
-        for a in (np.float64(-1.0), np.float64(1.0)):
-            assert abs(discretize(a, 1.0, below)[1] - discretize(a, 1.0, above)[1]) < 1e-10
+        for a in (-1.0, 1.0):
+            for delta in (below, above):
+                b_bar = discretize(a, 1.0, delta)[1]
+                want = math.expm1(delta * a) / a
+                assert b_bar.dtype == np.float64
+                assert abs(b_bar - want) <= 1e-14 * abs(want)
 
     def test_a_bar_in_unit_interval(self):
         rng = np.random.default_rng(1)
