@@ -16,9 +16,8 @@ Submodules:
 """
 
 from .config import TrackerConfig, load_config
-from .events import (BBox, EventFrame, EventPoint, EventStream, RegionPatch,
-                     SynthConfig, crop_region, iter_event_frames, stack_events,
-                     synth_stream)
+from .events import (BBox, EventFrame, EventStream, RegionPatch, SynthConfig,
+                     crop_region, iter_event_frames, stack_events, synth_stream)
 from .head import HeadOutputs, decode_bbox, head_forward
 from .losses import LossWeights, focal_loss, giou, iou, total_loss
 from .memory import MemoryLibrary, TemplateFeature, gram_det, pearson
@@ -32,7 +31,7 @@ from .weights import WeightFileError, load_weights, save_weights
 __version__ = "0.1.0"
 
 __all__ = [
-    "BBox", "EvalReport", "EventFrame", "EventPoint", "EventStream",
+    "BBox", "EvalReport", "EventFrame", "EventStream",
     "HeadOutputs", "LossWeights", "MemoryLibrary", "ModelParams", "RegionPatch",
     "SSMParams", "SynthConfig", "TemplateFeature", "Tracker", "TrackerConfig",
     "WeightFileError", "count_params", "crop_region", "decode_bbox", "discretize",

@@ -65,10 +65,6 @@ class VimBlockParams:
     out_proj: np.ndarray  # d_inner x C
 
     @property
-    def embed_dim(self) -> int:
-        return self.in_proj.shape[0]
-
-    @property
     def d_inner(self) -> int:
         return self.out_proj.shape[0]
 
@@ -83,10 +79,6 @@ class BackboneParams:
     blocks: list[VimBlockParams]
     final_norm: NormParams
     mlp: LinearParams
-
-    @property
-    def depth(self) -> int:
-        return len(self.blocks)
 
 
 def init_vim_block(embed_dim: int, d_state: int, dt_rank: int, conv_width: int,

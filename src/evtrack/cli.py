@@ -20,7 +20,7 @@ from .events import (BBox, SynthConfig, load_boxes_csv, load_events_csv,
 from .metrics import evaluate
 from .model import count_params, init_model
 from .tracker import track_sequence
-from .weights import load_weights, save_weights
+from .weights import load_weights
 
 
 def _parse_bbox(text: str) -> BBox:
@@ -42,7 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="x,y,w,h", help="first-frame box, top-left convention")
     p.add_argument("--config", help="tracker config JSON")
     p.add_argument("--out", required=True, help="output box CSV (x,y,w,h per frame)")
-    p.add_argument("--save-weights", help="also write the model weights here")
 
     p = sub.add_parser("eval", help="evaluate predictions against ground truth")
     p.add_argument("--pred", required=True)
@@ -64,8 +63,6 @@ def _cmd_track(args) -> int:
     model = init_model(config)
     if args.weights:
         load_weights(args.weights, model)
-    if args.save_weights:
-        save_weights(args.save_weights, model)
     stream = load_events_csv(args.events)
     boxes = track_sequence(config, model, stream, args.init_bbox)
     save_boxes_csv(boxes, args.out)

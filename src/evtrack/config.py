@@ -61,10 +61,6 @@ class TrackerConfig:
                 raise ValueError("crop sides must be divisible by patch_size")
 
     @property
-    def d_inner(self) -> int:
-        return 2 * self.embed_dim
-
-    @property
     def n_template_tokens(self) -> int:
         return (self.template_size // self.patch_size) ** 2
 

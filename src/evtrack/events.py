@@ -26,19 +26,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
-
-
-class EventPoint(NamedTuple):
-    """One asynchronous brightness-change event."""
-
-    x: int
-    y: int
-    t: int  # microseconds
-    p: int  # +1 (ON) or -1 (OFF)
-
 
 MAX_SENSOR_SIDE = 32768  # int16 coordinates reach 32767
 # Stored dtype of each EventStream column, in the CSV's t,x,y,p order; the
@@ -95,17 +85,6 @@ class EventStream:
     def __len__(self) -> int:
         return int(self.xs.size)
 
-    def __getitem__(self, i: int) -> EventPoint:
-        return EventPoint(int(self.xs[i]), int(self.ys[i]), int(self.ts[i]), int(self.ps[i]))
-
-    @classmethod
-    def from_points(cls, points: Sequence[EventPoint], sensor_width: int, sensor_height: int) -> "EventStream":
-        if points:
-            xs, ys, ts, ps = (np.array(v, dtype=np.int64) for v in zip(*points))
-        else:
-            xs = ys = ts = ps = np.empty(0, dtype=np.int64)
-        return cls(xs, ys, ts, ps, sensor_width, sensor_height)
-
 
 @dataclass(frozen=True)
 class EventFrame:
@@ -153,10 +132,6 @@ class BBox:
         return (self.cx - self.w / 2.0, self.cy - self.h / 2.0,
                 self.cx + self.w / 2.0, self.cy + self.h / 2.0)
 
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
 
 @dataclass(frozen=True)
 class RegionPatch:
@@ -192,10 +167,6 @@ class RegionPatch:
     def patch_to_frame(self, px: float, py: float) -> tuple[float, float]:
         ox, oy = self.crop_origin
         return (ox + px / self.resize_factor, oy + py / self.resize_factor)
-
-    def frame_to_patch(self, fx: float, fy: float) -> tuple[float, float]:
-        ox, oy = self.crop_origin
-        return ((fx - ox) * self.resize_factor, (fy - oy) * self.resize_factor)
 
 
 def iter_event_frames(stream: EventStream, window_us: int) -> Iterator[EventFrame]:
@@ -321,28 +292,23 @@ def crop_region(frame: EventFrame, box: BBox, context_factor: float, out_size: i
 class SynthConfig:
     """Deterministic moving-rectangle event generator.
 
-    Events fire on the target boundary (rounded to the containing pixel, so
-    within 1 px) plus uniform noise; one ground-truth box per stacking window.
+    The target's centre starts at `start_center` (the sensor's centre if
+    None) and moves `velocity` px per window in a straight line. Events fire
+    on the target boundary (rounded to the containing pixel, so within 1 px)
+    plus uniform noise; one ground-truth box per stacking window.
     """
 
     sensor_width: int = 240
     sensor_height: int = 180
     target_width: float = 32.0
     target_height: float = 24.0
-    trajectory: str = "linear"  # "linear" or "circular"
-    velocity: tuple[float, float] = (2.0, 1.0)  # px per window (linear)
-    orbit_radius: float = 40.0  # px (circular)
-    orbit_step: float = 0.1  # radians per window (circular)
+    velocity: tuple[float, float] = (2.0, 1.0)  # px per window
     events_per_window: int = 600
     noise_per_window: int = 60
     duration_us: int = 500_000
     window_us: int = 10_000
     start_center: tuple[float, float] | None = None
     seed: int = 0
-
-    def __post_init__(self):
-        if self.trajectory not in ("linear", "circular"):
-            raise ValueError("trajectory must be 'linear' or 'circular'")
 
     def to_json(self) -> str:
         d = asdict(self)
@@ -367,16 +333,10 @@ def _target_centers(cfg: SynthConfig, n_windows: int) -> np.ndarray:
     else:
         cx, cy = cfg.sensor_width / 2.0, cfg.sensor_height / 2.0
     centers = np.empty((n_windows, 2), dtype=np.float64)
-    if cfg.trajectory == "linear":
-        vx, vy = cfg.velocity
-        for k in range(n_windows):
-            centers[k] = (cx, cy)
-            cx, cy = cx + vx, cy + vy  # cumulative so consecutive steps are exact
-    else:
-        for k in range(n_windows):
-            ang = k * cfg.orbit_step
-            centers[k] = (cx + cfg.orbit_radius * math.cos(ang),
-                          cy + cfg.orbit_radius * math.sin(ang))
+    vx, vy = cfg.velocity
+    for k in range(n_windows):
+        centers[k] = (cx, cy)
+        cx, cy = cx + vx, cy + vy  # cumulative so consecutive steps are exact
     return centers
 
 

@@ -36,10 +36,6 @@ class PatchEmbedParams:
         if self.bias.shape != (self.projection.shape[1],):
             raise ValueError("bias must match embedding dimension")
 
-    @property
-    def embed_dim(self) -> int:
-        return self.projection.shape[1]
-
 
 def init_patch_embed(patch_size: int, embed_dim: int, template_size: int,
                      search_size: int, rng: np.random.Generator,

@@ -6,7 +6,9 @@ coordinates. Every `update_interval` frames (a tick) the predicted crop's
 embedded feature is pushed into short-term memory after the frame is
 tracked. `decode_bbox` bounds every predicted box to the frame: its centre
 lies on the frame's pixels, and each side in [`head.MIN_BOX_SIDE`, the
-frame's side], so the next search crop always overlaps the sensor.
+frame's side], so the next search crop always overlaps the sensor. The
+tracker keeps no counters: a `debug_stream` given to it receives the
+memory's records, one `st_push` per tick and one `route` per fuse.
 
 The backbone input is one (2 N_z + N_x, C) array per tracker, laid out at
 fixed row offsets: the static template in rows [0, N_z), the dynamic
@@ -59,7 +61,6 @@ no worker runs BLAS, since the count is process-wide.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import IO, Iterable
 
 import numpy as np
@@ -74,12 +75,6 @@ from .memory import MemoryLibrary, TemplateFeature
 from .model import ModelParams
 from .ops import Workspace
 from .tokenizer import patch_embed
-
-
-@dataclass
-class TrackerStats:
-    memory_updates: int = 0
-    template_regenerations: int = 0
 
 
 class _FuseWorker(threading.Thread):
@@ -121,7 +116,6 @@ class Tracker:
         self.memory = MemoryLibrary(st_capacity=config.st_capacity,
                                     lt_capacity=config.lt_capacity,
                                     debug_stream=debug_stream)
-        self.stats = TrackerStats()
         self.workspace = Workspace()
         self.fuse_workspace = Workspace()
         self._n_z = config.n_template_tokens
@@ -148,7 +142,6 @@ class Tracker:
     def _install(self, dynamic: np.ndarray) -> None:
         self._dynamic = dynamic
         self._tokens[self._n_z:2 * self._n_z] = dynamic
-        self.stats.template_regenerations += 1
 
     def _regenerate_dynamic(self) -> None:
         self._install(generate_dynamic_template(
@@ -206,14 +199,9 @@ class Tracker:
         """Initialize from the first frame; returns the init box unchanged."""
         if not (0 <= init_box.cx < frame.width and 0 <= init_box.cy < frame.height):
             raise ValueError("init box outside frame")
-        cfg = self.config
-        template_patch = crop_region(frame, init_box, cfg.template_context,
-                                     cfg.template_size)
-        tokens = patch_embed(template_patch, self.model.patch_embed)
-        np.add(tokens, self.model.patch_embed.pos_embed_template,
+        initial = self._template_feature(frame, init_box, frame_index=0)
+        np.add(initial.tokens, self.model.patch_embed.pos_embed_template,
                out=self._tokens[:self._n_z])
-
-        initial = TemplateFeature(tokens=tokens, frame_index=0)
         self.memory.init_memory(initial)
         self._last_feature = initial
         self._regenerate_dynamic()
@@ -235,7 +223,6 @@ class Tracker:
             if tick:
                 feature = self._template_feature(frame, box, frame_index=t)
                 self.memory.st_push(feature)
-                self.stats.memory_updates += 1
                 self._last_feature = feature
                 self._dynamic_stale = True
         except BaseException:

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 import evtrack.events
-from evtrack.events import (BBox, EventFrame, EventPoint, EventStream, RegionPatch,
+from evtrack.events import (BBox, EventFrame, EventStream, RegionPatch,
                             SynthConfig, crop_region, iter_event_frames, load_boxes_csv,
                             load_events_csv, save_boxes_csv, save_events_csv, stack_events,
                             synth_stream)
 
 
 def make_stream(points, w=16, h=16):
-    return EventStream.from_points([EventPoint(*p) for p in points], w, h)
+    """A stream from (x, y, t, p) tuples."""
+    xs, ys, ts, ps = np.array(points, dtype=np.int64).reshape(-1, 4).T
+    return EventStream(xs, ys, ts, ps, w, h)
 
 
 def stack_oracle(stream, window_us):
@@ -28,14 +30,14 @@ def stack_oracle(stream, window_us):
         pos = np.zeros((h, w))
         neg = np.zeros((h, w))
         tlast = np.full((h, w), -1.0)
-        for i in range(len(stream)):
-            e = stream[i]
-            if start <= e.t < start + window_us:
-                if e.p > 0:
-                    pos[e.y, e.x] += 1
+        for x, y, t, p in zip(stream.xs.tolist(), stream.ys.tolist(),
+                              stream.ts.tolist(), stream.ps.tolist()):
+            if start <= t < start + window_us:
+                if p > 0:
+                    pos[y, x] += 1
                 else:
-                    neg[e.y, e.x] += 1
-                tlast[e.y, e.x] = max(tlast[e.y, e.x], (e.t - start) / window_us)
+                    neg[y, x] += 1
+                tlast[y, x] = max(tlast[y, x], (t - start) / window_us)
         data = np.zeros((3, h, w))
         if pos.max() > 0:
             data[0] = pos / pos.max()
@@ -264,8 +266,9 @@ class TestCropRegion:
     def test_coordinate_roundtrip(self):
         frame = self.frame(64, 64)
         patch = crop_region(frame, BBox(30.3, 27.8, 12.5, 9.0), 2.7, 128)
+        ox, oy = patch.crop_origin
         for fx, fy in [(30.3, 27.8), (25.0, 31.0), (0.0, 0.0)]:
-            px, py = patch.frame_to_patch(fx, fy)
+            px, py = (fx - ox) * patch.resize_factor, (fy - oy) * patch.resize_factor
             bx, by = patch.patch_to_frame(px, py)
             assert abs(bx - fx) < 0.5 and abs(by - fy) < 0.5
 
@@ -391,9 +394,8 @@ class TestSynthStream:
                           duration_us=50_000, seed=3)
         stream, boxes = synth_stream(cfg)
         x1, y1, x2, y2 = boxes[0].corners()
-        for i in range(len(stream)):
-            e = stream[i]
-            cx, cy = e.x + 0.5, e.y + 0.5
+        for x, y in zip(stream.xs.tolist(), stream.ys.tolist()):
+            cx, cy = x + 0.5, y + 0.5
             dx = max(x1 - cx, 0.0, cx - x2)
             dy = max(y1 - cy, 0.0, cy - y2)
             on_x = min(abs(cx - x1), abs(cx - x2))

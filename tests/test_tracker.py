@@ -1,6 +1,8 @@
 """Tracker loop: the backbone input's layout, and when the dynamic template
 is regenerated."""
 
+import io
+import json
 import threading
 import time
 
@@ -19,14 +21,15 @@ from _utils import SMALL_SYNTH, small_config
 
 
 def run_recording(monkeypatch, **overrides):
-    """Track 21 frames; returns the tracker, the frame index at which each
-    fuse started and the one from which its template was used (0 is init),
-    and per fuse call whether it ran on the stepping thread."""
+    """Track 21 frames; returns the frame index at which each fuse started
+    and the one from which its template was used (0 is init), per fuse call
+    whether it ran on the stepping thread, and the debug stream's ops."""
     cfg = small_config(**overrides)
     model = init_model(cfg)
     stream, gt = synth_stream(SMALL_SYNTH)
     frames = stack_events(stream, cfg.window_us)
-    tracker = Tracker(cfg, model)
+    log = io.StringIO()
+    tracker = Tracker(cfg, model, log)
     on_main = []
 
     def recording(*args, **kwargs):
@@ -47,33 +50,33 @@ def run_recording(monkeypatch, **overrides):
             installs.append(t)
     tracker.join()
     assert len(frames) == 21
-    return tracker, starts, installs, on_main
+    ops = [json.loads(line)["op"] for line in log.getvalue().splitlines()]
+    return starts, installs, on_main, ops
 
 
 def test_default_mode_regenerates_at_ticks_after_a_push(monkeypatch):
     # Pushes happen at the end of t = 5, 10, 15, 20. Each push's fuse starts
     # on a worker at the start of the next frame and is installed at the next
     # tick; the t = 20 push has no frame after it, so no fuse starts.
-    tracker, starts, installs, on_main = run_recording(monkeypatch)
+    starts, installs, on_main, ops = run_recording(monkeypatch)
     assert starts == [0, 6, 11, 16]
     assert installs == [0, 10, 15, 20]
     assert on_main == [True, False, False, False]
-    assert tracker.stats.template_regenerations == len(installs)
-    assert tracker.stats.memory_updates == 4
+    assert ops.count("route") == len(installs)  # one route per fuse
+    assert ops.count("st_push") == 4
 
 
 def test_every_frame_mode_regenerates_on_the_frame_after_a_push(monkeypatch):
-    tracker, starts, installs, on_main = run_recording(monkeypatch,
-                                                       regenerate_every_frame=True)
+    starts, installs, on_main, ops = run_recording(monkeypatch, regenerate_every_frame=True)
     assert starts == installs == [0, 6, 11, 16]
     assert on_main == [True] * 4
-    assert tracker.stats.template_regenerations == len(installs)
+    assert ops.count("route") == len(installs)
 
 
 def test_interval_one_fuses_inline_on_every_frame_after_init(monkeypatch):
     # Every frame is a tick, so each push's template is needed on the very
     # next frame and nothing can run behind it. The first push ends t = 1.
-    tracker, starts, installs, on_main = run_recording(monkeypatch, update_interval=1)
+    starts, installs, on_main, _ = run_recording(monkeypatch, update_interval=1)
     assert starts == installs == [0, *range(2, 21)]
     assert on_main == [True] * 20
 
@@ -159,6 +162,7 @@ def test_backbone_input_is_static_dynamic_search(monkeypatch, overrides):
     tracker.init(frames[0], gt[0])
     static = (embed(frames[0], gt[0], cfg.template_context, cfg.template_size)
               + pe.pos_embed_template)
+    installed = [tracker._dynamic]
     for frame in frames[1:]:
         box = tracker._box
         tracker.step(frame)
@@ -171,8 +175,10 @@ def test_backbone_input_is_static_dynamic_search(monkeypatch, overrides):
             tokens, np.concatenate([static, tracker._dynamic, search]))
         assert head_input.shape == (cfg.n_search_tokens, cfg.embed_dim)
         np.testing.assert_array_equal(head_input, out[-cfg.n_search_tokens:])
+        if tracker._dynamic is not installed[-1]:
+            installed.append(tracker._dynamic)
     tracker.join()
-    assert tracker.stats.template_regenerations >= 4  # the steps saw installs after init
+    assert len(installed) >= 4  # the steps saw installs after init
 
 
 def test_track_sequence_equals_tracking_prestacked_frames():
