@@ -13,11 +13,6 @@ side is search_context x sqrt(w h), so a size map of 1/search_context
 decodes to a box of the previous box's scale: an untrained head holds the
 box's area instead of multiplying it by the same factor on every frame.
 Loaded weights keep their own bias.
-
-`decode_bbox` bounds every box to the frame, as OSTrack's `clip_box` does:
-the centre is clipped onto the frame's pixels and each side to
-[MIN_BOX_SIDE, the frame's side], so neither a collapsing nor an exploding
-size map can leave the tracker without a crop to search.
 """
 
 from __future__ import annotations
@@ -179,8 +174,10 @@ def decode_bbox(out: HeadOutputs, search_patch: RegionPatch,
     The score argmax (row-major first on ties) picks the cell; the offset
     refines the center inside the cell, sizes are fractions of the search
     side, and the crop geometry maps everything back to frame coordinates.
-    The center is then clipped onto [0, width - 1] x [0, height - 1] and the
-    sides onto [MIN_BOX_SIDE, width] and [MIN_BOX_SIDE, height].
+    The box is then bounded to the frame, as OSTrack's `clip_box` does: the
+    center is clipped onto [0, width - 1] x [0, height - 1] and the sides
+    onto [MIN_BOX_SIDE, width] and [MIN_BOX_SIDE, height], so neither a
+    collapsing nor an exploding size map leaves the next crop off the frame.
     """
     side = out.map_size
     cell_px = search_patch.out_size // side
