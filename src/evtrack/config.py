@@ -7,14 +7,34 @@ import math
 import numbers
 from dataclasses import dataclass, asdict, fields
 
-# Field annotation -> (value check, what it requires). JSON true/false are
-# bools, which Python also counts as ints, so the int check excludes them.
+# Field annotation, less a trailing " | None", -> (value check, what it
+# requires). JSON true/false are bools, which Python also counts as ints, so
+# the int check excludes them.
 _KINDS = {
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an int"),
     "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
               and math.isfinite(v), "a finite real number"),
     "bool": (lambda v: isinstance(v, bool), "a bool"),
+    "tuple[float, float]": (lambda v: isinstance(v, tuple) and len(v) == 2
+                            and all(map(_KINDS["float"][0], v)), "a pair of finite real numbers"),
 }
+
+
+def check_kinds(config) -> None:
+    """Raise ValueError naming the first field not of its annotated kind."""
+    for f in fields(config):
+        accepts, kind = _KINDS[f.type.removesuffix(" | None")]
+        value = getattr(config, f.name)
+        if not (accepts(value) or value is None and f.type.endswith(" | None")):
+            raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+
+
+def known_fields(cls, d: dict, what: str) -> dict:
+    """`d`, once every key is checked to name a field of the dataclass `cls`."""
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
+    return d
 
 
 @dataclass
@@ -41,11 +61,7 @@ class TrackerConfig:
     regenerate_every_frame: bool = False
 
     def __post_init__(self):
-        for f in fields(self):
-            accepts, kind = _KINDS[f.type]
-            value = getattr(self, f.name)
-            if not accepts(value):
-                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+        check_kinds(self)
         positive = ("patch_size", "embed_dim", "depth", "d_state", "dt_rank",
                     "conv_width", "template_size", "search_size", "lt_capacity",
                     "st_capacity", "update_interval", "window_us")
@@ -86,10 +102,7 @@ class TrackerConfig:
         if mode != "shared":
             raise ValueError(f"memory_mode {mode!r} was removed: the fusion "
                              "stack is always the backbone's own parameters")
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        return cls(**d)
+        return cls(**known_fields(cls, d, "config"))
 
 
 def load_config(path: str | None) -> TrackerConfig:

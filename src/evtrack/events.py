@@ -25,10 +25,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Iterator, Sequence
 
 import numpy as np
+
+from .config import check_kinds, known_fields
 
 MAX_SENSOR_SIDE = 32768  # int16 coordinates reach 32767
 # Stored dtype of each EventStream column, in the CSV's t,x,y,p order; the
@@ -310,21 +312,22 @@ class SynthConfig:
     start_center: tuple[float, float] | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        check_kinds(self)
+
     def to_json(self) -> str:
-        d = asdict(self)
-        d["velocity"] = list(d["velocity"])
-        if d["start_center"] is not None:
-            d["start_center"] = list(d["start_center"])
-        return json.dumps(d, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "SynthConfig":
+        """Parse a JSON object; an unknown key or a value of the wrong kind is an error."""
         d = json.loads(text)
-        if "velocity" in d:
-            d["velocity"] = tuple(d["velocity"])
-        if d.get("start_center") is not None:
-            d["start_center"] = tuple(d["start_center"])
-        return cls(**d)
+        if not isinstance(d, dict):
+            raise ValueError("synth config must be a JSON object")
+        for name in ("velocity", "start_center"):
+            if isinstance(d.get(name), list):
+                d[name] = tuple(d[name])
+        return cls(**known_fields(cls, d, "synth config"))
 
 
 def _target_centers(cfg: SynthConfig, n_windows: int) -> np.ndarray:
@@ -419,9 +422,8 @@ def save_events_csv(stream: EventStream, path) -> None:
             f.write(("%d,%d,%d,%d\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
-def load_events_csv(path, sensor_width: int | None = None,
-                    sensor_height: int | None = None) -> EventStream:
-    """Load an event CSV; sensor size is inferred from the data unless given.
+def load_events_csv(path) -> EventStream:
+    """Load an event CSV, inferring the sensor size from the largest x and y.
 
     Rows are parsed straight into the stream's compact columns, so a value
     outside its column's range (x = 40000, p = 300) fails in the parser with
@@ -437,11 +439,7 @@ def load_events_csv(path, sensor_width: int | None = None,
                          encoding="utf-8")
     ts, xs, ys, ps = (np.ascontiguousarray(records[f]) for f in _CSV_RECORD.names)
     del records
-    if sensor_width is None:
-        sensor_width = int(xs.max()) + 1 if xs.size else 1
-    if sensor_height is None:
-        sensor_height = int(ys.max()) + 1 if ys.size else 1
-    return EventStream(xs, ys, ts, ps, sensor_width, sensor_height)
+    return EventStream(xs, ys, ts, ps, int(xs.max(initial=0)) + 1, int(ys.max(initial=0)) + 1)
 
 
 def save_boxes_csv(boxes: Sequence[BBox], path) -> None:
@@ -458,6 +456,8 @@ def load_boxes_csv(path) -> list[BBox]:
             line = line.strip()
             if not line:
                 continue
-            x, y, w, h = (float(v) for v in line.split(","))
-            boxes.append(BBox.from_topleft(x, y, w, h))
+            values = [float(v) for v in line.split(",")]
+            if len(values) != 4 or not all(map(math.isfinite, values)):
+                raise ValueError(f"box line {line!r}: expected four finite numbers x,y,w,h")
+            boxes.append(BBox.from_topleft(*values))
     return boxes

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from typing import IO, Sequence
 
@@ -125,7 +125,6 @@ class MemoryLibrary:
     debug_stream: IO[str] | None = None
     st: deque = field(default_factory=deque)
     lt: list = field(default_factory=list)
-    initialized: bool = False
     # gram_matrix(_gram_members), kept while _gram_members matches lt.
     _gram: np.ndarray | None = field(default=None, init=False, repr=False)
     _gram_members: list = field(default_factory=list, init=False, repr=False)
@@ -138,24 +137,16 @@ class MemoryLibrary:
              routed: str | None = None) -> None:
         if self.debug_stream is None:
             return
-        entry = {
-            "frame": frame,
-            "op": op,
-            "accepted": record.accepted if record else None,
-            "replaced_index": record.replaced_index if record else None,
-            "det_before": record.det_before if record else None,
-            "det_after": record.det_after if record else None,
-            "routed": routed,
-        }
+        outcome = asdict(record) if record else dict.fromkeys(f.name for f in fields(AdmissionRecord))
+        entry = {"frame": frame, "op": op, **outcome, "routed": routed}
         self.debug_stream.write(json.dumps(entry) + "\n")
 
     def init_memory(self, initial: TemplateFeature) -> None:
         """Fill both libraries to capacity with copies of the initial template."""
-        if self.initialized:
+        if self.st or self.lt:
             raise ValueError("memory already initialized")
         self.st.extend(initial for _ in range(self.st_capacity))
         self.lt.extend(initial for _ in range(self.lt_capacity))
-        self.initialized = True
         self._log(initial.frame_index, "init")
 
     def lt_admit(self, z_rem: TemplateFeature) -> AdmissionRecord:

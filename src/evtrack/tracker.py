@@ -16,16 +16,18 @@ template in [N_z, 2 N_z) and the search region in the last N_x rows, with
 N_z = `n_template_tokens` and N_x = `n_search_tokens` of the config. `init`
 writes the static rows once (embedding plus `pos_embed_template`); every
 install of a dynamic template, inline or from the worker, copies it into the
-dynamic rows on the stepping thread; each frame embeds its search crop
-straight into the search rows and adds `pos_embed_search` in place. The head
-reads the backbone output's last N_x rows. The array is a plain attribute
-rather than a `Workspace` buffer because the static and dynamic rows must
-persist across steps, and a Workspace leaves a buffer's contents undefined
-between takes.
+dynamic rows on the stepping thread, and those rows are the only copy of the
+installed template; each frame embeds its search crop straight into the
+search rows and adds `pos_embed_search` in place. The head reads the
+backbone output's last N_x rows. The array is a plain attribute rather than
+a `Workspace` buffer because the static and dynamic rows must persist
+across steps, and a Workspace leaves a buffer's contents undefined between
+takes.
 
 The dynamic template (route, then fuse the routed library) is a pure
-function of the memory contents and the last pushed feature, and only
-`init` and a tick's push change those. So it is generated in `init`, and
+function of the memory contents: a fuse routes `memory.st[-1]`, the last
+pushed feature (the initial one until the first tick), and only `init` and
+a tick's push change the memory. So it is generated in `init`, and
 afterwards only when a push has happened since the last generation: for the
 next tick's frame by default, or for the very next frame with
 `regenerate_every_frame`. Every other frame reuses the last template.
@@ -123,11 +125,9 @@ class Tracker:
         # [static | dynamic | search]; see the module docstring.
         self._tokens = np.empty((2 * self._n_z + self._n_x, config.embed_dim),
                                 model.patch_embed.projection.dtype)
-        self._dynamic: np.ndarray | None = None  # the installed dynamic template
         self._dynamic_stale = False  # a push happened since the last fuse started
         self._fuse: _FuseWorker | None = None  # started, not yet installed
         self._blas_pinned = False
-        self._last_feature: TemplateFeature | None = None
         self._frame_index = 0
         self._box: BBox | None = None
 
@@ -140,18 +140,17 @@ class Tracker:
         return TemplateFeature(tokens=tokens, frame_index=frame_index)
 
     def _install(self, dynamic: np.ndarray) -> None:
-        self._dynamic = dynamic
         self._tokens[self._n_z:2 * self._n_z] = dynamic
 
     def _regenerate_dynamic(self) -> None:
         self._install(generate_dynamic_template(
-            self.memory, self._last_feature, self.model.backbone, self.workspace))
+            self.memory, self.memory.st[-1], self.model.backbone, self.workspace))
         self._dynamic_stale = False
 
     def _start_fuse(self) -> None:
         blas.pin_one()
         self._blas_pinned = True
-        self._fuse = _FuseWorker(self.memory, self._last_feature, self.model.backbone,
+        self._fuse = _FuseWorker(self.memory, self.memory.st[-1], self.model.backbone,
                                  self.fuse_workspace)
         self._dynamic_stale = False
         self._fuse.start()
@@ -203,9 +202,7 @@ class Tracker:
         np.add(initial.tokens, self.model.patch_embed.pos_embed_template,
                out=self._tokens[:self._n_z])
         self.memory.init_memory(initial)
-        self._last_feature = initial
         self._regenerate_dynamic()
-        self._frame_index = 0
         self._box = init_box
         return init_box
 
@@ -213,17 +210,14 @@ class Tracker:
         """Track one frame; returns the predicted box in frame coordinates."""
         if self._box is None:
             raise ValueError("tracker not initialized")
-        cfg = self.config
         self._frame_index += 1
         t = self._frame_index
-        tick = t % cfg.update_interval == 0
+        tick = t % self.config.update_interval == 0
         try:
             self._update_template(t, tick)
             box = self._track(frame)
             if tick:
-                feature = self._template_feature(frame, box, frame_index=t)
-                self.memory.st_push(feature)
-                self._last_feature = feature
+                self.memory.st_push(self._template_feature(frame, box, frame_index=t))
                 self._dynamic_stale = True
         except BaseException:
             self.join()

@@ -1,10 +1,12 @@
-"""Shared test helpers: small model builders and gradient comparison."""
+"""Shared test helpers: small model builders, an install recorder and
+gradient comparison."""
 
 import numpy as np
 
 from evtrack.config import TrackerConfig
 from evtrack.events import SynthConfig
 from evtrack.model import init_model
+from evtrack.tracker import Tracker
 
 SMALL_CONFIG = dict(embed_dim=16, depth=1, d_state=2, dt_rank=2,
                     template_size=32, search_size=64, patch_size=16,
@@ -26,6 +28,20 @@ def small_config(**overrides) -> TrackerConfig:
 def small_model(**overrides):
     cfg = small_config(**overrides)
     return cfg, init_model(cfg)
+
+
+def record_installs(monkeypatch) -> list[int]:
+    """Wrap `Tracker._install`; the list returned receives the frame index of
+    every install of a dynamic template (0 is init)."""
+    installs = []
+    install = Tracker._install
+
+    def recording(self, dynamic):
+        installs.append(self._frame_index)
+        install(self, dynamic)
+
+    monkeypatch.setattr(Tracker, "_install", recording)
+    return installs
 
 
 def assert_grad_close(analytic, fd, rtol=1e-4, atol=1e-7):

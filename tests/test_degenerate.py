@@ -1,8 +1,9 @@
 """Degenerate inputs, as hypothesis properties: collapsing and exploding size
 maps, empty windows and short streams, and non-finite crop grids.
 
-Every property runs under one derandomized profile, so a run draws the same
-examples each time and a failure reproduces without a database.
+The properties run under the derandomized tier-1 profile of conftest.py, so
+a run draws the same examples each time and a failure reproduces without a
+database.
 """
 
 import math
@@ -22,7 +23,7 @@ from evtrack.tracker import Tracker, track_sequence
 
 from _utils import SMALL_SYNTH, small_config
 
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=20)
+PROPERTY = settings(max_examples=20)
 SIDE = 96  # SMALL_SYNTH's square sensor
 
 

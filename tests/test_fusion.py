@@ -10,7 +10,7 @@ from evtrack.memory import MemoryLibrary, TemplateFeature
 from evtrack.model import count_params
 from evtrack.tracker import Tracker
 
-from _utils import SMALL_SYNTH, small_model
+from _utils import SMALL_SYNTH, record_installs, small_model
 
 
 def feats(rng, count, n_z=4, dim=16, start_frame=0):
@@ -63,18 +63,17 @@ def test_shared_mode_aliases_backbone_parameters(setup, monkeypatch):
         return generate_dynamic_template(lib, incoming, params, ws)
 
     monkeypatch.setattr(tracker_module, "generate_dynamic_template", recording)
+    installs = record_installs(monkeypatch)
     tracker = Tracker(cfg, model)
     tracker.init(frames[0], gt[0])
-    started = installed = None
+    started = None
     for t, frame in enumerate(frames[1:], start=1):
-        worker, dynamic = tracker._fuse, tracker._dynamic
+        worker = tracker._fuse
         tracker.step(frame)
         if tracker._fuse is not None and tracker._fuse is not worker:
             started = t
-        if tracker._dynamic is not dynamic:
-            installed = t
     # init, and the t = 5 push's fuse: started at t = 6, installed at t = 10
-    assert (started, installed) == (6, 10)
+    assert (started, installs) == (6, [0, 10])
     assert len(received) == 2
     assert received[0][1] is tracker.workspace and received[1][1] is tracker.fuse_workspace
     assert all(params is model.backbone for params, _ in received)

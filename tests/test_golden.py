@@ -72,13 +72,14 @@ def run_sequence(regenerate_every_frame: bool):
         return out
 
     tracker = Tracker(cfg, model, log)
+    dynamic = tracker._tokens[cfg.n_template_tokens:2 * cfg.n_template_tokens]
     tracker_module.head_forward = recording
     try:
         boxes = [tracker.init(frames[0], gt[0])]
-        templates = [_digest(tracker._dynamic)]
+        templates = [_digest(dynamic)]
         for frame in frames[1:]:
             boxes.append(tracker.step(frame))
-            templates.append(_digest(tracker._dynamic))  # the template this step used
+            templates.append(_digest(dynamic))  # the template this step used
     finally:
         tracker_module.head_forward = head_forward
         tracker.join()

@@ -1,5 +1,6 @@
-"""Tracker loop: the backbone input's layout, and when the dynamic template
-is regenerated."""
+"""Tracker loop: when and on which thread the dynamic template is
+regenerated, the tracker's lifecycle and errors, and BLAS pinning. What each
+step computes is checked against the reference loop in test_reference.py."""
 
 import io
 import json
@@ -11,13 +12,12 @@ import pytest
 
 import evtrack.tracker as tracker_module
 from evtrack import blas
-from evtrack.events import crop_region, iter_event_frames, stack_events, synth_stream
+from evtrack.events import iter_event_frames, stack_events, synth_stream
 from evtrack.fusion import generate_dynamic_template
 from evtrack.model import init_model
-from evtrack.tokenizer import patchify
 from evtrack.tracker import Tracker, track_frames, track_sequence
 
-from _utils import SMALL_SYNTH, small_config
+from _utils import SMALL_SYNTH, record_installs, small_config
 
 
 def run_recording(monkeypatch, **overrides):
@@ -37,17 +37,16 @@ def run_recording(monkeypatch, **overrides):
         return generate_dynamic_template(*args, **kwargs)
 
     monkeypatch.setattr(tracker_module, "generate_dynamic_template", recording)
+    installs = record_installs(monkeypatch)
     tracker.init(frames[0], gt[0])
-    starts, installs = [0], [0]
+    starts = [0]
     for t, frame in enumerate(frames[1:], start=1):
-        worker, dynamic, inline = tracker._fuse, tracker._dynamic, on_main.count(True)
+        worker, inline = tracker._fuse, on_main.count(True)
         tracker.step(frame)
         if tracker._fuse is not None and tracker._fuse is not worker:
             starts.append(t)  # a worker was started in this step
         elif on_main.count(True) > inline:
             starts.append(t)  # an inline fuse ran in this step
-        if tracker._dynamic is not dynamic:
-            installs.append(t)
     tracker.join()
     assert len(frames) == 21
     ops = [json.loads(line)["op"] for line in log.getvalue().splitlines()]
@@ -79,106 +78,6 @@ def test_interval_one_fuses_inline_on_every_frame_after_init(monkeypatch):
     starts, installs, on_main, _ = run_recording(monkeypatch, update_interval=1)
     assert starts == installs == [0, *range(2, 21)]
     assert on_main == [True] * 20
-
-
-def test_async_templates_equal_inline_fuses_at_their_ticks():
-    # The template a worker installs at a tick is the one an inline fuse of
-    # the memory at that tick's start gives.
-    cfg = small_config()
-    model = init_model(cfg)
-    stream, gt = synth_stream(SMALL_SYNTH)
-    frames = stack_events(stream, cfg.window_us)
-    tracker = Tracker(cfg, model)
-    tracker.init(frames[0], gt[0])
-    checked = 0
-    for t, frame in enumerate(frames[1:], start=1):
-        if t % cfg.update_interval == 0 and tracker._fuse is not None:
-            fresh = generate_dynamic_template(tracker.memory, tracker._last_feature,
-                                              model.backbone)
-            tracker.step(frame)
-            np.testing.assert_array_equal(tracker._dynamic, fresh)
-            checked += 1
-        else:
-            tracker.step(frame)
-    assert checked == 3
-
-
-def test_kept_template_equals_a_fresh_regeneration():
-    # With regenerate_every_frame every frame must see the template a fresh
-    # route + fuse of the current memory gives; only a pending push (after a
-    # tick, before the next frame) may leave it behind.
-    cfg = small_config(regenerate_every_frame=True)
-    model = init_model(cfg)
-    stream, gt = synth_stream(SMALL_SYNTH)
-    frames = stack_events(stream, cfg.window_us)
-    tracker = Tracker(cfg, model)
-    tracker.init(frames[0], gt[0])
-    checked = 0
-    for frame in frames[1:]:
-        tracker.step(frame)
-        if not tracker._dynamic_stale:
-            fresh = generate_dynamic_template(tracker.memory, tracker._last_feature,
-                                              model.backbone)
-            np.testing.assert_array_equal(tracker._dynamic, fresh)
-            checked += 1
-    assert checked == 16  # 20 steps minus the 4 ticks
-
-
-@pytest.mark.parametrize("overrides", [
-    {}, dict(regenerate_every_frame=True), dict(update_interval=1),
-    dict(search_size=32), dict(patch_size=8)],
-    ids=["worker-installs", "inline-installs", "interval-1", "n_z-equals-n_x", "patch-8"])
-def test_backbone_input_is_static_dynamic_search(monkeypatch, overrides):
-    # The golden stream. On every step the backbone input must be the
-    # independently built [static + pos_t | installed dynamic | search +
-    # pos_s], and the head must read exactly the output's last N_x rows.
-    # With N_z = N_x the two positional tables have one shape, so only
-    # their values tell them apart.
-    cfg = small_config(lt_capacity=2, seed=1, **overrides)
-    model = init_model(cfg)
-    pe = model.patch_embed
-    stream, gt = synth_stream(SMALL_SYNTH)
-    frames = stack_events(stream, cfg.window_us)
-
-    def embed(frame, box, context, size):
-        flat = patchify(crop_region(frame, box, context, size).data, pe.patch_size)
-        return flat.astype(pe.projection.dtype) @ pe.projection + pe.bias
-
-    calls = []
-    backbone, head_forward = tracker_module.backbone, tracker_module.head_forward
-
-    def recording_backbone(tokens, *args):
-        out = backbone(tokens, *args)
-        calls.append([tokens.copy(), out.copy()])
-        return out
-
-    def recording_head(search_tokens, params):
-        calls[-1].append(search_tokens.copy())
-        return head_forward(search_tokens, params)
-
-    monkeypatch.setattr(tracker_module, "backbone", recording_backbone)
-    monkeypatch.setattr(tracker_module, "head_forward", recording_head)
-    tracker = Tracker(cfg, model)
-    tracker.init(frames[0], gt[0])
-    static = (embed(frames[0], gt[0], cfg.template_context, cfg.template_size)
-              + pe.pos_embed_template)
-    installed = [tracker._dynamic]
-    for frame in frames[1:]:
-        box = tracker._box
-        tracker.step(frame)
-        search = embed(frame, box, cfg.search_context, cfg.search_size) + pe.pos_embed_search
-        (tokens, out, head_input), = calls
-        calls.clear()
-        # `static` was built once from the init frame, so this also pins
-        # that no step changes the static rows.
-        np.testing.assert_array_equal(
-            tokens, np.concatenate([static, tracker._dynamic, search]))
-        assert head_input.shape == (cfg.n_search_tokens, cfg.embed_dim)
-        np.testing.assert_array_equal(head_input, out[-cfg.n_search_tokens:])
-        if tracker._dynamic is not installed[-1]:
-            installed.append(tracker._dynamic)
-    tracker.join()
-    assert len(installed) >= 4  # the steps saw installs after init
 
 
 def test_track_sequence_equals_tracking_prestacked_frames():
@@ -301,7 +200,9 @@ def test_step_that_raises_mid_cycle_joins_and_keeps_the_fuse(monkeypatch):
         tracker.step(frame)
     # The fuse started at t = 6 read only memory fixed at t = 5, so the
     # template installed at t = 10 is the undisturbed run's.
-    np.testing.assert_array_equal(tracker._dynamic, reference._dynamic)
+    n_z = cfg.n_template_tokens
+    np.testing.assert_array_equal(tracker._tokens[n_z:2 * n_z],
+                                  reference._tokens[n_z:2 * n_z])
 
 
 def test_worker_error_raises_at_the_installing_tick(monkeypatch):
