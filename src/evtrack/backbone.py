@@ -82,34 +82,38 @@ class BackboneParams:
 
 
 def init_vim_block(embed_dim: int, d_state: int, dt_rank: int, conv_width: int,
-                   rng: np.random.Generator, dtype=np.float32) -> VimBlockParams:
+                   rng: np.random.Generator) -> VimBlockParams:
     d_inner = 2 * embed_dim
     scale = 0.02
 
     def conv():
-        return ConvParams(weight=(rng.standard_normal((d_inner, conv_width)) * scale).astype(dtype),
-                          bias=np.zeros(d_inner, dtype=dtype))
+        weight = rng.standard_normal((d_inner, conv_width)) * scale
+        return ConvParams(weight=weight.astype(np.float32),
+                          bias=np.zeros(d_inner, dtype=np.float32))
 
     return VimBlockParams(
-        pre_norm=NormParams(np.ones(embed_dim, dtype=dtype), np.zeros(embed_dim, dtype=dtype)),
-        in_proj=(rng.standard_normal((embed_dim, 2 * d_inner)) * scale).astype(dtype),
+        pre_norm=NormParams(np.ones(embed_dim, dtype=np.float32),
+                            np.zeros(embed_dim, dtype=np.float32)),
+        in_proj=(rng.standard_normal((embed_dim, 2 * d_inner)) * scale).astype(np.float32),
         conv_fwd=conv(),
         conv_bwd=conv(),
-        ssm_fwd=init_ssm_params(d_inner, d_state, dt_rank, rng, dtype),
-        ssm_bwd=init_ssm_params(d_inner, d_state, dt_rank, rng, dtype),
-        out_proj=(rng.standard_normal((d_inner, embed_dim)) * scale).astype(dtype),
+        ssm_fwd=init_ssm_params(d_inner, d_state, dt_rank, rng),
+        ssm_bwd=init_ssm_params(d_inner, d_state, dt_rank, rng),
+        out_proj=(rng.standard_normal((d_inner, embed_dim)) * scale).astype(np.float32),
     )
 
 
 def init_backbone(embed_dim: int, depth: int, d_state: int, dt_rank: int,
-                  conv_width: int, rng: np.random.Generator, dtype=np.float32) -> BackboneParams:
-    blocks = [init_vim_block(embed_dim, d_state, dt_rank, conv_width, rng, dtype)
+                  conv_width: int, rng: np.random.Generator) -> BackboneParams:
+    blocks = [init_vim_block(embed_dim, d_state, dt_rank, conv_width, rng)
               for _ in range(depth)]
+    mlp_weight = rng.standard_normal((embed_dim, embed_dim)) * 0.02
     return BackboneParams(
         blocks=blocks,
-        final_norm=NormParams(np.ones(embed_dim, dtype=dtype), np.zeros(embed_dim, dtype=dtype)),
-        mlp=LinearParams(weight=(rng.standard_normal((embed_dim, embed_dim)) * 0.02).astype(dtype),
-                         bias=np.zeros(embed_dim, dtype=dtype)),
+        final_norm=NormParams(np.ones(embed_dim, dtype=np.float32),
+                              np.zeros(embed_dim, dtype=np.float32)),
+        mlp=LinearParams(weight=mlp_weight.astype(np.float32),
+                         bias=np.zeros(embed_dim, dtype=np.float32)),
     )
 
 

@@ -64,6 +64,8 @@ def _cmd_track(args) -> int:
     if args.weights:
         load_weights(args.weights, model)
     stream = load_events_csv(args.events)
+    if len(stream) == 0:
+        raise ValueError(f"{args.events}: the recording holds no events")
     boxes = track_sequence(config, model, stream, args.init_bbox)
     save_boxes_csv(boxes, args.out)
     print(f"tracked {len(boxes)} frames -> {args.out}")

@@ -427,16 +427,21 @@ def load_events_csv(path) -> EventStream:
 
     Rows are parsed straight into the stream's compact columns, so a value
     outside its column's range (x = 40000, p = 300) fails in the parser with
-    "could not convert ...".
+    "could not convert ...". A file with the header and no rows gives the
+    empty stream, with sensor size 1 x 1.
     """
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
+        has_rows = any(line.split("#", 1)[0].strip() for line in f)
     if header.replace(" ", "") != "t,x,y,p":
         raise ValueError(f"bad event file header: {header!r}")
-    # Given the path, loadtxt's parser reads the file itself; handed the open
-    # file it would pull the rows through Python line by line.
-    records = np.loadtxt(path, delimiter=",", dtype=_CSV_RECORD, ndmin=1, skiprows=1,
-                         encoding="utf-8")
+    if not has_rows:  # loadtxt would warn "input contained no data"
+        records = np.empty(0, dtype=_CSV_RECORD)
+    else:
+        # Given the path, loadtxt's parser reads the file itself; handed the
+        # open file it would pull the rows through Python line by line.
+        records = np.loadtxt(path, delimiter=",", dtype=_CSV_RECORD, ndmin=1, skiprows=1,
+                             encoding="utf-8")
     ts, xs, ys, ps = (np.ascontiguousarray(records[f]) for f in _CSV_RECORD.names)
     del records
     return EventStream(xs, ys, ts, ps, int(xs.max(initial=0)) + 1, int(ys.max(initial=0)) + 1)

@@ -64,33 +64,31 @@ class HeadOutputs:
         return self.score.shape[0]
 
 
-def _init_branch(embed_dim: int, out_channels: int, rng: np.random.Generator,
-                 dtype=np.float32) -> HeadBranchParams:
+def _init_branch(embed_dim: int, out_channels: int, rng: np.random.Generator) -> HeadBranchParams:
     stages = []
     c_in = embed_dim
     for _ in range(3):
         c_out = c_in // 2
         stages.append(ConvBNParams(
-            conv_w=(rng.standard_normal((c_out, c_in, 3, 3)) * 0.05).astype(dtype),
-            bn_scale=np.ones(c_out, dtype=dtype),
-            bn_shift=np.zeros(c_out, dtype=dtype),
-            bn_mean=np.zeros(c_out, dtype=dtype),
-            bn_var=np.ones(c_out, dtype=dtype),
+            conv_w=(rng.standard_normal((c_out, c_in, 3, 3)) * 0.05).astype(np.float32),
+            bn_scale=np.ones(c_out, dtype=np.float32),
+            bn_shift=np.zeros(c_out, dtype=np.float32),
+            bn_mean=np.zeros(c_out, dtype=np.float32),
+            bn_var=np.ones(c_out, dtype=np.float32),
         ))
         c_in = c_out
     return HeadBranchParams(
         stages=stages,
-        final_w=(rng.standard_normal((out_channels, c_in, 3, 3)) * 0.05).astype(dtype),
-        final_b=np.zeros(out_channels, dtype=dtype),
+        final_w=(rng.standard_normal((out_channels, c_in, 3, 3)) * 0.05).astype(np.float32),
+        final_b=np.zeros(out_channels, dtype=np.float32),
     )
 
 
-def init_head(embed_dim: int, search_context: float, rng: np.random.Generator,
-              dtype=np.float32) -> HeadParams:
+def init_head(embed_dim: int, search_context: float, rng: np.random.Generator) -> HeadParams:
     params = HeadParams(
-        score=_init_branch(embed_dim, 1, rng, dtype),
-        offset=_init_branch(embed_dim, 2, rng, dtype),
-        size=_init_branch(embed_dim, 2, rng, dtype),
+        score=_init_branch(embed_dim, 1, rng),
+        offset=_init_branch(embed_dim, 2, rng),
+        size=_init_branch(embed_dim, 2, rng),
     )
     # logit(1/search_context); at search_context 1 a finite bias whose
     # sigmoid is 1 - 1e-6 stands in for logit(1) = inf.

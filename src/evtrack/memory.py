@@ -8,13 +8,14 @@ incoming template to whichever library holds its most similar member.
 
 Each feature's centered float64 vector and its squared norm are computed
 once and cached on the feature, so a correlation costs one dot product. The
-library keeps the LT Gram matrix too: an accepted offer writes its row of
-correlations, already computed for the candidates, into the cached matrix.
+library caches no Gram matrix: each LT offer, one per tick, builds the base
+matrix from the current members.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
@@ -69,8 +70,8 @@ def pearson(a: TemplateFeature, b: TemplateFeature) -> float:
     vx, vy = a.variance, b.variance
     if vx == 0.0 or vy == 0.0:
         return 1.0 if np.array_equal(a.flat(), b.flat()) else 0.0
-    r = float(a.centered @ b.centered) / np.sqrt(vx * vy)
-    return float(np.clip(r, -1.0, 1.0))
+    r = float(a.centered @ b.centered) / math.sqrt(vx * vy)
+    return min(1.0, max(-1.0, r))
 
 
 def gram_matrix(templates: Sequence[TemplateFeature]) -> np.ndarray:
@@ -125,9 +126,6 @@ class MemoryLibrary:
     debug_stream: IO[str] | None = None
     st: deque = field(default_factory=deque)
     lt: list = field(default_factory=list)
-    # gram_matrix(_gram_members), kept while _gram_members matches lt.
-    _gram: np.ndarray | None = field(default=None, init=False, repr=False)
-    _gram_members: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         if self.st_capacity < 1 or self.lt_capacity < 1:
@@ -160,7 +158,7 @@ class MemoryLibrary:
         n = len(self.lt)
         if n != self.lt_capacity:
             raise ValueError("lt_admit requires a full long-term library")
-        base = self.lt_gram()
+        base = gram_matrix(self.lt)
         det_before = float(checked_det(base))
         row = np.array([pearson(z_rem, z) for z in self.lt])
         candidates = np.repeat(base[None], n, axis=0)
@@ -173,22 +171,11 @@ class MemoryLibrary:
         best_det = float(dets[best_j])
         if best_det > det_before:
             self.lt[best_j] = z_rem
-            self._gram = candidates[best_j].copy()
-            self._gram_members[best_j] = z_rem
             record = AdmissionRecord(True, best_j, det_before, best_det)
         else:
             record = AdmissionRecord(False, None, det_before, det_before)
         self._log(z_rem.frame_index, "lt_admit", record=record)
         return record
-
-    def lt_gram(self) -> np.ndarray:
-        """`gram_matrix(self.lt)`, rebuilt only when the members changed other
-        than through `lt_admit`, as when `lt` is assigned directly."""
-        if (len(self._gram_members) != len(self.lt)
-                or any(a is not b for a, b in zip(self._gram_members, self.lt))):
-            self._gram = gram_matrix(self.lt)
-            self._gram_members = list(self.lt)
-        return self._gram
 
     def st_push(self, z_new: TemplateFeature) -> AdmissionRecord | None:
         """Enqueue into ST; an overflowing oldest member is offered to the LT."""

@@ -24,14 +24,14 @@ class ModelParams:
     head: HeadParams
 
 
-def init_model(config: TrackerConfig, dtype=np.float32) -> ModelParams:
+def init_model(config: TrackerConfig) -> ModelParams:
     """Deterministic random initialization from config.seed."""
     rng = np.random.default_rng(config.seed)
     patch_embed = init_patch_embed(config.patch_size, config.embed_dim,
-                                   config.template_size, config.search_size, rng, dtype)
+                                   config.template_size, config.search_size, rng)
     net = init_backbone(config.embed_dim, config.depth, config.d_state,
-                        config.dt_rank, config.conv_width, rng, dtype)
-    head = init_head(config.embed_dim, config.search_context, rng, dtype)
+                        config.dt_rank, config.conv_width, rng)
+    head = init_head(config.embed_dim, config.search_context, rng)
     return ModelParams(patch_embed=patch_embed, backbone=net, head=head)
 
 

@@ -38,16 +38,16 @@ class PatchEmbedParams:
 
 
 def init_patch_embed(patch_size: int, embed_dim: int, template_size: int,
-                     search_size: int, rng: np.random.Generator,
-                     dtype=np.float32) -> PatchEmbedParams:
+                     search_size: int, rng: np.random.Generator) -> PatchEmbedParams:
     n_z = (template_size // patch_size) ** 2
     n_x = (search_size // patch_size) ** 2
     scale = 0.02
+    projection = rng.standard_normal((3 * patch_size ** 2, embed_dim)) * scale
     return PatchEmbedParams(
-        projection=(rng.standard_normal((3 * patch_size ** 2, embed_dim)) * scale).astype(dtype),
-        bias=np.zeros(embed_dim, dtype=dtype),
-        pos_embed_template=(rng.standard_normal((n_z, embed_dim)) * scale).astype(dtype),
-        pos_embed_search=(rng.standard_normal((n_x, embed_dim)) * scale).astype(dtype),
+        projection=projection.astype(np.float32),
+        bias=np.zeros(embed_dim, dtype=np.float32),
+        pos_embed_template=(rng.standard_normal((n_z, embed_dim)) * scale).astype(np.float32),
+        pos_embed_search=(rng.standard_normal((n_x, embed_dim)) * scale).astype(np.float32),
         patch_size=patch_size,
     )
 

@@ -38,13 +38,13 @@ its result before the next tick, t + update_interval. So at the start of
 frame t + 1 the fuse starts on a worker thread, while frames t + 1 ...
 keep the old template; at the start of the next tick the tracker joins the
 worker and installs its result, so every frame sees the template it would
-see if the fuse ran inline there. A worker's error is raised at that tick,
-naming the frame. A fuse needed on the frame where it would start (`init`,
-`regenerate_every_frame`, `update_interval` 1) runs inline on the stepping
-thread instead. A step that raises joins an in-flight fuse first and keeps
-its outcome for the next tick, and `track_frames` joins before it returns,
-so a sequence ends by waiting for at most one fuse. At most one fuse is in
-flight: pushes happen only at ticks, after the join.
+see if the fuse ran inline there. A worker's error is raised at that tick
+as a template-fuse failure. A fuse needed on the frame where it would start
+(`init`, `regenerate_every_frame`, `update_interval` 1) runs inline on the
+stepping thread instead. A step that raises joins an in-flight fuse first
+and keeps its outcome for the next tick, and `track_frames` joins before it
+returns, so a sequence ends by waiting for at most one fuse. At most one
+fuse is in flight: pushes happen only at ticks, after the join.
 
 Each tracker owns two backbone Workspaces: `workspace` for the frame
 backbone and inline fuses, `fuse_workspace` for the worker's fuses. They
@@ -52,6 +52,13 @@ live as long as the tracker because a workspace built per call would
 re-allocate, and re-fault, about 11 MiB of Vim-S scratch on every backbone
 pass; each grows only when a longer sequence first arrives (an LT fuse is up
 to 1024 tokens), and stepping then allocates nothing large.
+
+A frame that fails raises, and `track_frames` (so the CLI) stops there; no
+policy holds the last box in its place. Every `Exception` raised inside a
+step, a non-finite activation as much as a worker's fuse error, is raised
+again as "frame t: <original message>", of the same type where its
+constructor takes a message alone (else RuntimeError), caused by the
+original.
 
 OpenBLAS's default second thread would spin on the core the worker needs,
 so BLAS is pinned to one thread (`blas.pin_one`) just before a worker
@@ -97,15 +104,13 @@ class _FuseWorker(threading.Thread):
             self.error = exc
 
 
-def _at_frame(error: BaseException, t: int) -> BaseException:
-    """`error`, of the same type where possible, with frame t in its message."""
-    message = f"template fuse for frame {t} failed: {error}"
+def _reworded(error: BaseException, message: str) -> BaseException:
+    """`message` as an exception of error's type, or as a RuntimeError where
+    that type's constructor does not take a message alone."""
     try:
-        named = type(error)(message)
+        return type(error)(message)
     except Exception:
-        named = RuntimeError(message)
-    named.__cause__ = error
-    return named
+        return RuntimeError(message)
 
 
 class Tracker:
@@ -155,18 +160,19 @@ class Tracker:
         self._dynamic_stale = False
         self._fuse.start()
 
-    def _install_fuse(self, t: int) -> None:
+    def _install_fuse(self) -> None:
         self.join()
         worker, self._fuse = self._fuse, None
         if worker.error is not None:
             self._dynamic_stale = True  # the next tick's fuse retries, as inline
-            raise _at_frame(worker.error, t)
+            error = worker.error
+            raise _reworded(error, f"template fuse failed: {error}") from error
         self._install(worker.result)
 
-    def _update_template(self, t: int, tick: bool) -> None:
+    def _update_template(self, tick: bool) -> None:
         if self._fuse is not None:
             if tick:
-                self._install_fuse(t)
+                self._install_fuse()
             elif not self._fuse.is_alive():
                 self.join()  # restores BLAS threads for the rest of the cycle
         elif self._dynamic_stale:
@@ -214,11 +220,14 @@ class Tracker:
         t = self._frame_index
         tick = t % self.config.update_interval == 0
         try:
-            self._update_template(t, tick)
+            self._update_template(tick)
             box = self._track(frame)
             if tick:
                 self.memory.st_push(self._template_feature(frame, box, frame_index=t))
                 self._dynamic_stale = True
+        except Exception as exc:
+            self.join()
+            raise _reworded(exc, f"frame {t}: {exc}") from exc
         except BaseException:
             self.join()
             raise

@@ -6,11 +6,12 @@ All integers little-endian, data IEEE-754 binary32. Every array of the
 model (learned parameters and batch-norm running statistics) appears
 exactly once, keyed by its dotted path.
 
-Reading starts with one pass over the record headers, which seeks past the
-data. `load_weights` then checks every name and shape against the model,
-and only after every check has passed reads each record straight into its
-model array. So a load needs no second copy of the model, and a file that
-fails a check leaves the model untouched.
+The model is float32, like the file. Reading starts with one pass over the
+record headers, which seeks past the data. `load_weights` then checks every
+name and shape against the model, and only after every check has passed
+reads each record in place, straight into its model array. So a load needs
+no second copy of the model, and a file that fails a check leaves the model
+untouched.
 """
 
 from __future__ import annotations
@@ -92,30 +93,6 @@ def _scan_records(f: BinaryIO) -> dict[str, _Record]:
     return records
 
 
-def _read_into(f: BinaryIO, record: _Record, arr: np.ndarray) -> None:
-    """Read a record's data into arr, through a buffer of arr's size only
-    when arr is not C-contiguous float32."""
-    direct = arr.dtype == np.float32 and arr.flags.c_contiguous
-    target = arr if direct else np.empty(arr.shape, dtype=np.float32)
-    f.seek(record.offset)
-    if f.readinto(target.reshape(-1).view(np.uint8)) != target.nbytes:
-        raise WeightFileError("truncated", "unexpected end of file")
-    if sys.byteorder == "big":
-        target.byteswap(inplace=True)
-    if not direct:
-        arr[...] = target
-
-
-def read_weight_file(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as f:
-        records = _scan_records(f)
-        arrays = {}
-        for name, record in records.items():
-            arrays[name] = np.empty(record.shape, dtype=np.float32)
-            _read_into(f, record, arrays[name])
-    return arrays
-
-
 def save_weights(path, model: ModelParams) -> None:
     """Serialize every model array (parameters and buffers) to `path`."""
     write_weight_file(path, {name: arr for name, arr, _ in named_arrays(model)})
@@ -126,12 +103,17 @@ def load_weights(path, model: ModelParams) -> None:
 
     The file must contain exactly the model's arrays; loads are bit-exact.
     Every check runs before the first write: on any WeightFileError the
-    model's arrays are as they were.
+    model's arrays are as they were. Each record is read straight into its
+    array, so every model array must be C-contiguous float32; `readinto`
+    would otherwise fill a reshaped copy and leave the model unchanged.
     """
     targets = list(named_arrays(model))
     with open(path, "rb") as f:
         records = _scan_records(f)
         for name, arr, _ in targets:
+            if arr.dtype != np.float32 or not arr.flags.c_contiguous:
+                raise WeightFileError("dtype", f"{name}: model arrays must be "
+                                               "C-contiguous float32")
             if name not in records:
                 raise WeightFileError("missing_parameter", f"missing parameter {name!r}")
             shape = records[name].shape
@@ -143,4 +125,8 @@ def load_weights(path, model: ModelParams) -> None:
             raise WeightFileError("unexpected_parameter",
                                   f"unexpected parameter {sorted(extra)[0]!r}")
         for name, arr, _ in targets:
-            _read_into(f, records[name], arr)
+            f.seek(records[name].offset)
+            if f.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+                raise WeightFileError("truncated", "unexpected end of file")
+            if sys.byteorder == "big":
+                arr.byteswap(inplace=True)

@@ -1,11 +1,12 @@
-"""Shared test helpers: small model builders, an install recorder and
-gradient comparison."""
+"""Shared test helpers: small model builders, an install recorder, the
+bitwise scan reference and gradient comparison."""
 
 import numpy as np
 
 from evtrack.config import TrackerConfig
 from evtrack.events import SynthConfig
 from evtrack.model import init_model
+from evtrack.ssm import _coefficients_into, _selection
 from evtrack.tracker import Tracker
 
 SMALL_CONFIG = dict(embed_dim=16, depth=1, d_state=2, dt_rank=2,
@@ -42,6 +43,25 @@ def record_installs(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(Tracker, "_install", recording)
     return installs
+
+
+def unblocked_scan(u, params):
+    """Whole-length scan: every token's coefficients at once, then one plain
+    recurrence from the zero state; the reference for scan_forward_chunked.
+    Same state-major (L, d_state, d_inner) arithmetic, unblocked."""
+    _, b_sel, c_sel, _, delta = _selection(u, params)
+    a_t = np.ascontiguousarray(-np.exp(params.a_log.astype(u.dtype, copy=False)).T)
+    L, d = u.shape
+    a_bar = np.empty((L, params.d_state, d), dtype=u.dtype)
+    bx = np.empty_like(a_bar)
+    _coefficients_into(u, delta, b_sel, a_t, 1.0 / a_t, a_bar, bx)
+    hs = np.empty_like(bx)
+    h = np.zeros((params.d_state, d), dtype=u.dtype)
+    for t in range(L):
+        np.multiply(h, a_bar[t], out=h)
+        h += bx[t]
+        hs[t] = h
+    return (c_sel[:, None, :] @ hs)[:, 0] + u * params.d_skip.astype(u.dtype, copy=False)
 
 
 def assert_grad_close(analytic, fd, rtol=1e-4, atol=1e-7):

@@ -11,6 +11,8 @@ from evtrack.model import count_params, init_model
 from evtrack.ops import Workspace, layer_norm, sigmoid, silu, softplus
 from evtrack.ssm import scan_forward_chunked
 
+from _utils import unblocked_scan
+
 RNG = np.random.default_rng(0)
 
 
@@ -155,44 +157,15 @@ def _layer_norm_oracle(x, scale, shift, eps=1e-6):
     return (x - mean) / np.sqrt(var + eps) * scale + shift
 
 
-def _scan_oracle(u, params):
-    """scan_forward_chunked as it was before the workspace: every
-    intermediate a fresh array."""
-    L, d = u.shape
-    dtype = u.dtype
-    r, n = params.dt_rank, params.d_state
-    xdbl = u @ params.x_proj.astype(dtype, copy=False)
-    b_sel, c_sel = xdbl[:, r:r + n], xdbl[:, r + n:]
-    pre = xdbl[:, :r] @ params.dt_proj.astype(dtype, copy=False) + params.dt_bias.astype(dtype)
-    delta = _softplus_oracle(pre)
-    a_t = np.ascontiguousarray(-np.exp(params.a_log.astype(dtype, copy=False)).T)
-    inv_a_t = 1.0 / a_t
-    block = max(1, min(L, ssm._BLOCK_BYTES // (d * n * dtype.itemsize)))
-    abar_buf = np.empty((block, n, d), dtype=dtype)
-    bx_buf = np.empty_like(abar_buf)
-    hs_buf = np.empty_like(abar_buf)
-    y = np.empty((L, d), dtype=dtype)
-    h = np.zeros((n, d), dtype=dtype)
-    for lo in range(0, L, block):
-        m = min(block, L - lo)
-        sl = slice(lo, lo + m)
-        abar, bx, hs = abar_buf[:m], bx_buf[:m], hs_buf[:m]
-        ssm._coefficients_into(u[sl], delta[sl], b_sel[sl], a_t, inv_a_t, abar, bx)
-        h = ssm._seeded_states(abar, bx, h, hs)
-        y[sl] = (c_sel[sl, None, :] @ hs)[:, 0]
-    y += u * params.d_skip.astype(dtype, copy=False)
-    return y
-
-
 def _vim_block_oracle(tokens, params):
     """vim_block as it was before the workspace."""
     h = _layer_norm_oracle(tokens, params.pre_norm.scale, params.pre_norm.shift)
     xz = h @ params.in_proj
     d_inner = params.d_inner
     x, z = xz[:, :d_inner], xz[:, d_inner:]
-    y_fwd = _scan_oracle(_silu_oracle(causal_conv_loop(x, params.conv_fwd)), params.ssm_fwd)
+    y_fwd = unblocked_scan(_silu_oracle(causal_conv_loop(x, params.conv_fwd)), params.ssm_fwd)
     xr = np.ascontiguousarray(x[::-1])
-    y_bwd = _scan_oracle(_silu_oracle(causal_conv_loop(xr, params.conv_bwd)), params.ssm_bwd)
+    y_bwd = unblocked_scan(_silu_oracle(causal_conv_loop(xr, params.conv_bwd)), params.ssm_bwd)
     y = (y_fwd + y_bwd[::-1]) * _silu_oracle(z)
     return tokens + y @ params.out_proj
 
@@ -257,7 +230,7 @@ def test_scan_matches_allocating_oracle_bitwise(width):
     C, n, r = WIDTHS[width]
     params = ssm.init_ssm_params(2 * C, n, r, np.random.default_rng(8))
     u = _tokens(384, 2 * C, 9)
-    _bitwise(scan_forward_chunked(u, params), _scan_oracle(u, params))
+    _bitwise(scan_forward_chunked(u, params), unblocked_scan(u, params))
 
 
 def test_one_workspace_reused_across_lengths_and_widths():

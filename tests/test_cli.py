@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -136,6 +137,7 @@ def assert_error_exit(argv):
         code = main(argv)
     assert code == 1
     assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+    return err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +145,18 @@ def cli_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli")
     (path / "config.json").write_text(small_config().to_json())
     return path
+
+
+def test_event_csv_without_rows_exits_1(cli_dir):
+    events, pred = cli_dir / "header-only.csv", cli_dir / "header-only-pred.csv"
+    events.write_text("t,x,y,p\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = assert_error_exit(["track", "--config", str(cli_dir / "config.json"),
+                                 "--events", str(events), "--init-bbox", "10,10,8,8",
+                                 "--out", str(pred)])
+    assert "the recording holds no events" in err
+    assert not pred.exists()
 
 
 NOT_AN_INT = st.sampled_from(["", "nan", "inf", "1.5", "1e3", "0x1f", "--1", "a"])

@@ -547,7 +547,8 @@ class TestLoadEventsErrors:
             load_events_csv(self.write(tmp_path, f"t,x,y,p\n0,1,2,1\n{row}\n"))
 
     def test_header_only_gives_empty_stream(self, tmp_path):
-        with pytest.warns(UserWarning, match="no data"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             stream = load_events_csv(self.write(tmp_path, "t,x,y,p\n"))
         assert len(stream) == 0
         assert (stream.sensor_width, stream.sensor_height) == (1, 1)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from evtrack import ssm
-from evtrack.ssm import (SSMParams, _coefficients_into, _seeded_states, _selection,
-                         discretize, init_ssm_params, scan_backward, scan_forward_chunked)
+from evtrack.ssm import (SSMParams, _seeded_states, discretize, init_ssm_params,
+                         scan_backward, scan_forward_chunked)
 
-from _utils import assert_grad_close, central_difference
+from _utils import assert_grad_close, central_difference, unblocked_scan
 
 
 def _sequential_oracle(u, params):
@@ -28,25 +28,6 @@ def _sequential_oracle(u, params):
         h = np.exp(da) * h + (np.expm1(da) / a) * b_sel[None, :] * u[t].astype(ld)[:, None]
         y[t] = h @ c_sel + params.d_skip.astype(ld) * u[t]
     return y.astype(np.float64)
-
-
-def _unblocked_scan(u, params):
-    """Whole-length scan: every token's coefficients at once, then one plain
-    recurrence from the zero state; the reference for scan_forward_chunked.
-    Same state-major (L, d_state, d_inner) arithmetic, unblocked."""
-    _, b_sel, c_sel, _, delta = _selection(u, params)
-    a_t = np.ascontiguousarray(-np.exp(params.a_log.astype(u.dtype, copy=False)).T)
-    L, d = u.shape
-    a_bar = np.empty((L, params.d_state, d), dtype=u.dtype)
-    bx = np.empty_like(a_bar)
-    _coefficients_into(u, delta, b_sel, a_t, 1.0 / a_t, a_bar, bx)
-    hs = np.empty_like(bx)
-    h = np.zeros((params.d_state, d), dtype=u.dtype)
-    for t in range(L):
-        np.multiply(h, a_bar[t], out=h)
-        h += bx[t]
-        hs[t] = h
-    return (c_sel[:, None, :] @ hs)[:, 0] + u * params.d_skip.astype(u.dtype, copy=False)
 
 
 def block_tokens(d_inner, d_state, dtype):
@@ -213,7 +194,7 @@ class TestScanChunked:
         for length in lengths:
             u = rng.standard_normal((length, d_inner)).astype(dtype)
             np.testing.assert_array_equal(scan_forward_chunked(u, params),
-                                          _unblocked_scan(u, params), err_msg=str(length))
+                                          unblocked_scan(u, params), err_msg=str(length))
 
     def test_single_chunk_bitwise_equal(self):
         rng = np.random.default_rng(6)
@@ -260,8 +241,8 @@ def test_scan_blocking_no_regression():
     rng = np.random.default_rng(10)
     params = init_ssm_params(384, 16, 24, rng, np.float32)
     u = rng.standard_normal((1024, 384)).astype(np.float32)
-    _unblocked_scan(u, params)  # warm up caches and BLAS threads
-    t_ref, t_blk = _best_of([lambda: _unblocked_scan(u, params),
+    unblocked_scan(u, params)  # warm up caches and BLAS threads
+    t_ref, t_blk = _best_of([lambda: unblocked_scan(u, params),
                              lambda: scan_forward_chunked(u, params)], 5)
     print(f"blocked scan speed-up {t_ref / t_blk:.2f}x")  # shown by pytest -rP
     assert t_ref / t_blk >= 1.0, f"blocked scan slower: {t_ref / t_blk:.2f}x"

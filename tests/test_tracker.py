@@ -222,12 +222,38 @@ def test_worker_error_raises_at_the_installing_tick(monkeypatch):
     tracker.init(frames[0], gt[0])
     for frame in frames[1:10]:  # the fuse fails during t = 6 .. 9
         tracker.step(frame)
-    with pytest.raises(FloatingPointError, match="template fuse for frame 10 failed: "
-                                                 "fuse failed") as info:
+    with pytest.raises(FloatingPointError,
+                       match="^frame 10: template fuse failed: fuse failed$") as info:
         tracker.step(frames[10])
-    assert isinstance(info.value.__cause__, FloatingPointError)
+    fuse_error = info.value.__cause__
+    assert isinstance(fuse_error, FloatingPointError)
+    assert str(fuse_error) == "template fuse failed: fuse failed"
+    assert str(fuse_error.__cause__) == "fuse failed"
     assert threading.active_count() == threads
     assert blas.threads() == blas_threads
+
+
+def test_non_finite_activation_names_its_frame(monkeypatch):
+    cfg = small_config()
+    model = init_model(cfg)
+    stream, gt = synth_stream(SMALL_SYNTH)
+    frames = stack_events(stream, cfg.window_us)
+    embed = tracker_module.patch_embed
+    tracker = Tracker(cfg, model)
+
+    def poisoned(patch, params, out=None):
+        tokens = embed(patch, params, out=out)
+        if out is not None and tracker._frame_index == 3:  # frame 3's search tokens
+            tokens[0, 0] = np.nan
+        return tokens
+
+    monkeypatch.setattr(tracker_module, "patch_embed", poisoned)
+    tracker.init(frames[0], gt[0])
+    for frame in frames[1:3]:
+        tracker.step(frame)
+    with pytest.raises(ValueError, match="^frame 3: non-finite input$") as info:
+        tracker.step(frames[3])
+    assert str(info.value.__cause__) == "non-finite input"
 
 
 def test_blas_restore_returns_to_the_count_before_the_first_pin():

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from evtrack.model import init_model, named_arrays
-from evtrack.weights import (MAGIC, WeightFileError, load_weights, read_weight_file,
-                             save_weights, write_weight_file)
+from evtrack.model import named_arrays
+from evtrack.weights import MAGIC, WeightFileError, load_weights, save_weights, write_weight_file
 
 from _utils import small_model
 
@@ -35,7 +34,7 @@ def test_round_trip_is_bit_exact(tmp_path):
 def test_bad_magic(tmp_path):
     path = tmp_path / "w.bin"
     path.write_bytes(b"MEVTW000" + bytes(8))
-    assert_code("bad_magic", read_weight_file, path)
+    assert_code("bad_magic", load_weights, path, small_model()[1])
 
 
 def test_truncated_mid_name_and_mid_data(tmp_path):
@@ -48,7 +47,7 @@ def test_truncated_mid_name_and_mid_data(tmp_path):
     for label, cut in cuts.items():
         path = tmp_path / f"{label}.bin"
         path.write_bytes(data[:cut])
-        assert_code("truncated", read_weight_file, path)
+        assert_code("truncated", load_weights, path, model)
 
 
 def test_duplicate_record(tmp_path):
@@ -57,7 +56,7 @@ def test_duplicate_record(tmp_path):
     record = path.read_bytes()[len(MAGIC):]
     with open(path, "ab") as f:
         f.write(record)
-    assert_code("duplicate", read_weight_file, path)
+    assert_code("duplicate", load_weights, path, small_model()[1])
 
 
 def test_shape_mismatch(tmp_path):
@@ -156,49 +155,15 @@ def test_failed_load_leaves_model_untouched(tmp_path, code, make):
     assert snapshot(model) == before
 
 
-def test_float32_file_loads_into_float64_model(tmp_path):
-    cfg, model = small_model(seed=3)
-    wide = init_model(cfg, dtype=np.float64)
-    path = tmp_path / "w.bin"
-    save_weights(path, model)
-    load_weights(path, wide)
-    narrow = model_arrays(model)
-    for name, arr, _ in named_arrays(wide):
-        assert arr.dtype == np.float64
-        np.testing.assert_array_equal(arr, narrow[name].astype(np.float64), err_msg=name)
-    # and back: the float64 values narrow to the file's bytes exactly
-    write_weight_file(tmp_path / "back.bin",
-                      {name: arr.astype(np.float32) for name, arr, _ in named_arrays(wide)})
-    assert (tmp_path / "back.bin").read_bytes() == path.read_bytes()
-
-
-def read_weight_file_oracle(path):
-    """The record-by-record reader that the header pass replaced."""
-    import struct
-    arrays = {}
-    with open(path, "rb") as f:
-        assert f.read(len(MAGIC)) == MAGIC
-        while head := f.read(4):
-            (name_len,) = struct.unpack("<I", head)
-            name = f.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", f.read(4))
-            dims = struct.unpack(f"<{rank}I", f.read(4 * rank)) if rank else ()
-            count = int(np.prod(dims, dtype=np.int64)) if rank else 1
-            data = f.read(4 * count)
-            arrays[name] = np.frombuffer(data, dtype="<f4").reshape(dims).copy()
-    return arrays
-
-
-def test_read_weight_file_matches_record_reader(tmp_path):
+@pytest.mark.parametrize("retype", [
+    lambda arr: arr.astype(np.float64),
+    lambda arr: np.asfortranarray(arr)], ids=["float64", "fortran"])
+def test_non_float32_model_array_rejected_before_any_write(tmp_path, retype):
     _, model = small_model(seed=3)
-    arrays = model_arrays(model)
-    arrays["scalar"] = np.array(2.5, dtype=np.float32)
-    arrays["empty"] = np.zeros((0, 3), dtype=np.float32)
     path = tmp_path / "w.bin"
-    write_weight_file(path, arrays)
-    got, want = read_weight_file(path), read_weight_file_oracle(path)
-    assert list(got) == list(want) == list(arrays)
-    for name, arr in want.items():
-        assert got[name].dtype == arr.dtype and got[name].shape == arr.shape, name
-        assert got[name].tobytes() == arr.tobytes(), name
-        assert got[name].flags.writeable and got[name].flags.c_contiguous
+    write_weight_file(path, other_arrays())
+    block = model.backbone.blocks[-1]
+    block.out_proj = retype(block.out_proj)  # after the patch-embed arrays
+    before = snapshot(model)
+    assert_code("dtype", load_weights, path, model)
+    assert snapshot(model) == before
