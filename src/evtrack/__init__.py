@@ -5,6 +5,7 @@ Submodules:
     tokenizer  patch embedding (the tracker lays out the token sequence)
     ssm        the discretized selective-scan operator (blocked forward, backward)
     backbone   bidirectional Vim blocks and the residual token backbone
+    helper     the forked process that runs each block's backward direction
     memory     LT/ST template libraries with Gram-determinant admission
     fusion     dynamic-template generation via the Memory Mamba (the backbone)
     head       convolutional score/offset/size head and box decoding

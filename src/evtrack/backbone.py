@@ -19,16 +19,27 @@ frame backbone and one for the fuses its worker thread runs (see
 `tracker`): a workspace built per call would be allocated and page-faulted
 again on every pass. A workspace serves one thread at a time. Calls without
 one (tests) get a workspace of their own, so there is one code path.
+
+A block's backward direction is `vim_backward`. `vim_block` runs it in this
+process after the forward direction, or, given a `helper.BackwardHelper`,
+has the helper's forked process run it at the same time as the forward
+one. The tracker passes its helper to its frame and inline-fuse passes;
+`backbone()` without one is the in-process spec the helper is tested
+against bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .ops import Workspace, layer_norm, silu
 from .ssm import SSMParams, init_ssm_params, scan_forward_chunked
+
+if TYPE_CHECKING:
+    from .helper import BackwardHelper
 
 
 @dataclass
@@ -142,13 +153,34 @@ def causal_conv(x: np.ndarray, conv: ConvParams, ws: Workspace | None = None,
     return out
 
 
+def vim_backward(x: np.ndarray, params: VimBlockParams, ws: Workspace | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """A block's backward direction over its x branch, (L, d_inner): causal
+    conv -> SiLU -> selective scan over the reversed tokens, with the
+    block's `_bwd` parameters. The result is in reversed token order.
+
+    Scratch comes from `ws` (a fresh Workspace if None), whose conv and SiLU
+    buffers this takes. The result goes to `out`, or if None to the conv
+    buffer, which the scan no longer needs.
+    """
+    ws = Workspace() if ws is None else ws
+    conv = ws.take("conv", x.shape, x.dtype)
+    act = silu(causal_conv(x[::-1], params.conv_bwd, ws, out=conv),
+               out=ws.take("silu", x.shape, x.dtype))
+    return scan_forward_chunked(act, params.ssm_bwd, ws, out=conv if out is None else out)
+
+
 def vim_block(tokens: np.ndarray, params: VimBlockParams, ws: Workspace | None = None,
-              out: np.ndarray | None = None) -> np.ndarray:
+              out: np.ndarray | None = None,
+              helper: BackwardHelper | None = None) -> np.ndarray:
     """One bidirectional block with its residual connection.
 
     Every (L, .) intermediate lives in `ws` (a fresh Workspace if None), and
     both directions reuse the same conv, SiLU and scan scratch. The result
     goes to `out` (a fresh array if None), which may not alias tokens.
+
+    With a `helper`, its process runs the backward direction while this one
+    runs the forward direction; the result is bit-identical.
     """
     ws = Workspace() if ws is None else ws
     L = tokens.shape[0]
@@ -162,14 +194,13 @@ def vim_block(tokens: np.ndarray, params: VimBlockParams, ws: Workspace | None =
     d_inner = params.d_inner
     x, z = xz[:, :d_inner], xz[:, d_inner:]
 
-    conv = ws.take("conv", x.shape, x.dtype)
+    if helper is not None:
+        helper.submit(params, x)
     act = ws.take("silu", x.shape, x.dtype)
     y_fwd = ws.take("y_fwd", x.shape, x.dtype)
-    silu(causal_conv(x, params.conv_fwd, ws, out=conv), out=act)
+    silu(causal_conv(x, params.conv_fwd, ws, out=ws.take("conv", x.shape, x.dtype)), out=act)
     scan_forward_chunked(act, params.ssm_fwd, ws, out=y_fwd)
-    silu(causal_conv(x[::-1], params.conv_bwd, ws, out=conv), out=act)
-    # The conv output is spent, so it takes the backward scan's output.
-    y_bwd = scan_forward_chunked(act, params.ssm_bwd, ws, out=conv)
+    y_bwd = vim_backward(x, params, ws) if helper is None else helper.result()
     # y = (y_fwd + y_bwd[::-1]) * silu(z), accumulated in y_fwd.
     y = np.add(y_fwd, y_bwd[::-1], out=y_fwd)
     y *= silu(z, out=act)
@@ -181,17 +212,19 @@ def vim_block(tokens: np.ndarray, params: VimBlockParams, ws: Workspace | None =
 
 
 def backbone(tokens: np.ndarray, params: BackboneParams,
-             ws: Workspace | None = None) -> np.ndarray:
+             ws: Workspace | None = None,
+             helper: BackwardHelper | None = None) -> np.ndarray:
     """Apply all residual blocks, then the final Norm + linear projection.
 
     Blocks run in `ws` (a fresh Workspace if None), passing tokens between
-    two ping-pong buffers; the result is always a fresh array.
+    two ping-pong buffers, and with `helper` (see `vim_block`) if given;
+    the result is always a fresh array.
     """
     ws = Workspace() if ws is None else ws
     for i, block in enumerate(params.blocks):
         out = ws.take(f"tokens.{i % 2}", tokens.shape,
                       np.result_type(tokens, block.pre_norm.scale, block.out_proj))
-        tokens = vim_block(tokens, block, ws, out=out)
+        tokens = vim_block(tokens, block, ws, out=out, helper=helper)
     norm = params.final_norm
     tokens = layer_norm(tokens, norm.scale, norm.shift, out=ws.take(
         "scratch.0", tokens.shape, np.result_type(tokens, norm.scale, norm.shift)))

@@ -1,17 +1,17 @@
 """OpenBLAS's thread count, read and set through the copy numpy loaded.
 
-The tracker runs a template fuse on a worker thread next to the frame's own
-backbone pass. OpenBLAS's default pool would put its second thread on the
-core the worker needs, so the tracker pins BLAS to one thread while a fuse
-is in flight and restores it afterwards.
+A tracker's backward-scan helper process (`helper`) runs next to the
+process that steps the tracker, one core each. OpenBLAS's default pool
+would put a second thread on the core the other process needs, so every
+open helper holds a pin to one thread: `pin_one` when it starts, before
+its fork, so the child inherits the count, and `unpin` when it closes.
+Pins nest: the first saves the count and the last `unpin` restores it.
 
 The count is process-wide: this OpenBLAS's `openblas_set_num_threads_local`
-sets it for every thread too. So change it only from the thread that steps
-the tracker, and never while another thread may be inside a BLAS call.
-`restore` returns to the count saved when this module first pinned, so a
-tracker dropped mid-fuse cannot leave BLAS pinned past the next restore.
-Without a matching OpenBLAS (a different BLAS, or a system copy under
-other names), every function here does nothing and `threads` is None.
+sets it for every thread too. So change it only while no other thread may
+be inside a BLAS call. Without a matching OpenBLAS (a different BLAS, or a
+system copy under other names), the count is left alone and `threads` is
+None; the pins are still counted.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ _SYMBOLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_thread
             ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
             ("openblas_get_num_threads", "openblas_set_num_threads"))
 
-_saved: int | None = None  # the count before the first pin
+_pins = 0  # pins not yet unpinned
+_saved: int | None = None  # the count before the first of them
 
 
 @functools.cache
@@ -57,18 +58,21 @@ def threads() -> int | None:
 
 
 def pin_one() -> None:
-    """Set OpenBLAS to one thread, saving the count on the first pin."""
-    global _saved
+    """Set OpenBLAS to one thread until the matching `unpin`."""
+    global _pins, _saved
+    _pins += 1
     fns = _functions()
-    if fns is None:
-        return
-    if _saved is None:
+    if _pins == 1 and fns is not None:
         _saved = int(fns[0]())
-    fns[1](1)
+        fns[1](1)
 
 
-def restore() -> None:
-    """Set OpenBLAS back to the count saved by the first pin, if any."""
+def unpin() -> None:
+    """Release one pin; the last restores the count saved by the first."""
+    global _pins
+    if _pins == 0:
+        raise RuntimeError("unpin without a pin")
+    _pins -= 1
     fns = _functions()
-    if fns is not None and _saved is not None:
+    if _pins == 0 and fns is not None and _saved is not None:
         fns[1](_saved)

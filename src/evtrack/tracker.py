@@ -42,9 +42,10 @@ see if the fuse ran inline there. A worker's error is raised at that tick
 as a template-fuse failure. A fuse needed on the frame where it would start
 (`init`, `regenerate_every_frame`, `update_interval` 1) runs inline on the
 stepping thread instead. A step that raises joins an in-flight fuse first
-and keeps its outcome for the next tick, and `track_frames` joins before it
-returns, so a sequence ends by waiting for at most one fuse. At most one
-fuse is in flight: pushes happen only at ticks, after the join.
+and keeps its outcome for the next tick, and `track_frames` joins (by
+`close`) before it returns, so a sequence ends by waiting for at most one
+fuse. At most one fuse is in flight: pushes happen only at ticks, after
+the join.
 
 Each tracker owns two backbone Workspaces: `workspace` for the frame
 backbone and inline fuses, `fuse_workspace` for the worker's fuses. They
@@ -60,11 +61,28 @@ again as "frame t: <original message>", of the same type where its
 constructor takes a message alone (else RuntimeError), caused by the
 original.
 
-OpenBLAS's default second thread would spin on the core the worker needs,
-so BLAS is pinned to one thread (`blas.pin_one`) just before a worker
-starts, and restored (`blas.restore`) by the first step start that finds
-the worker finished, or by a join. Both happen on the stepping thread while
-no worker runs BLAS, since the count is process-wide.
+`init` forks the tracker's `helper` (module `helper`): a child process
+that runs each Vim block's backward direction while the stepping thread
+runs the forward one, for the frame backbone and every inline fuse. Its
+shared buffers hold the longest sequence the config allows: a frame
+(2 N_z + N_x tokens) or a fuse of a full library (max(st, lt capacity)
+N_z). The worker's fuses run both directions on the worker thread, as
+`backbone()` does without a helper, and so does every pass on a platform
+without `os.fork`. The outputs are bit-identical either way.
+
+The model is fixed from `init`. The child was forked with the model
+already built, and reads its backbone copy-on-write, so it would never see
+a later write. While the helper is open the backbone's arrays are
+therefore read-only, and a write raises instead of desyncing the two
+processes. OpenBLAS is pinned to one thread for as long, so the two
+processes keep to one core each.
+
+`close` joins the worker and stops the helper, which lifts both; the
+tracker may still step afterwards, running both directions in this
+process. `track_frames` closes its tracker before it returns or raises. A
+tracker dropped without `close` stops its helper when it is
+garbage-collected, and the process's exit, however abrupt, ends the
+child.
 """
 
 from __future__ import annotations
@@ -74,12 +92,12 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from . import blas
 from .backbone import backbone
 from .config import TrackerConfig
 from .events import BBox, EventFrame, EventStream, crop_region, iter_event_frames
 from .fusion import generate_dynamic_template
 from .head import decode_bbox, head_forward
+from .helper import fork_helper
 from .memory import MemoryLibrary, TemplateFeature
 from .model import ModelParams
 from .ops import Workspace
@@ -132,7 +150,7 @@ class Tracker:
                                 model.patch_embed.projection.dtype)
         self._dynamic_stale = False  # a push happened since the last fuse started
         self._fuse: _FuseWorker | None = None  # started, not yet installed
-        self._blas_pinned = False
+        self.helper = None  # forked by init
         self._frame_index = 0
         self._box: BBox | None = None
 
@@ -149,12 +167,10 @@ class Tracker:
 
     def _regenerate_dynamic(self) -> None:
         self._install(generate_dynamic_template(
-            self.memory, self.memory.st[-1], self.model.backbone, self.workspace))
+            self.memory, self.memory.st[-1], self.model.backbone, self.workspace, self.helper))
         self._dynamic_stale = False
 
     def _start_fuse(self) -> None:
-        blas.pin_one()
-        self._blas_pinned = True
         self._fuse = _FuseWorker(self.memory, self.memory.st[-1], self.model.backbone,
                                  self.fuse_workspace)
         self._dynamic_stale = False
@@ -173,8 +189,6 @@ class Tracker:
         if self._fuse is not None:
             if tick:
                 self._install_fuse()
-            elif not self._fuse.is_alive():
-                self.join()  # restores BLAS threads for the rest of the cycle
         elif self._dynamic_stale:
             if tick or self.config.regenerate_every_frame:
                 self._regenerate_dynamic()
@@ -187,16 +201,22 @@ class Tracker:
         return self._fuse is not None and self._fuse.is_alive()
 
     def join(self) -> None:
-        """Wait for an in-flight fuse and restore BLAS threads.
+        """Wait for an in-flight fuse.
 
         The fuse's result or error is kept, and installed or raised at the
         next tick as usual.
         """
         if self._fuse is not None:
             self._fuse.join()
-        if self._blas_pinned:
-            blas.restore()
-            self._blas_pinned = False
+
+    def close(self) -> None:
+        """Join an in-flight fuse and stop the helper process, which releases
+        its BLAS pin and the backbone's read-only flags. Idempotent; later
+        steps run both directions in this process."""
+        self.join()
+        if self.helper is not None:
+            self.helper.close()
+            self.helper = None
 
     # -- protocol ----------------------------------------------------------
 
@@ -204,6 +224,11 @@ class Tracker:
         """Initialize from the first frame; returns the init box unchanged."""
         if not (0 <= init_box.cx < frame.width and 0 <= init_box.cy < frame.height):
             raise ValueError("init box outside frame")
+        if self.helper is None:
+            n_z, cfg = self._n_z, self.config
+            # The longest sequence: a frame, or a fuse of a full library.
+            tokens = max(2 * n_z + self._n_x, max(cfg.st_capacity, cfg.lt_capacity) * n_z)
+            self.helper = fork_helper(self.model.backbone, tokens)
         initial = self._template_feature(frame, init_box, frame_index=0)
         np.add(initial.tokens, self.model.patch_embed.pos_embed_template,
                out=self._tokens[:self._n_z])
@@ -242,7 +267,7 @@ class Tracker:
                              out=self._tokens[-self._n_x:])
         search += self.model.patch_embed.pos_embed_search
 
-        out = backbone(self._tokens, self.model.backbone, self.workspace)
+        out = backbone(self._tokens, self.model.backbone, self.workspace, self.helper)
         outputs = head_forward(out[-self._n_x:], self.model.head)
         return decode_bbox(outputs, search_patch, frame.width, frame.height)
 
@@ -251,7 +276,7 @@ def track_frames(config: TrackerConfig, model: ModelParams,
                  frames: Iterable[EventFrame], init_box: BBox,
                  debug_stream: IO[str] | None = None) -> list[BBox]:
     """Track over frames, stepping each as it arrives; the first output box
-    is init_box. Any in-flight fuse is joined before this returns or raises."""
+    is init_box. The tracker is closed before this returns or raises."""
     frames = iter(frames)
     first = next(frames, None)
     if first is None:
@@ -262,7 +287,7 @@ def track_frames(config: TrackerConfig, model: ModelParams,
         for frame in frames:
             boxes.append(tracker.step(frame))
     finally:
-        tracker.join()
+        tracker.close()
     return boxes
 
 

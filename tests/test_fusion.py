@@ -52,15 +52,16 @@ def test_six_templates_consume_384_concatenated_rows():
 def test_shared_mode_aliases_backbone_parameters(setup, monkeypatch):
     # The Memory Mamba is the backbone itself: every regeneration the
     # tracker runs (init inline, and a worker's fuse after a push) gets
-    # model.backbone.
+    # model.backbone. The inline fuse also gets the tracker's helper; the
+    # worker's runs without one.
     cfg, model, _ = setup
     stream, gt = synth_stream(SMALL_SYNTH)
     frames = stack_events(stream, cfg.window_us)[:11]
     received = []
 
-    def recording(lib, incoming, params, ws=None):
-        received.append((params, ws))
-        return generate_dynamic_template(lib, incoming, params, ws)
+    def recording(lib, incoming, params, ws=None, helper=None):
+        received.append((params, ws, helper))
+        return generate_dynamic_template(lib, incoming, params, ws, helper)
 
     monkeypatch.setattr(tracker_module, "generate_dynamic_template", recording)
     installs = record_installs(monkeypatch)
@@ -76,7 +77,8 @@ def test_shared_mode_aliases_backbone_parameters(setup, monkeypatch):
     assert (started, installs) == (6, [0, 10])
     assert len(received) == 2
     assert received[0][1] is tracker.workspace and received[1][1] is tracker.fuse_workspace
-    assert all(params is model.backbone for params, _ in received)
+    assert received[0][2] is tracker.helper and received[1][2] is None
+    assert all(params is model.backbone for params, _, _ in received)
 
 
 def test_order_sensitivity(setup):

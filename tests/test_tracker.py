@@ -230,6 +230,7 @@ def test_worker_error_raises_at_the_installing_tick(monkeypatch):
     assert str(fuse_error) == "template fuse failed: fuse failed"
     assert str(fuse_error.__cause__) == "fuse failed"
     assert threading.active_count() == threads
+    tracker.close()
     assert blas.threads() == blas_threads
 
 
@@ -256,13 +257,19 @@ def test_non_finite_activation_names_its_frame(monkeypatch):
     assert str(info.value.__cause__) == "non-finite input"
 
 
-def test_blas_restore_returns_to_the_count_before_the_first_pin():
-    # A tracker dropped mid-fuse leaves BLAS pinned; the next restore undoes it.
+def test_blas_restore_returns_to_the_count_before_the_first_pin(monkeypatch):
+    # Pins nest, one per open helper: the last unpin restores the count
+    # saved by the first pin. Pins held by other trackers stay held.
     before = blas.threads()
     if before is None:
         pytest.skip("no OpenBLAS thread symbols in this numpy")
     blas.pin_one()
     assert blas.threads() == 1
     blas.pin_one()  # a second pin must not save 1 as the count to restore
-    blas.restore()
+    blas.unpin()
+    assert blas.threads() == 1  # the first pin is still held
+    blas.unpin()
     assert blas.threads() == before
+    monkeypatch.setattr(blas, "_pins", 0)
+    with pytest.raises(RuntimeError, match="unpin without a pin"):
+        blas.unpin()

@@ -8,14 +8,19 @@ It makes the set-up calls `evtrack track` makes, on a perfbench workload's
 inputs: load_config -> init_model -> (load_weights if --weights 1) ->
 load_events_csv -> stack_events -> Tracker.init. After each call it records
 the resident set (VmRSS) and the peak so far (ru_maxrss), and the bytes the
-loaded event stream's columns hold, in all and per event. It then steps
+loaded event stream's columns hold, in all and per event. Once the tracker
+has forked its backward-scan helper, it also records the helper's peak
+resident set (VmHWM), which this process's ru_maxrss does not include, and
+the part of the helper's current resident set that is its own rather than
+shared copy-on-write with this process (Private_* of smaps_rollup). It then steps
 --frames frames and reads, per frame, the wall time and the change in
 getrusage's minor faults and system CPU time, and after the step the bytes
 held by the tracker's two workspaces (frame and worker fuse), OpenBLAS's
 thread count and whether a template fuse was still running on the worker.
 Stepping with and without a weight load is what separates steady-state
 stepping from allocator state left behind by set-up. The tracker is joined
-before the final stage is read. One JSON object goes to stdout.
+before the final stage is read, and closed after. One JSON object goes to
+stdout.
 """
 
 from __future__ import annotations
@@ -37,13 +42,21 @@ from evtrack.events import load_events_csv  # noqa: E402
 from workloads import WORKLOADS, prepare  # noqa: E402
 
 
+def status_mib(field: str, pid: int | str = "self", name: str = "status") -> float:
+    """The sum of the kB fields starting with `field` in /proc/<pid>/<name>."""
+    with open(f"/proc/{pid}/{name}", encoding="ascii") as f:
+        kib = [int(line.split()[1]) for line in f if line.startswith(field)]
+    return sum(kib) / 1024 if kib else float("nan")
+
+
+def helper_mib(tracker) -> tuple[float, float]:
+    """(peak resident, private resident) of the tracker's helper process."""
+    pid = tracker.helper.pid
+    return status_mib("VmHWM:", pid), status_mib("Private_", pid, "smaps_rollup")
+
+
 def rss_mib() -> float:
-    """Current resident set of this process, from /proc/self/status."""
-    with open("/proc/self/status", encoding="ascii") as f:
-        for line in f:
-            if line.startswith("VmRSS:"):
-                return int(line.split()[1]) / 1024
-    return float("nan")
+    return status_mib("VmRSS:")
 
 
 def peak_mib() -> float:
@@ -74,6 +87,9 @@ def main(argv: list[str] | None = None) -> int:
     tracker = Tracker(config, model)
     tracker.init(frames[0], BBox(*inputs.boxes[0]))
     stages["tracker_init"] = (rss_mib(), peak_mib())
+    helper = {}
+    if tracker.helper is not None:
+        helper["tracker_init"] = helper_mib(tracker)
 
     per_frame = []
     for k in range(1, args.frames + 1):
@@ -92,6 +108,9 @@ def main(argv: list[str] | None = None) -> int:
                           "fuse_in_flight": tracker.fuse_running})
     tracker.join()
     stages["stepped"] = (rss_mib(), peak_mib())
+    if tracker.helper is not None:
+        helper["stepped"] = helper_mib(tracker)
+    tracker.close()
 
     def median(key):
         return statistics.median(f[key] for f in per_frame)
@@ -100,6 +119,8 @@ def main(argv: list[str] | None = None) -> int:
         "workload": args.workload, "seed": args.seed, "weights": bool(args.weights),
         "rss_mib": {k: round(v[0], 2) for k, v in stages.items()},
         "peak_rss_mib": {k: round(v[1], 2) for k, v in stages.items()},
+        "helper_peak_rss_mib": {k: round(v[0], 2) for k, v in helper.items()},
+        "helper_private_rss_mib": {k: round(v[1], 2) for k, v in helper.items()},
         "stream_bytes": stream_bytes,
         "stream_bytes_per_event": round(stream_bytes / max(len(stream), 1), 2),
         "frame_median": {"ms": round(median("ms"), 1),
