@@ -203,13 +203,15 @@ class BackwardHelper:
         nbytes = int(np.prod(shape)) * self.dtype.itemsize
         self._x = np.frombuffer(mmap.mmap(-1, nbytes), self.dtype).reshape(shape)
         self._y = np.frombuffer(mmap.mmap(-1, nbytes), self.dtype).reshape(shape)
+        requests, request_w = os.pipe()
+        reply_r, replies = os.pipe()
         _freeze(params)
-        blas.pin_one()
+        blas.pin_one()  # before the fork, so the child inherits it
         try:
-            requests, request_w = os.pipe()
-            reply_r, replies = os.pipe()
             pid = os.fork()
         except BaseException:
+            for fd in (requests, request_w, reply_r, replies):
+                os.close(fd)
             blas.unpin()
             _thaw(params)
             raise

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,17 @@ def test_closing_the_older_of_two_trackers_first_returns():
     assert time.perf_counter() - start < 2.0
     newer.close()
     assert [h._child.exit for h in helpers] == ["exit status 0"] * 2  # EOF, not a kill
+
+
+def test_init_forks_without_a_warning():
+    # Python 3.12+ warns when a process that has threads forks; init forks
+    # before the tracker starts its worker.
+    cfg, model, frames, gt = small_run()
+    tracker = Tracker(cfg, model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tracker.init(frames[0], gt[0])
+    tracker.close()
 
 
 def test_dropped_tracker_is_reaped():
