@@ -24,7 +24,7 @@ from .losses import LossWeights, focal_loss, giou, iou, total_loss
 from .memory import MemoryLibrary, TemplateFeature, gram_det, pearson
 from .metrics import EvalReport, evaluate
 from .model import ModelParams, count_params, init_model
-from .ssm import SSMParams, discretize, scan_backward, scan_forward_chunked
+from .ssm import SSMParams, scan_backward, scan_forward_chunked
 from .tokenizer import patch_embed
 from .tracker import Tracker, track_frames, track_sequence
 from .weights import WeightFileError, load_weights, save_weights
@@ -35,9 +35,9 @@ __all__ = [
     "BBox", "EvalReport", "EventFrame", "EventStream",
     "HeadOutputs", "LossWeights", "MemoryLibrary", "ModelParams", "RegionPatch",
     "SSMParams", "SynthConfig", "TemplateFeature", "Tracker", "TrackerConfig",
-    "WeightFileError", "count_params", "crop_region", "decode_bbox", "discretize",
-    "evaluate", "focal_loss", "giou", "gram_det", "head_forward", "init_model",
-    "iou", "iter_event_frames", "load_config", "load_weights", "patch_embed",
-    "pearson", "save_weights", "scan_backward", "scan_forward_chunked",
-    "stack_events", "synth_stream", "total_loss", "track_frames", "track_sequence",
+    "WeightFileError", "count_params", "crop_region", "decode_bbox", "evaluate",
+    "focal_loss", "giou", "gram_det", "head_forward", "init_model", "iou",
+    "iter_event_frames", "load_config", "load_weights", "patch_embed", "pearson",
+    "save_weights", "scan_backward", "scan_forward_chunked", "stack_events",
+    "synth_stream", "total_loss", "track_frames", "track_sequence",
 ]

@@ -21,25 +21,30 @@ recurrence run along the wide d_inner axis, and the emission is one
 em1 = expm1(delta * a): a_bar = em1 + 1 and b_bar = em1 * (1/a) * b, with
 1/a computed once per call. expm1 keeps full relative precision as
 delta * a -> 0 (until delta * a is subnormal, below 1.2e-38 in float32), so
-the scan needs no series branch there; _phi and its SERIES_THRESHOLD serve
-`discretize` and `scan_backward`. An a so small that 1/a overflows
+the scan needs no series branch there. An a so small that 1/a overflows
 (a_log < -88 in float32) is rejected.
 Blocking changes no arithmetic: the result is bit-identical to one
 whole-length recurrence in the same layout, which the tests keep as the
 reference.
+
+`scan_backward` reruns the same blocks, keeping only each block's entry
+state. Its own factor, _phi_prime, takes a series below SERIES_THRESHOLD.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ops import Workspace, sigmoid, softplus
 
-# Below this |delta * a| the closed form (exp(u)-1)/u loses digits to
-# cancellation; a 4-term Taylor series keeps relative error under 1e-12.
-SERIES_THRESHOLD = 1e-4
+# Below this |u| the closed form of _phi_prime cancels (relative error about
+# 4 eps / u^2, 2e-8 at 1e-4 in float64); its Taylor series to u^17 is within
+# float64 rounding there, and the closed form is from 1 on.
+SERIES_THRESHOLD = 1.0
+_PHI_PRIME_SERIES = tuple((k + 1) / math.factorial(k + 2) for k in reversed(range(18)))
 
 
 @dataclass
@@ -95,43 +100,15 @@ def init_ssm_params(d_inner: int, d_state: int, dt_rank: int,
     )
 
 
-def _phi(u: np.ndarray) -> np.ndarray:
-    """(exp(u) - 1) / u with a series fallback near the removable singularity."""
-    u = np.asarray(u)
-    small = np.abs(u) < SERIES_THRESHOLD
-    safe = np.where(small, 1.0, u)
-    closed = np.expm1(safe) / safe
-    series = 1.0 + u / 2.0 + u * u / 6.0 + u * u * u / 24.0
-    return np.where(small, series, closed).astype(u.dtype)
-
-
 def _phi_prime(u: np.ndarray) -> np.ndarray:
-    """Derivative of _phi; series 1/2 + u/3 + u^2/8 + u^3/30 near zero."""
+    """d/du of (exp(u) - 1) / u. With u = delta * a, the a-derivative of
+    b_bar = ((exp(u) - 1) / a) * B is delta^2 * _phi_prime(u) * B."""
     u = np.asarray(u)
     small = np.abs(u) < SERIES_THRESHOLD
     safe = np.where(small, 1.0, u)
     closed = (np.exp(safe) * (safe - 1.0) + 1.0) / (safe * safe)
-    series = 0.5 + u / 3.0 + u * u / 8.0 + u * u * u / 30.0
+    series = np.polyval(_PHI_PRIME_SERIES, u)
     return np.where(small, series, closed).astype(u.dtype)
-
-
-def discretize(a, b, delta):
-    """Zero-order-hold discretization; supports scalars or broadcastable arrays.
-
-    Returns (a_bar, b_bar) with a_bar = exp(delta*a) and
-    b_bar = ((exp(delta*a) - 1)/a) * b = delta * phi(delta*a) * b.
-    The a -> 0 limit gives b_bar = delta * b.
-    """
-    a = np.asarray(a)  # a Python float is float64 here, not a weak scalar
-    a = a.astype(np.result_type(a, np.float32), copy=False)
-    b = np.asarray(b, dtype=a.dtype)
-    delta = np.asarray(delta, dtype=a.dtype)
-    if np.any(delta < 0):
-        raise ValueError("delta must be positive")
-    u = delta * a
-    a_bar = np.exp(u)
-    b_bar = delta * _phi(u) * b
-    return a_bar, b_bar
 
 
 def _check_input(u: np.ndarray, ws: Workspace) -> np.ndarray:
@@ -143,12 +120,17 @@ def _check_input(u: np.ndarray, ws: Workspace) -> np.ndarray:
     return u
 
 
-def _cast_params(params: SSMParams, dtype):
-    return (params.a_log.astype(dtype, copy=False),
-            params.d_skip.astype(dtype, copy=False),
-            params.x_proj.astype(dtype, copy=False),
-            params.dt_proj.astype(dtype, copy=False),
-            params.dt_bias.astype(dtype, copy=False))
+def _state_matrix(params: SSMParams, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """a = -exp(a_log) and 1/a, each transposed to (d_state, d_inner).
+
+    Raises ValueError if 1/a overflows: a_log too small for the dtype.
+    """
+    a_t = np.ascontiguousarray(-np.exp(params.a_log.astype(dtype, copy=False)).T)
+    with np.errstate(over="ignore", divide="ignore"):
+        inv_a_t = 1.0 / a_t
+    if not np.all(np.isfinite(inv_a_t)):
+        raise ValueError("a_log too small for this dtype: 1/a overflows")
+    return a_t, inv_a_t
 
 
 def _selection(u: np.ndarray, params: SSMParams, ws: Workspace | None = None,
@@ -162,7 +144,8 @@ def _selection(u: np.ndarray, params: SSMParams, ws: Workspace | None = None,
     ws = Workspace() if ws is None else ws
     dtype = u.dtype
     L = u.shape[0]
-    a_log, d_skip, x_proj, dt_proj, dt_bias = _cast_params(params, dtype)
+    x_proj, dt_proj, dt_bias = (p.astype(dtype, copy=False)
+                                for p in (params.x_proj, params.dt_proj, params.dt_bias))
     r, n, d = params.dt_rank, params.d_state, params.d_inner
     xdbl = np.matmul(u, x_proj, out=ws.take("scan.xdbl", (L, r + 2 * n), dtype))
     dt_logit = xdbl[:, :r]
@@ -220,12 +203,9 @@ def scan_forward_chunked(u: np.ndarray, params: SSMParams, ws: Workspace | None 
                          out: np.ndarray | None = None) -> np.ndarray:
     """Selective scan over an (L, d_inner) input; returns (L, d_inner).
 
-    "Chunked" means cache-sized token blocks: coefficients, states and
-    output emission are computed one block at a time, each block seeded
-    with the previous one's final state. The block holds
-    _BLOCK_BYTES // (d_inner * d_state * itemsize) tokens (at least one, at
-    most L), so the (tokens x d_state x d_inner) intermediates never
-    round-trip to memory.
+    "Chunked" means cache-sized token blocks, each seeded with the previous
+    one's final state: a block is as many tokens (at least one, at most L)
+    as fit one (tokens, d_state, d_inner) array in _BLOCK_BYTES.
 
     Scratch comes from `ws` (a fresh Workspace if None); the result goes to
     `out` (a fresh array if None), which may not alias u.
@@ -237,11 +217,7 @@ def scan_forward_chunked(u: np.ndarray, params: SSMParams, ws: Workspace | None 
     y = np.empty((L, d), dtype=dtype) if out is None else out
     # y is written only by the emission below, so it holds softplus's scratch.
     _, b_sel, c_sel, pre, delta = _selection(u, params, ws, scratch=y)
-    a_t = np.ascontiguousarray(-np.exp(params.a_log.astype(dtype, copy=False)).T)
-    with np.errstate(over="ignore", divide="ignore"):
-        inv_a_t = 1.0 / a_t
-    if not np.all(np.isfinite(inv_a_t)):
-        raise ValueError("a_log too small for this dtype: 1/a overflows")
+    a_t, inv_a_t = _state_matrix(params, dtype)
     n = params.d_state
 
     block = max(1, min(L, _BLOCK_BYTES // (d * n * dtype.itemsize)))
@@ -262,86 +238,78 @@ def scan_forward_chunked(u: np.ndarray, params: SSMParams, ws: Workspace | None 
     return y
 
 
-def scan_backward(u: np.ndarray, params: SSMParams, dy: np.ndarray,
-                  chunk: int = 64) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+def scan_backward(u: np.ndarray, params: SSMParams,
+                  dy: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Reverse-mode gradients of scan_forward_chunked.
 
     Returns (dL/du, grads) where grads has one entry per SSMParams field.
-    Hidden states are not kept for the whole sequence; they are checkpointed
-    every `chunk` steps and rebuilt per chunk during the reverse sweep.
+    The states are the forward scan's, in its blocks: a forward sweep keeps
+    only the state entering each block, and the reverse sweep rebuilds one
+    block's states from it. The adjoint lam_t = dL/dh_t runs the same
+    recurrence backwards, lam_t = a_bar_{t+1} lam_{t+1} + C_t dy_t. Sums over
+    tokens run in one fixed order, so no gradient depends on the block size.
     """
     ws = Workspace()
     u = _check_input(u, ws)
     dy = np.asarray(dy, dtype=u.dtype)
     if dy.shape != u.shape:
         raise ValueError("cotangent shape mismatch")
-    L, d = u.shape
-    r, n = params.dt_rank, params.d_state
-    dtype = u.dtype
-    a_log, d_skip, x_proj, dt_proj, dt_bias = _cast_params(params, dtype)
-    a = -np.exp(a_log)
-
+    (L, d), n, r, dtype = u.shape, params.d_state, params.dt_rank, u.dtype
+    d_skip, x_proj, dt_proj = (p.astype(dtype, copy=False)
+                               for p in (params.d_skip, params.x_proj, params.dt_proj))
+    a_t, inv_a_t = _state_matrix(params, dtype)
     dt_logit, b_sel, c_sel, pre, delta = _selection(u, params, ws)
 
-    def chunk_coeffs(sl: slice):
-        da = delta[sl, :, None] * a
-        a_bar = np.exp(da)
-        phi = _phi(da)
-        b_bar = delta[sl, :, None] * phi * b_sel[sl, None, :]
-        return da, a_bar, phi, b_bar
+    block = max(1, min(L, _BLOCK_BYTES // (d * n * dtype.itemsize)))
+    starts = range(0, L, block)
+    abar_buf, bx_buf, g_buf, lam_buf = (np.empty((block, n, d), dtype) for _ in range(4))
+    hs_buf = np.empty((block + 1, n, d), dtype)
+    entries = np.zeros((len(starts), n, d), dtype)  # the state entering each block
 
-    # Forward sweep storing only the state entering each chunk.
-    n_chunks = -(-L // chunk)
-    checkpoints = np.empty((n_chunks, d, n), dtype=dtype)
-    h = np.zeros((d, n), dtype=dtype)
-    for kk in range(n_chunks):
-        checkpoints[kk] = h
-        sl = slice(kk * chunk, min(L, (kk + 1) * chunk))
-        _, a_bar, _, b_bar = chunk_coeffs(sl)
-        bx = b_bar * u[sl, :, None]
-        for j in range(sl.stop - sl.start):
-            h = a_bar[j] * h + bx[j]
+    def rebuild(k: int):
+        """Block k's slice, a_bar and states, its entry state first."""
+        sl = slice(starts[k], min(L, starts[k] + block))
+        m = sl.stop - sl.start
+        abar, hs = abar_buf[:m], hs_buf[:m + 1]
+        _coefficients_into(u[sl], delta[sl], b_sel[sl], a_t, inv_a_t, abar, bx_buf[:m])
+        hs[0] = entries[k]
+        _seeded_states(abar, bx_buf[:m], hs[0], hs[1:])
+        return sl, abar, hs
+
+    for k in range(1, len(starts)):
+        entries[k] = rebuild(k - 1)[2][-1]
 
     du = dy * d_skip
-    g_dskip = np.einsum("td,td->d", dy, u)
-    d_delta = np.zeros((L, d), dtype=dtype)
-    d_bsel = np.zeros((L, n), dtype=dtype)
-    d_csel = np.zeros((L, n), dtype=dtype)
-    g_a = np.zeros((d, n), dtype=dtype)
+    d_delta = np.empty((L, d), dtype)
+    d_xdbl = np.empty((L, r + 2 * n), dtype)  # dL/d(dt_logit, B, C)
+    g_a = np.zeros((n, d), dtype)
+    carry = np.zeros((n, d), dtype)  # a_bar lam of the token after the block
+    for k in reversed(range(len(starts))):
+        sl, abar, hs = rebuild(k)
+        m = abar.shape[0]
+        # lam, last token first: a_bar of the token after, times its lam, plus g.
+        g = np.multiply(c_sel[sl, :, None], dy[sl, None, :], out=g_buf[:m])
+        lam = lam_buf[:m]
+        np.add(g[-1], carry, out=lam[-1])
+        _seeded_states(abar[1:][::-1], g[:-1][::-1], lam[-1], lam[:-1][::-1])
+        np.multiply(abar[0], lam[0], out=carry)
 
-    lam = np.zeros((d, n), dtype=dtype)
-    for kk in reversed(range(n_chunks)):
-        sl = slice(kk * chunk, min(L, (kk + 1) * chunk))
-        m = sl.stop - sl.start
-        da, a_bar, phi, b_bar = chunk_coeffs(sl)
-        phi_p = _phi_prime(da)
-        # Rebuild the in-chunk state trajectory from the checkpoint.
-        hs = np.empty((m + 1, d, n), dtype=dtype)
-        hs[0] = checkpoints[kk]
-        for j in range(m):
-            hs[j + 1] = a_bar[j] * hs[j] + b_bar[j] * u[sl.start + j][:, None]
-        for j in reversed(range(m)):
-            t = sl.start + j
-            lam = lam + dy[t][:, None] * c_sel[t][None, :]
-            d_csel[t] = hs[j + 1].T @ dy[t]
-            da_bar = lam * hs[j]
-            db_bar = lam * u[t][:, None]
-            du[t] += (lam * b_bar[j]).sum(axis=1)
-            d_delta[t] = ((da_bar * a + db_bar * b_sel[t][None, :]) * a_bar[j]).sum(axis=1)
-            d_bsel[t] = (db_bar * (delta[t][:, None] * phi[j])).sum(axis=0)
-            g_a += (da_bar * delta[t][:, None] * a_bar[j]
-                    + db_bar * (delta[t] ** 2)[:, None] * phi_p[j] * b_sel[t][None, :])
-            lam = a_bar[j] * lam
+        delta_t, b_t = delta[sl, None, :], b_sel[sl, :, None]
+        da = delta_t * a_t
+        q = np.expm1(da) * inv_a_t  # b_bar / B
+        d_abar, d_bbar = lam * hs[:-1], lam * u[sl, None, :]
+        du[sl] += (lam * q * b_t).sum(axis=1)
+        d_delta[sl] = ((d_abar * a_t + d_bbar * b_t) * abar).sum(axis=1)
+        d_xdbl[sl, r:r + n] = (d_bbar * q).sum(axis=2)
+        d_xdbl[sl, r + n:] = (hs[1:] * dy[sl, None, :]).sum(axis=2)
+        g_a_block = d_abar * delta_t * abar + d_bbar * delta_t ** 2 * _phi_prime(da) * b_t
+        for row in g_a_block[::-1]:  # token by token, last first
+            g_a += row
 
     d_pre = d_delta * sigmoid(pre)
-    g_dt_proj = dt_logit.T @ d_pre
-    g_dt_bias = d_pre.sum(axis=0)
-    d_dt_logit = d_pre @ dt_proj.T
-    d_xdbl = np.concatenate([d_dt_logit, d_bsel, d_csel], axis=1)
-    g_x_proj = u.T @ d_xdbl
-    du = du + d_xdbl @ x_proj.T
-    g_a_log = g_a * a  # chain through a = -exp(a_log)
-
-    grads = {"a_log": g_a_log, "d_skip": g_dskip, "x_proj": g_x_proj,
-             "dt_proj": g_dt_proj, "dt_bias": g_dt_bias}
+    d_xdbl[:, :r] = d_pre @ dt_proj.T
+    du += d_xdbl @ x_proj.T
+    grads = {"a_log": np.ascontiguousarray((g_a * a_t).T),  # through a = -exp(a_log)
+             "d_skip": np.einsum("td,td->d", dy, u), "x_proj": u.T @ d_xdbl,
+             "dt_proj": dt_logit.T @ d_pre, "dt_bias": d_pre.sum(axis=0)}
     return du, grads

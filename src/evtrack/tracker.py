@@ -230,9 +230,9 @@ class Tracker:
             tokens = max(2 * n_z + self._n_x, max(cfg.st_capacity, cfg.lt_capacity) * n_z)
             self.helper = fork_helper(self.model.backbone, tokens)
         initial = self._template_feature(frame, init_box, frame_index=0)
+        self.memory.init_memory(initial)  # raises on a second init, before any write
         np.add(initial.tokens, self.model.patch_embed.pos_embed_template,
                out=self._tokens[:self._n_z])
-        self.memory.init_memory(initial)
         self._regenerate_dynamic()
         self._box = init_box
         return init_box

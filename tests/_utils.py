@@ -6,7 +6,7 @@ import numpy as np
 from evtrack.config import TrackerConfig
 from evtrack.events import SynthConfig
 from evtrack.model import init_model
-from evtrack.ssm import _coefficients_into, _selection
+from evtrack.ssm import _coefficients_into, _selection, _state_matrix
 from evtrack.tracker import Tracker
 
 SMALL_CONFIG = dict(embed_dim=16, depth=1, d_state=2, dt_rank=2,
@@ -50,11 +50,11 @@ def unblocked_scan(u, params):
     recurrence from the zero state; the reference for scan_forward_chunked.
     Same state-major (L, d_state, d_inner) arithmetic, unblocked."""
     _, b_sel, c_sel, _, delta = _selection(u, params)
-    a_t = np.ascontiguousarray(-np.exp(params.a_log.astype(u.dtype, copy=False)).T)
+    a_t, inv_a_t = _state_matrix(params, u.dtype)
     L, d = u.shape
     a_bar = np.empty((L, params.d_state, d), dtype=u.dtype)
     bx = np.empty_like(a_bar)
-    _coefficients_into(u, delta, b_sel, a_t, 1.0 / a_t, a_bar, bx)
+    _coefficients_into(u, delta, b_sel, a_t, inv_a_t, a_bar, bx)
     hs = np.empty_like(bx)
     h = np.zeros((params.d_state, d), dtype=u.dtype)
     for t in range(L):

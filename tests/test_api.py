@@ -7,7 +7,7 @@ PUBLIC = {
     "BBox", "EvalReport", "EventFrame", "EventStream", "HeadOutputs", "LossWeights",
     "MemoryLibrary", "ModelParams", "RegionPatch", "SSMParams", "SynthConfig",
     "TemplateFeature", "Tracker", "TrackerConfig", "WeightFileError", "count_params",
-    "crop_region", "decode_bbox", "discretize", "evaluate", "focal_loss", "giou",
+    "crop_region", "decode_bbox", "evaluate", "focal_loss", "giou",
     "gram_det", "head_forward", "init_model", "iou", "iter_event_frames",
     "load_config", "load_weights", "patch_embed", "pearson", "save_weights",
     "scan_backward", "scan_forward_chunked", "stack_events", "synth_stream",

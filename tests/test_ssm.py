@@ -1,12 +1,13 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from evtrack import ssm
-from evtrack.ssm import (SSMParams, _seeded_states, discretize, init_ssm_params,
-                         scan_backward, scan_forward_chunked)
+from evtrack.ssm import (SSMParams, _coefficients_into, _phi_prime, _seeded_states,
+                         init_ssm_params, scan_backward, scan_forward_chunked)
 
 from _utils import assert_grad_close, central_difference, unblocked_scan
 
@@ -41,57 +42,34 @@ def rel_err(y, ref):
 
 
 class TestDiscretize:
-    def test_closed_form_scalar(self):
-        a_bar, b_bar = discretize(-1.0, 1.0, math.log(2.0))
-        assert abs(a_bar - 0.5) < 1e-15
-        assert abs(b_bar - 0.5) < 1e-15  # (0.5 - 1)/(-1)
-
-    def test_a_to_zero_limit(self):
-        _, b_bar = discretize(0.0, 3.0, 0.25)
-        assert b_bar == 0.75  # series limit: delta * b
-
-    def test_delta_to_zero_limit(self):
-        a_bar, b_bar = discretize(-2.0, 5.0, 0.0)
-        assert a_bar == 1.0 and b_bar == 0.0
-        a_bar, b_bar = discretize(-2.0, 5.0, 1e-12)
-        assert abs(a_bar - 1.0) < 1e-11 and abs(b_bar) < 1e-11
-
-    def test_matches_closed_form_batch(self):
-        rng = np.random.default_rng(0)
-        a = -np.exp(rng.standard_normal(500))
-        b = rng.standard_normal(500)
-        delta = np.exp(rng.uniform(-6, 2, 500))
-        keep = np.abs(delta * a) >= 1e-4
-        a_bar, b_bar = discretize(a, b, delta)
-        ref_a = np.exp(delta * a)
-        ref_b = (np.exp(delta * a) - 1.0) / a * b
-        assert rel_err(a_bar[keep], ref_a[keep]) < 1e-12
-        err = np.abs(b_bar[keep] - ref_b[keep]) / np.maximum(np.abs(ref_b[keep]), 1e-300)
-        assert err.max() < 1e-12
+    """Zero-order-hold coefficients: the scan's a_bar and the adjoint's series."""
 
     def test_series_branch_continuity(self):
         # Python floats run in float64, where the two steps straddle the
-        # threshold. Both branches must give expm1(delta a) / a there to
-        # 1e-14: dropping the series' u^3/24 term errs by 4e-14.
-        below, above = 1e-4 * (1 - 1e-9), 1e-4 * (1 + 1e-9)
-        assert below < ssm.SERIES_THRESHOLD < above
-        for a in (-1.0, 1.0):
-            for delta in (below, above):
-                b_bar = discretize(a, 1.0, delta)[1]
-                want = math.expm1(delta * a) / a
-                assert b_bar.dtype == np.float64
-                assert abs(b_bar - want) <= 1e-14 * abs(want)
+        # threshold. Both branches of _phi_prime must give its Taylor series,
+        # summed exactly in rationals, to 1e-15 there (each is within 2.1e-16):
+        # dropping the series' last two terms errs by 9e-15.
+        below, above = 1 - 1e-9, 1 + 1e-9
+        for sign in (-1.0, 1.0):
+            for step in (below, above):
+                u = sign * step * ssm.SERIES_THRESHOLD
+                want = float(sum((k + 1) * Fraction(u) ** k / math.factorial(k + 2)
+                                 for k in range(40)))
+                got = _phi_prime(np.float64(u))
+                assert got.dtype == np.float64
+                assert abs(got - want) <= 1e-15 * abs(want)
 
     def test_a_bar_in_unit_interval(self):
         rng = np.random.default_rng(1)
-        a = -np.exp(rng.standard_normal(200))
-        delta = np.exp(rng.uniform(-8, 2, 200))
-        a_bar, _ = discretize(a, 1.0, delta)
-        assert np.all(a_bar > 0) and np.all(a_bar < 1)
-
-    def test_negative_delta_rejected(self):
-        with pytest.raises(ValueError):
-            discretize(-1.0, 1.0, -0.5)
+        a_t = -np.exp(rng.standard_normal((1, 200)))
+        delta = np.exp(rng.uniform(-8, 2, (1, 200)))
+        a_bar, bx = np.empty((2, 1, 1, 200))
+        _coefficients_into(np.ones((1, 200)), delta, np.ones((1, 1)), a_t, 1.0 / a_t,
+                           a_bar, bx)
+        # a_bar = expm1(delta a) + 1 rounds to 0 once exp(delta a) < eps / 2
+        # (delta a < -37 here), so 0 is in the range.
+        assert np.all(a_bar >= 0) and np.all(a_bar < 1)
+        np.testing.assert_allclose(a_bar[:, 0], np.exp(delta * a_t), rtol=0, atol=4.5e-16)
 
 
 class TestScanForward:
@@ -174,8 +152,11 @@ class TestScanForward:
         # a = -exp(-100) is 0 in float32, so 1/a has no finite value
         params = init_ssm_params(2, 2, 1, np.random.default_rng(0))
         params.a_log[0, 1] = -100.0
+        u = np.ones((4, 2), dtype=np.float32)
         with pytest.raises(ValueError, match="a_log"):
-            scan_forward_chunked(np.ones((4, 2), dtype=np.float32), params)
+            scan_forward_chunked(u, params)
+        with pytest.raises(ValueError, match="a_log"):
+            scan_backward(u, params, u)
 
     def test_non_finite_input_rejected(self):
         params = init_ssm_params(2, 2, 1, np.random.default_rng(0))
@@ -313,7 +294,7 @@ class TestScanBackward:
         def loss():
             return float(np.sum(w * scan_forward_chunked(u, params)))
 
-        du, grads = scan_backward(u, params, w, chunk=5)
+        du, grads = scan_backward(u, params, w)
         for i in range(16):
             for j in range(4):
                 assert_grad_close(du[i, j], central_difference(loss, u, (i, j)))
@@ -323,6 +304,23 @@ class TestScanBackward:
             for _ in it:
                 idx = it.multi_index
                 assert_grad_close(grads[name][idx], central_difference(loss, arr, idx))
+
+    def test_gradients_independent_of_block_size(self, monkeypatch):
+        # 1-token blocks, 5-token blocks with a ragged tail, one whole block.
+        rng = np.random.default_rng(14)
+        params = init_ssm_params(6, 16, 2, rng, np.float64)
+        params.a_log[:] = rng.uniform(np.log(0.05), np.log(20.0), params.a_log.shape)
+        u = rng.standard_normal((23, 6))
+        w = rng.standard_normal((23, 6))
+        runs = []
+        for tokens in (1, 5, 23):
+            monkeypatch.setattr(ssm, "_BLOCK_BYTES", tokens * 6 * 16 * 8)
+            runs.append(scan_backward(u, params, w))
+        (du, grads), rest = runs[0], runs[1:]
+        for du_k, grads_k in rest:
+            np.testing.assert_array_equal(du_k, du)
+            for name, g in grads.items():
+                np.testing.assert_array_equal(grads_k[name], g, err_msg=name)
 
     def test_shape_mismatch_rejected(self):
         params = init_ssm_params(2, 2, 1, np.random.default_rng(0), np.float64)

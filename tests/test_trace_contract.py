@@ -1,0 +1,58 @@
+"""The names and arguments that the benchmark's traced run reads.
+
+`perfbench/tracing.py` wraps the tracker's layers by name (`Tracer.TARGETS`)
+and its observers read call arguments, e.g. `generate_dynamic_template`'s
+first argument as the `MemoryLibrary`. A renamed function or a moved argument
+breaks `perfbench/run.py --trace 1` without failing any other test, so this
+one steps a small tracker under the tracer and checks every layer metric.
+"""
+
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
+from evtrack.events import stack_events, synth_stream
+from evtrack.model import init_model
+from evtrack.tracker import Tracker
+
+from _utils import SMALL_SYNTH, small_config
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    """perfbench/tracing.py as a module; registered in sys.modules before it
+    runs, so that its dataclass can resolve the module's annotations."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_tracker_reports_every_layer():
+    tracing = _tracing()
+    cfg = small_config()
+    stream, gt = synth_stream(SMALL_SYNTH)
+    frames = stack_events(stream, cfg.window_us)
+    tracker = Tracker(cfg, init_model(cfg))
+    try:
+        with tracing.Tracer() as tracer:
+            tracker.init(frames[0], gt[0])
+            for frame in frames[1:]:
+                tracker.step(frame)
+            # Joins the last worker fuse while its layers are still wrapped,
+            # so no span of it ends after the tracer has let go.
+            tracker.close()
+    finally:
+        tracker.close()
+    assert len(frames) == 21
+    assert tracer.missing == []
+    assert all(t >= 0 for t in tracing.self_times(tracer.spans))
+    setup = dict.fromkeys(("events.load_s", "events.stack_s", "tracker.init_s",
+                           "model.init_s", "weights.load_s"), 1.0)
+    metrics = tracing.layer_metrics(tracer, setup, 2.0, 1.0, 0.0)
+    bad = {name: value for name, (value, _) in metrics.items()
+           if not isinstance(value, (int, float)) or not math.isfinite(value)}
+    assert not bad, f"layer metrics without a finite value: {bad}"

@@ -137,6 +137,26 @@ def test_tracker_workspace_persists_across_steps():
     assert tracker.fuse_workspace is fuse_workspace and fuse_workspace.nbytes == fuse_size
 
 
+def test_rejected_second_init_leaves_the_tracker_unchanged():
+    cfg = small_config()
+    stream, gt = synth_stream(SMALL_SYNTH)
+    frames = stack_events(stream, cfg.window_us)
+    tracker = Tracker(cfg, init_model(cfg))
+    try:
+        tracker.init(frames[0], gt[0])
+
+        def members():
+            return [id(z) for z in tracker.memory.st_members() + tracker.memory.lt_members()]
+
+        tokens, box, held = tracker._tokens.copy(), tracker._box, members()
+        with pytest.raises(ValueError, match="already initialized"):
+            tracker.init(frames[12], gt[12])
+        np.testing.assert_array_equal(tracker._tokens, tokens)
+        assert tracker._box is box and members() == held
+    finally:
+        tracker.close()
+
+
 def _slow_fuse(monkeypatch, seconds=0.2):
     """Make every worker fuse wait `seconds` first; returns the BLAS thread
     counts the worker saw."""
