@@ -7,6 +7,11 @@ open helper holds a pin to one thread: `pin_one` when it starts, before
 its fork, so the child inherits the count, and `unpin` when it closes.
 Pins nest: the first saves the count and the last `unpin` restores it.
 
+The pin is load-bearing, though no output depends on it. On a 2-vCPU
+Xeon VM, over 7 alternating pairs of `perfbench/run.py --workload
+vims-track` (seeds 2-8), a copy whose `_functions` returned None (no pin)
+read 0.55-0.66 fps, against 1.07-1.28 with the pin.
+
 The count is process-wide: this OpenBLAS's `openblas_set_num_threads_local`
 sets it for every thread too. So change it only while no other thread may
 be inside a BLAS call. Without a matching OpenBLAS (a different BLAS, or a

@@ -16,8 +16,9 @@ the same values as the in-process path, so the two are bit-identical.
 
 Lifetime. The child serves until its request pipe reaches EOF: when the
 helper is closed, dropped, or its process exits, however abruptly. Right
-after fork the child closes every other live helper's pipe ends, so no
-child keeps another's pipe open. `close` (also run when the helper is
+after fork the child closes every file descriptor it inherited but stdio
+and its own two pipe ends, so it holds open no other helper's pipe and no
+file or pipe of the caller's. `close` (also run when the helper is
 garbage-collected, and at interpreter exit) closes the pipes and reaps the
 child, killing it if it has not exited within _EXIT_WAIT_S. While a helper
 is open:
@@ -29,9 +30,12 @@ is open:
   each keep to one core. The pin is taken before the fork, so the child
   inherits it.
 
-Errors. A child's exception comes back as an exception of the same type
-and message, raised by `result`. A dead child makes `submit` or `result`
-raise RuntimeError at once, naming how it ended. An exception in the parent
+Errors. The child answers each request with one byte, _OK or _FAILED.
+On _FAILED, `result` reruns the direction in this process on the same
+input, still in the shared buffer. That raises the child's error, of the
+same type and message; if the error was the child's alone, it gives the
+right output instead. A dead child makes `submit` or `result` raise
+RuntimeError at once, naming how it ended. An exception in the parent
 between `submit` and `result` leaves the reply unread; the next `submit`
 reads and drops it first, so no pass ever reads a stale reply.
 
@@ -45,7 +49,6 @@ from __future__ import annotations
 import gc
 import mmap
 import os
-import pickle
 import select
 import signal
 import struct
@@ -58,14 +61,13 @@ from .backbone import BackboneParams, VimBlockParams, vim_backward
 from .model import named_arrays
 from .ops import Workspace
 
-_REQUEST = struct.Struct("=ii")  # block index, tokens
-_ERROR_SIZE = struct.Struct("=I")
-_OK, _ERROR = b"\0", b"\1"
+# Block index, tokens. One write of fewer than PIPE_BUF bytes, so one read
+# takes it whole.
+_REQUEST = struct.Struct("=ii")
+_OK, _FAILED = b"\0", b"\1"
 # How long a closed helper's child may take to exit before it is killed.
 _EXIT_WAIT_S = 5.0
 
-# Child pid -> the parent's pipe ends, for every helper not yet closed.
-_live: dict[int, tuple[int, int]] = {}
 # id(params) -> (open helpers on it, the arrays they made read-only).
 _frozen: dict[int, tuple[int, list[np.ndarray]]] = {}
 
@@ -133,7 +135,6 @@ class _Child:
     def stop(self) -> None:
         if os.getpid() != self.owner:  # a forked copy of the owner: not ours to stop
             return
-        del _live[self.pid]
         try:
             for fd in self.fds:
                 os.close(fd)  # the child reads EOF and exits
@@ -143,32 +144,11 @@ class _Child:
             _thaw(self.params)
 
 
-def _read_exactly(fd: int, n: int) -> bytes | None:
-    """n bytes from fd; None at EOF."""
-    data = b""
-    while len(data) < n:
-        chunk = os.read(fd, n - len(data))
-        if not chunk:
-            return None
-        data += chunk
-    return data
-
-
-def _take_reply(inbox: bytearray) -> tuple[bool, BaseException | None]:
-    """Take one whole reply off the front of inbox: (True, the child's error
-    or None), or (False, None) while no whole reply has arrived."""
-    if inbox[:1] == _OK:
-        del inbox[:1]
-        return True, None
-    head = 1 + _ERROR_SIZE.size
-    if len(inbox) < head:
-        return False, None
-    end = head + _ERROR_SIZE.unpack_from(inbox, 1)[0]
-    if len(inbox) < end:
-        return False, None
-    error = pickle.loads(inbox[head:end])
-    del inbox[:end]
-    return True, error
+def _close_inherited(*keep: int) -> None:
+    """Close every file descriptor but stdio and `keep`."""
+    bounds = sorted({0, 1, 2, *keep}) + [os.sysconf("SC_OPEN_MAX")]
+    for low, high in zip(bounds, bounds[1:]):
+        os.closerange(low + 1, high)
 
 
 def _serve(blocks: list[VimBlockParams], requests: int, replies: int,
@@ -176,19 +156,14 @@ def _serve(blocks: list[VimBlockParams], requests: int, replies: int,
     """The child's loop: one backward direction per request, until EOF."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent decides when to stop
     ws = Workspace()
-    while (request := _read_exactly(requests, _REQUEST.size)) is not None:
+    while request := os.read(requests, _REQUEST.size):
         index, n = _REQUEST.unpack(request)
         try:
             vim_backward(x[:n], blocks[index], ws, out=y[:n])
             reply = _OK
-        except Exception as exc:
-            try:
-                payload = pickle.dumps(exc)
-            except Exception:
-                payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-            reply = _ERROR + _ERROR_SIZE.pack(len(payload)) + payload
-        while reply:
-            reply = reply[os.write(replies, reply):]
+        except Exception:  # the parent reruns the direction and meets it itself
+            reply = _FAILED
+        os.write(replies, reply)
 
 
 class BackwardHelper:
@@ -219,8 +194,7 @@ class BackwardHelper:
             code = 1
             try:
                 gc.disable()  # a collection could run finalizers of the parent's objects
-                for fd in (request_w, reply_r, *(fd for fds in _live.values() for fd in fds)):
-                    os.close(fd)
+                _close_inherited(requests, replies)
                 _serve(params.blocks, requests, replies, self._x, self._y)
                 code = 0
             finally:
@@ -230,10 +204,9 @@ class BackwardHelper:
         self.pid = pid
         self._requests, self._replies = request_w, reply_r
         self._child = _Child(pid, (request_w, reply_r), params)
-        _live[pid] = self._child.fds
         self._stop = weakref.finalize(self, self._child.stop)
-        self._inbox = bytearray()  # reply bytes read, not yet taken
-        self._pending: int | None = None  # tokens of the request awaiting its reply
+        # (block, tokens) of the request awaiting its reply
+        self._pending: tuple[VimBlockParams, int] | None = None
 
     def close(self) -> None:
         """Stop the child, release the BLAS pin and the backbone's read-only
@@ -244,7 +217,7 @@ class BackwardHelper:
         """Start `block`'s backward direction over x, (tokens, d_inner)."""
         self._check_open()
         if self._pending is not None:
-            self._reply()  # left by an interrupted pass; its error is moot
+            self._reply()  # left by an interrupted pass; its outcome is moot
         index = self._index.get(id(block))
         if index is None:
             raise ValueError("block is not one of this helper's backbone")
@@ -257,35 +230,30 @@ class BackwardHelper:
             os.write(self._requests, _REQUEST.pack(index, n))
         except BrokenPipeError:
             raise self._died() from None
-        self._pending = n
+        self._pending = block, n
 
     def result(self) -> np.ndarray:
         """The submitted direction's output, (tokens, d_inner) in reversed
         token order, as `vim_backward` returns it; valid until the next
         submit."""
         self._check_open()
-        n = self._pending
-        error = self._reply()
-        if error is not None:
-            raise error
+        block, n = self._pending
+        if self._reply() == _FAILED:  # raises the child's error, or mends its own
+            return vim_backward(self._x[:n], block)
         return self._y[:n]
 
     def _check_open(self) -> None:
         if not self._stop.alive:
             raise RuntimeError("the backward helper is closed")
 
-    def _reply(self) -> BaseException | None:
-        """Read the pending reply; returns the child's error, if any. Bytes
-        read before an interrupt stay in the inbox for the next call."""
-        while True:
-            done, error = _take_reply(self._inbox)
-            if done:
-                self._pending = None
-                return error
-            chunk = os.read(self._replies, 1 << 16)
-            if not chunk:
-                raise self._died()
-            self._inbox += chunk
+    def _reply(self) -> bytes:
+        """Read the pending request's reply. One byte: an interrupt either
+        takes it whole or leaves it for the next call."""
+        reply = os.read(self._replies, 1)
+        if not reply:
+            raise self._died()
+        self._pending = None
+        return reply
 
     def _died(self) -> RuntimeError:
         return RuntimeError(f"backward helper process {self.pid} died ({self._child.reap()})")

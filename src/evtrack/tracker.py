@@ -224,13 +224,12 @@ class Tracker:
         """Initialize from the first frame; returns the init box unchanged."""
         if not (0 <= init_box.cx < frame.width and 0 <= init_box.cy < frame.height):
             raise ValueError("init box outside frame")
-        if self.helper is None:
-            n_z, cfg = self._n_z, self.config
-            # The longest sequence: a frame, or a fuse of a full library.
-            tokens = max(2 * n_z + self._n_x, max(cfg.st_capacity, cfg.lt_capacity) * n_z)
-            self.helper = fork_helper(self.model.backbone, tokens)
         initial = self._template_feature(frame, init_box, frame_index=0)
-        self.memory.init_memory(initial)  # raises on a second init, before any write
+        self.memory.init_memory(initial)  # raises on a second init, before any write or fork
+        n_z, cfg = self._n_z, self.config
+        # The longest sequence: a frame, or a fuse of a full library.
+        tokens = max(2 * n_z + self._n_x, max(cfg.st_capacity, cfg.lt_capacity) * n_z)
+        self.helper = fork_helper(self.model.backbone, tokens)
         np.add(initial.tokens, self.model.patch_embed.pos_embed_template,
                out=self._tokens[:self._n_z])
         self._regenerate_dynamic()

@@ -21,7 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evtrack.backbone as backbone_module
+import evtrack.helper as helper_module
 import evtrack.tracker as tracker_module
+from evtrack import blas
 from evtrack.backbone import backbone, init_backbone, vim_backward
 from evtrack.cli import main
 from evtrack.config import TrackerConfig
@@ -173,9 +175,10 @@ def test_track_frames_leaves_no_child_when_it_returns_or_raises(monkeypatch, for
 
 
 def test_closing_the_older_of_two_trackers_first_returns():
-    # Each child closes the other helpers' pipe ends right after fork. If
-    # the newer child kept the older one's request pipe open, the older
-    # child would never read EOF, and closing it would wait until the kill.
+    # Each child closes every inherited fd but stdio and its own pipe ends
+    # right after fork. If the newer child kept the older one's request pipe
+    # open, the older child would never read EOF, and closing it would wait
+    # until the kill.
     cfg, model, frames, gt = small_run()
     older, newer = Tracker(cfg, model), Tracker(cfg, model)
     older.init(frames[0], gt[0])
@@ -186,6 +189,44 @@ def test_closing_the_older_of_two_trackers_first_returns():
     assert time.perf_counter() - start < 2.0
     newer.close()
     assert [h._child.exit for h in helpers] == ["exit status 0"] * 2  # EOF, not a kill
+
+
+def test_child_holds_only_stdio_and_its_own_pipe_ends():
+    cfg, model, frames, gt = small_run()
+    read_end, write_end = os.pipe()
+    tracker = Tracker(cfg, model)
+    try:
+        tracker.init(frames[0], gt[0])
+        os.close(write_end)
+        helper = tracker.helper
+        fds = {int(fd): os.readlink(f"/proc/{helper.pid}/fd/{fd}")
+               for fd in os.listdir(f"/proc/{helper.pid}/fd")}
+        own = {f"pipe:[{os.fstat(fd).st_ino}]" for fd in (helper._requests, helper._replies)}
+        assert {0, 1, 2} <= fds.keys() and len(fds) == 5
+        assert {fds[fd] for fd in fds.keys() - {0, 1, 2}} == own
+        # The caller's write end is closed everywhere, so its reader sees EOF
+        # while the tracker is still open.
+        assert select.select([read_end], [], [], 2.0)[0] == [read_end]
+        assert os.read(read_end, 1) == b""
+    finally:
+        os.close(read_end)
+        tracker.close()
+
+
+def test_rejected_init_after_close_forks_nothing():
+    cfg, model, frames, gt = small_run()
+    tracker = Tracker(cfg, model)
+    threads = blas.threads()
+    tracker.init(frames[0], gt[0])
+    tracker.step(frames[1])
+    tracker.close()
+    before = children()
+    with pytest.raises(ValueError, match="already initialized"):
+        tracker.init(frames[2], gt[2])
+    assert tracker.helper is None and children() == before
+    assert blas.threads() == threads
+    a_log = model.backbone.blocks[0].ssm_bwd.a_log
+    a_log[0, 0] = a_log[0, 0]  # writable
 
 
 def test_init_forks_without_a_warning():
@@ -284,6 +325,26 @@ def test_child_error_comes_back_with_its_type_and_message():
         x[3, 1] = 0.5  # the child serves on
         helper.submit(block, x)
         np.testing.assert_array_equal(helper.result(), vim_backward(x, block))
+    finally:
+        helper.close()
+
+
+def test_failure_only_the_child_meets_gives_the_in_process_result(monkeypatch):
+    model = init_model(small_config())
+    block = model.backbone.blocks[0]
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("only the child fails")
+
+    monkeypatch.setattr(helper_module, "vim_backward", failing)
+    helper = fork_helper(model.backbone, 8)  # the child keeps the failing function
+    monkeypatch.undo()
+    try:
+        rng = np.random.default_rng(0)
+        for _ in range(2):  # the child serves on
+            x = rng.standard_normal((8, block.d_inner)).astype(np.float32)
+            helper.submit(block, x)
+            np.testing.assert_array_equal(helper.result(), vim_backward(x, block))
     finally:
         helper.close()
 
