@@ -14,18 +14,21 @@ forward scan's output, two shared scratch buffers (norm output, padded
 conv input, conv taps, the scan's pre-activation and delta), the scan's
 selection and block arrays, and two ping-pong token buffers. All blocks and
 both directions reuse it: about 11 MiB at Vim-S and 384 tokens. The caller
-owns the workspace, and a tracker keeps two for its lifetime, one for the
-frame backbone and one for the fuses its worker thread runs (see
-`tracker`): a workspace built per call would be allocated and page-faulted
-again on every pass. A workspace serves one thread at a time. Calls without
-one (tests) get a workspace of their own, so there is one code path.
+owns the workspace, and a tracker keeps one for its lifetime, for the frame
+backbone and inline fuses (see `tracker`): a workspace built per call would
+be allocated and page-faulted again on every pass. A workspace serves one
+thread at a time. Calls without one (tests) get a workspace of their own,
+so there is one code path.
 
 A block's backward direction is `vim_backward`. `vim_block` runs it in this
 process after the forward direction, or, given a `helper.BackwardHelper`,
 has the helper's forked process run it at the same time as the forward
-one. The tracker passes its helper to its frame and inline-fuse passes;
-`backbone()` without one is the in-process spec the helper is tested
-against bit for bit.
+one. Given a `helper.PassHelper`, `backbone()` instead hands the whole pass
+to that helper's process and waits for it. The tracker passes its backward
+helper to its frame and inline-fuse passes, and its pass helper to the
+fuses its worker thread runs; `backbone()` without a helper is the
+in-process spec both helpers are tested against bit for bit, at an equal
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .ops import Workspace, layer_norm, silu
 from .ssm import SSMParams, init_ssm_params, scan_forward_chunked
 
 if TYPE_CHECKING:
-    from .helper import BackwardHelper
+    from .helper import BackwardHelper, Helper
 
 
 @dataclass
@@ -213,13 +216,16 @@ def vim_block(tokens: np.ndarray, params: VimBlockParams, ws: Workspace | None =
 
 def backbone(tokens: np.ndarray, params: BackboneParams,
              ws: Workspace | None = None,
-             helper: BackwardHelper | None = None) -> np.ndarray:
+             helper: Helper | None = None) -> np.ndarray:
     """Apply all residual blocks, then the final Norm + linear projection.
 
     Blocks run in `ws` (a fresh Workspace if None), passing tokens between
-    two ping-pong buffers, and with `helper` (see `vim_block`) if given;
-    the result is always a fresh array.
+    two ping-pong buffers, and with a backward `helper` (see `vim_block`) if
+    given. A pass helper runs the whole pass in its process instead, and
+    `ws` goes unused. The result is always a fresh array.
     """
+    if helper is not None and helper.whole_pass:
+        return helper.run(tokens, params)
     ws = Workspace() if ws is None else ws
     for i, block in enumerate(params.blocks):
         out = ws.take(f"tokens.{i % 2}", tokens.shape,

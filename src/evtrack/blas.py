@@ -1,10 +1,10 @@
 """OpenBLAS's thread count, read and set through the copy numpy loaded.
 
-A tracker's backward-scan helper process (`helper`) runs next to the
-process that steps the tracker, one core each. OpenBLAS's default pool
-would put a second thread on the core the other process needs, so every
-open helper holds a pin to one thread: `pin_one` when it starts, before
-its fork, so the child inherits the count, and `unpin` when it closes.
+A tracker's helper processes (`helper`) run next to the process that
+steps the tracker, one core each. OpenBLAS's default pool would put a
+second thread on the core another process needs, so every open helper
+holds a pin to one thread: `pin_one` when it starts, before its fork, so
+the child inherits the count, and `unpin` when it closes.
 Pins nest: the first saves the count and the last `unpin` restores it.
 
 The pin is load-bearing, though no output depends on it. On a 2-vCPU

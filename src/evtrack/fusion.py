@@ -14,13 +14,13 @@ from typing import Sequence
 import numpy as np
 
 from .backbone import BackboneParams, backbone
-from .helper import BackwardHelper
+from .helper import Helper
 from .memory import MemoryLibrary, TemplateFeature
 from .ops import Workspace
 
 
 def fuse(templates: Sequence[TemplateFeature], params: BackboneParams,
-         ws: Workspace | None = None, helper: BackwardHelper | None = None) -> np.ndarray:
+         ws: Workspace | None = None, helper: Helper | None = None) -> np.ndarray:
     """Fuse m templates (oldest first) into one N_z x C dynamic template.
 
     The concatenated (m * N_z) x C sequence runs through the backbone in
@@ -42,7 +42,7 @@ def fuse(templates: Sequence[TemplateFeature], params: BackboneParams,
 def generate_dynamic_template(lib: MemoryLibrary, incoming: TemplateFeature,
                               params: BackboneParams,
                               ws: Workspace | None = None,
-                              helper: BackwardHelper | None = None) -> np.ndarray:
+                              helper: Helper | None = None) -> np.ndarray:
     """Route by similarity, then fuse the winning library's members.
 
     ST members fuse in FIFO order, LT members in ascending frame order.

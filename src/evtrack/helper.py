@@ -1,47 +1,62 @@
-"""A forked process that runs each Vim block's backward direction.
+"""Forked processes that run backbone work next to the stepping process.
 
-A Vim block's two directions share nothing between `in_proj` and their sum:
-each runs its own causal conv -> SiLU -> selective scan over the x branch,
-one over the tokens in order and one over them reversed. The scans take
-most of a backbone pass, and threads cannot overlap them, because the scan
-recurrence holds the interpreter lock between ufunc calls. A process can.
+Threads cannot overlap backbone work, because the scan recurrence holds the
+interpreter lock between ufunc calls. A process can. `fork_helper` forks one
+child after the model is built, so the child shares the weights
+copy-on-write. Per request, the parent copies the input into an anonymous
+shared mmap and sends the request over a pipe; the child writes its output
+into a second shared buffer and replies. There are two kinds of child:
 
-`fork_helper` forks one child after the model is built, so the child
-shares the weights copy-on-write. Per block, `submit` copies the x branch
-into an anonymous shared mmap and sends the block's index over a pipe; the
-child runs `backbone.vim_backward` into a second shared buffer while the
-parent runs the forward direction; `result` waits for the child's reply
-and returns a view of that buffer. The child runs the same function on
-the same values as the in-process path, so the two are bit-identical.
+- `BackwardHelper` runs each Vim block's backward direction. A block's two
+  directions share nothing between `in_proj` and their sum: each runs its
+  own causal conv -> SiLU -> selective scan over the x branch, one over the
+  tokens in order and one over them reversed. Per block, `submit` sends the
+  x branch and the block's index; the child runs `backbone.vim_backward`
+  while the parent runs the forward direction; `result` waits for the reply
+  and returns a view of the output buffer.
+- `PassHelper` runs whole `backbone()` passes (the tracker's deferred
+  template fuses) at idle priority. `run` sends the tokens and waits on the
+  pipe, holding the interpreter lock not at all, and returns a copy of the
+  output. Right after fork the child sets itself to SCHED_IDLE, so it runs
+  only on CPU time that every other runnable process leaves over; where the
+  platform has no SCHED_IDLE, or refuses it, the child stays at normal
+  priority. On one CPU, or on a host busy with other work, a pass therefore
+  waits for idle time, however long that takes. An unprivileged process
+  cannot leave SCHED_IDLE again, so the child keeps it for its life.
 
-Lifetime. The child serves until its request pipe reaches EOF: when the
+Each child runs the same function on the same values as the in-process path,
+under the same BLAS thread count (the pin below), so the two are
+bit-identical. Bit-identity holds at an equal BLAS thread count only: the
+in-process reference must run pinned too.
+
+Lifetime. A child serves until its request pipe reaches EOF: when the
 helper is closed, dropped, or its process exits, however abruptly. Right
 after fork the child closes every file descriptor it inherited but stdio
-and its own two pipe ends, so it holds open no other helper's pipe and no
-file or pipe of the caller's. `close` (also run when the helper is
-garbage-collected, and at interpreter exit) closes the pipes and reaps the
-child, killing it if it has not exited within _EXIT_WAIT_S. While a helper
-is open:
+and its own two pipe ends, so it holds open no other helper's pipe (a
+tracker's second child not its first's) and no file or pipe of the
+caller's. `close` (also run when the helper is garbage-collected, and at
+interpreter exit) closes the pipes and reaps the child, killing it if it has
+not exited within _EXIT_WAIT_S. While a helper is open:
 - the backbone's arrays are read-only. The child holds a copy-on-write
   snapshot of them taken at fork, and would not see a later write, so a
   write fails loudly instead. They are writable again once the last helper
   on that backbone closes.
-- OpenBLAS runs one thread (`blas.pin_one`), so the parent and the child
-  each keep to one core. The pin is taken before the fork, so the child
-  inherits it.
+- OpenBLAS runs one thread (`blas.pin_one`), so each process keeps to one
+  core. The pin is taken before the fork, so the child inherits it.
 
 Errors. The child answers each request with one byte, _OK or _FAILED.
-On _FAILED, `result` reruns the direction in this process on the same
-input, still in the shared buffer. That raises the child's error, of the
-same type and message; if the error was the child's alone, it gives the
-right output instead. A dead child makes `submit` or `result` raise
-RuntimeError at once, naming how it ended. An exception in the parent
-between `submit` and `result` leaves the reply unread; the next `submit`
-reads and drops it first, so no pass ever reads a stale reply.
+On _FAILED, the parent reruns the work in this process on the same input,
+still in the shared buffer. That raises the child's error, of the same type
+and message; if the error was the child's alone, it gives the right output
+instead. A dead child makes the next request or reply raise RuntimeError at
+once, naming how it ended. An exception in the parent between request and
+reply leaves the reply unread; the next request reads and drops it first,
+so no call ever reads a stale reply.
 
 One thread at a time may use a helper. A process that forks while another
 of its threads is inside BLAS may leave the child a lock that thread held;
-the tracker forks in `init`, before it starts any thread of its own.
+the tracker forks in `init`, before it starts any thread of its own, and its
+worker thread only ever waits on a pass helper's pipe.
 """
 
 from __future__ import annotations
@@ -57,27 +72,16 @@ import weakref
 import numpy as np
 
 from . import blas
-from .backbone import BackboneParams, VimBlockParams, vim_backward
+from .backbone import BackboneParams, VimBlockParams, backbone, vim_backward
 from .model import named_arrays
 from .ops import Workspace
 
-# Block index, tokens. One write of fewer than PIPE_BUF bytes, so one read
-# takes it whole.
-_REQUEST = struct.Struct("=ii")
 _OK, _FAILED = b"\0", b"\1"
 # How long a closed helper's child may take to exit before it is killed.
 _EXIT_WAIT_S = 5.0
 
 # id(params) -> (open helpers on it, the arrays they made read-only).
 _frozen: dict[int, tuple[int, list[np.ndarray]]] = {}
-
-
-def fork_helper(params: BackboneParams, max_tokens: int) -> BackwardHelper | None:
-    """A helper for `params` and sequences up to `max_tokens` tokens; None
-    where the platform cannot fork."""
-    if not hasattr(os, "fork"):
-        return None
-    return BackwardHelper(params, max_tokens)
 
 
 def _freeze(params: BackboneParams) -> None:
@@ -151,33 +155,29 @@ def _close_inherited(*keep: int) -> None:
         os.closerange(low + 1, high)
 
 
-def _serve(blocks: list[VimBlockParams], requests: int, replies: int,
-           x: np.ndarray, y: np.ndarray) -> None:
-    """The child's loop: one backward direction per request, until EOF."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent decides when to stop
-    ws = Workspace()
-    while request := os.read(requests, _REQUEST.size):
-        index, n = _REQUEST.unpack(request)
-        try:
-            vim_backward(x[:n], blocks[index], ws, out=y[:n])
-            reply = _OK
-        except Exception:  # the parent reruns the direction and meets it itself
-            reply = _FAILED
-        os.write(replies, reply)
+def _shared(shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
+    """A zeroed array in an anonymous mmap, shared with children forked later."""
+    nbytes = int(np.prod(shape)) * dtype.itemsize
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype).reshape(shape)
 
 
-class BackwardHelper:
-    """One forked child running the backward direction of `params`' blocks
-    over sequences of up to `max_tokens` tokens. See the module docstring."""
+class Helper:
+    """One forked child serving requests about `params` over sequences of up
+    to `max_tokens` tokens: the scaffold both kinds share. A subclass sets
+    `name` and `_request` (the request's struct, one write of fewer than
+    PIPE_BUF bytes, so one read takes it whole) and defines `_work`, which
+    the child runs per request. See the module docstring."""
 
-    def __init__(self, params: BackboneParams, max_tokens: int):
-        self._index = {id(block): i for i, block in enumerate(params.blocks)}
+    name: str
+    whole_pass = False  # whether `backbone()` hands this helper the whole pass
+    _request: struct.Struct
+
+    def __init__(self, params: BackboneParams, max_tokens: int, width_in: int, width_out: int):
+        self.params = params
         self.dtype = params.blocks[0].in_proj.dtype
         self.max_tokens = max_tokens
-        shape = (max_tokens, params.blocks[0].d_inner)
-        nbytes = int(np.prod(shape)) * self.dtype.itemsize
-        self._x = np.frombuffer(mmap.mmap(-1, nbytes), self.dtype).reshape(shape)
-        self._y = np.frombuffer(mmap.mmap(-1, nbytes), self.dtype).reshape(shape)
+        self._x = _shared((max_tokens, width_in), self.dtype)
+        self._y = _shared((max_tokens, width_out), self.dtype)
         requests, request_w = os.pipe()
         reply_r, replies = os.pipe()
         _freeze(params)
@@ -195,7 +195,8 @@ class BackwardHelper:
             try:
                 gc.disable()  # a collection could run finalizers of the parent's objects
                 _close_inherited(requests, replies)
-                _serve(params.blocks, requests, replies, self._x, self._y)
+                self._enter_child()
+                self._serve(requests, replies)
                 code = 0
             finally:
                 os._exit(code)
@@ -205,46 +206,50 @@ class BackwardHelper:
         self._requests, self._replies = request_w, reply_r
         self._child = _Child(pid, (request_w, reply_r), params)
         self._stop = weakref.finalize(self, self._child.stop)
-        # (block, tokens) of the request awaiting its reply
-        self._pending: tuple[VimBlockParams, int] | None = None
+        self._pending: tuple | None = None  # the request awaiting its reply
 
     def close(self) -> None:
         """Stop the child, release the BLAS pin and the backbone's read-only
         flags. Idempotent."""
         self._stop()
 
-    def submit(self, block: VimBlockParams, x: np.ndarray) -> None:
-        """Start `block`'s backward direction over x, (tokens, d_inner)."""
+    def _enter_child(self) -> None:
+        """Run once in the child, right after fork."""
+
+    def _work(self, ws: Workspace, *request) -> None:
+        raise NotImplementedError
+
+    def _serve(self, requests: int, replies: int) -> None:
+        """The child's loop: one `_work` per request, until EOF."""
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent decides when to stop
+        ws = Workspace()
+        while request := os.read(requests, self._request.size):
+            try:
+                self._work(ws, *self._request.unpack(request))
+                reply = _OK
+            except Exception:  # the parent reruns the work and meets it itself
+                reply = _FAILED
+            os.write(replies, reply)
+
+    def _send(self, x: np.ndarray, *request) -> None:
+        """Copy x, (tokens, width_in), to the input buffer and send `request`."""
         self._check_open()
         if self._pending is not None:
-            self._reply()  # left by an interrupted pass; its outcome is moot
-        index = self._index.get(id(block))
-        if index is None:
-            raise ValueError("block is not one of this helper's backbone")
+            self._reply()  # left by an interrupted call; its outcome is moot
         n = x.shape[0]
         if n > self.max_tokens or x.dtype != self.dtype:
-            raise ValueError(f"helper takes up to {self.max_tokens} tokens of {self.dtype}, "
-                             f"got {n} of {x.dtype}")
+            raise ValueError(f"{self.name} takes up to {self.max_tokens} tokens of "
+                             f"{self.dtype}, got {n} of {x.dtype}")
         self._x[:n] = x
         try:
-            os.write(self._requests, _REQUEST.pack(index, n))
+            os.write(self._requests, self._request.pack(*request))
         except BrokenPipeError:
             raise self._died() from None
-        self._pending = block, n
-
-    def result(self) -> np.ndarray:
-        """The submitted direction's output, (tokens, d_inner) in reversed
-        token order, as `vim_backward` returns it; valid until the next
-        submit."""
-        self._check_open()
-        block, n = self._pending
-        if self._reply() == _FAILED:  # raises the child's error, or mends its own
-            return vim_backward(self._x[:n], block)
-        return self._y[:n]
+        self._pending = request
 
     def _check_open(self) -> None:
         if not self._stop.alive:
-            raise RuntimeError("the backward helper is closed")
+            raise RuntimeError(f"the {self.name} is closed")
 
     def _reply(self) -> bytes:
         """Read the pending request's reply. One byte: an interrupt either
@@ -256,4 +261,77 @@ class BackwardHelper:
         return reply
 
     def _died(self) -> RuntimeError:
-        return RuntimeError(f"backward helper process {self.pid} died ({self._child.reap()})")
+        return RuntimeError(f"{self.name} process {self.pid} died ({self._child.reap()})")
+
+
+class BackwardHelper(Helper):
+    """A child running the backward direction of `params`' blocks."""
+
+    name = "backward helper"
+    _request = struct.Struct("=ii")  # block index, tokens
+
+    def __init__(self, params: BackboneParams, max_tokens: int):
+        self._index = {id(block): i for i, block in enumerate(params.blocks)}
+        d_inner = params.blocks[0].d_inner
+        super().__init__(params, max_tokens, d_inner, d_inner)
+
+    def _work(self, ws: Workspace, index: int, n: int) -> None:
+        vim_backward(self._x[:n], self.params.blocks[index], ws, out=self._y[:n])
+
+    def submit(self, block: VimBlockParams, x: np.ndarray) -> None:
+        """Start `block`'s backward direction over x, (tokens, d_inner)."""
+        index = self._index.get(id(block))
+        if index is None:
+            raise ValueError("block is not one of this helper's backbone")
+        self._send(x, index, x.shape[0])
+
+    def result(self) -> np.ndarray:
+        """The submitted direction's output, (tokens, d_inner) in reversed
+        token order, as `vim_backward` returns it; valid until the next
+        submit."""
+        self._check_open()
+        index, n = self._pending
+        if self._reply() == _FAILED:  # raises the child's error, or mends its own
+            return vim_backward(self._x[:n], self.params.blocks[index])
+        return self._y[:n]
+
+
+class PassHelper(Helper):
+    """A child at idle priority running whole backbone passes of `params`."""
+
+    name = "pass helper"
+    whole_pass = True
+    _request = struct.Struct("=i")  # tokens
+
+    def __init__(self, params: BackboneParams, max_tokens: int):
+        super().__init__(params, max_tokens, params.blocks[0].in_proj.shape[0],
+                         params.mlp.weight.shape[1])
+
+    def _enter_child(self) -> None:
+        if hasattr(os, "SCHED_IDLE"):
+            try:
+                os.sched_setscheduler(0, os.SCHED_IDLE, os.sched_param(0))
+            except OSError:  # refused: the child stays at normal priority
+                pass
+
+    def _work(self, ws: Workspace, n: int) -> None:
+        self._y[:n] = backbone(self._x[:n], self.params, ws)
+
+    def run(self, tokens: np.ndarray, params: BackboneParams) -> np.ndarray:
+        """`backbone(tokens, params)`, run by the child; a fresh array."""
+        if params is not self.params:
+            raise ValueError("params are not this helper's backbone")
+        n = tokens.shape[0]
+        self._send(tokens, n)
+        if self._reply() == _FAILED:  # raises the child's error, or mends its own
+            return backbone(self._x[:n], params)
+        return self._y[:n].copy()
+
+
+def fork_helper(params: BackboneParams, max_tokens: int,
+                kind: type[Helper] = BackwardHelper) -> Helper | None:
+    """A `kind` helper for `params` and sequences up to `max_tokens` tokens;
+    None where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return None
+    return kind(params, max_tokens)

@@ -47,12 +47,21 @@ and keeps its outcome for the next tick, and `track_frames` joins (by
 fuse. At most one fuse is in flight: pushes happen only at ticks, after
 the join.
 
-Each tracker owns two backbone Workspaces: `workspace` for the frame
-backbone and inline fuses, `fuse_workspace` for the worker's fuses. They
-live as long as the tracker because a workspace built per call would
-re-allocate, and re-fault, about 11 MiB of Vim-S scratch on every backbone
-pass; each grows only when a longer sequence first arrives (an LT fuse is up
-to 1024 tokens), and stepping then allocates nothing large.
+The worker only waits. It hands the fuse's backbone pass to the tracker's
+`pass_helper` (module `helper`), a child process at idle priority, and
+waits on its pipe, holding the interpreter lock not at all and running no
+numpy. The child runs only on CPU time the frames leave idle, so the fuse
+spreads over frames t + 1 ... t + update_interval - 1 instead of slowing
+frame t + 1. On one CPU, or on a host busy with other work, the fuse waits
+for idle time, and the tick waits for the fuse. Where the platform cannot
+fork, or after `close`, the worker runs the pass itself, in a Workspace
+allocated per fuse.
+
+The tracker owns one backbone Workspace, `workspace`, for the frame backbone
+and inline fuses. It lives as long as the tracker because a workspace built
+per call would re-allocate, and re-fault, about 11 MiB of Vim-S scratch on
+every backbone pass; it grows only when a longer sequence first arrives (an
+LT fuse is up to 1024 tokens), and stepping then allocates nothing large.
 
 A frame that fails raises, and `track_frames` (so the CLI) stops there; no
 policy holds the last box in its place. Every `Exception` raised inside a
@@ -61,28 +70,29 @@ again as "frame t: <original message>", of the same type where its
 constructor takes a message alone (else RuntimeError), caused by the
 original.
 
-`init` forks the tracker's `helper` (module `helper`): a child process
-that runs each Vim block's backward direction while the stepping thread
-runs the forward one, for the frame backbone and every inline fuse. Its
-shared buffers hold the longest sequence the config allows: a frame
-(2 N_z + N_x tokens) or a fuse of a full library (max(st, lt capacity)
-N_z). The worker's fuses run both directions on the worker thread, as
-`backbone()` does without a helper, and so does every pass on a platform
-without `os.fork`. The outputs are bit-identical either way.
+`init` forks two children (module `helper`). The first, `helper`, runs
+each Vim block's backward direction while the stepping thread runs the
+forward one, for the frame backbone and every inline fuse. Its shared
+buffers hold the longest sequence the config allows: a frame (2 N_z + N_x
+tokens) or a fuse of a full library (max(st, lt capacity) N_z). The
+second, `pass_helper`, runs the worker's fuses whole, and its buffers hold a
+fuse of a full library. On a platform without `os.fork` every pass runs in
+this process, as `backbone()` does without a helper. The outputs are
+bit-identical either way.
 
-The model is fixed from `init`. The child was forked with the model
-already built, and reads its backbone copy-on-write, so it would never see
-a later write. While the helper is open the backbone's arrays are
-therefore read-only, and a write raises instead of desyncing the two
-processes. OpenBLAS is pinned to one thread for as long, so the two
-processes keep to one core each.
+The model is fixed from `init`. The children were forked with the model
+already built, and read its backbone copy-on-write, so they would never
+see a later write. While they are open the backbone's arrays are
+therefore read-only, and a write raises instead of desyncing the
+processes. OpenBLAS is pinned to one thread for as long, so each process
+keeps to one core.
 
-`close` joins the worker and stops the helper, which lifts both; the
-tracker may still step afterwards, running both directions in this
-process. `track_frames` closes its tracker before it returns or raises. A
-tracker dropped without `close` stops its helper when it is
-garbage-collected, and the process's exit, however abrupt, ends the
-child.
+`close` joins the worker and stops both children, which lifts the
+read-only flags and the pin; the tracker may still step afterwards, running
+every pass in this process.
+`track_frames` closes its tracker before it returns or raises. A tracker
+dropped without `close` stops its children when it is garbage-collected,
+and the process's exit, however abrupt, ends them.
 """
 
 from __future__ import annotations
@@ -97,7 +107,7 @@ from .config import TrackerConfig
 from .events import BBox, EventFrame, EventStream, crop_region, iter_event_frames
 from .fusion import generate_dynamic_template
 from .head import decode_bbox, head_forward
-from .helper import fork_helper
+from .helper import PassHelper, fork_helper
 from .memory import MemoryLibrary, TemplateFeature
 from .model import ModelParams
 from .ops import Workspace
@@ -142,7 +152,6 @@ class Tracker:
                                     lt_capacity=config.lt_capacity,
                                     debug_stream=debug_stream)
         self.workspace = Workspace()
-        self.fuse_workspace = Workspace()
         self._n_z = config.n_template_tokens
         self._n_x = config.n_search_tokens
         # [static | dynamic | search]; see the module docstring.
@@ -150,7 +159,7 @@ class Tracker:
                                 model.patch_embed.projection.dtype)
         self._dynamic_stale = False  # a push happened since the last fuse started
         self._fuse: _FuseWorker | None = None  # started, not yet installed
-        self.helper = None  # forked by init
+        self.helper = self.pass_helper = None  # forked by init
         self._frame_index = 0
         self._box: BBox | None = None
 
@@ -172,7 +181,7 @@ class Tracker:
 
     def _start_fuse(self) -> None:
         self._fuse = _FuseWorker(self.memory, self.memory.st[-1], self.model.backbone,
-                                 self.fuse_workspace)
+                                 None, self.pass_helper)
         self._dynamic_stale = False
         self._fuse.start()
 
@@ -210,13 +219,14 @@ class Tracker:
             self._fuse.join()
 
     def close(self) -> None:
-        """Join an in-flight fuse and stop the helper process, which releases
-        its BLAS pin and the backbone's read-only flags. Idempotent; later
-        steps run both directions in this process."""
+        """Join an in-flight fuse and stop both helper processes, which
+        releases their BLAS pins and the backbone's read-only flags.
+        Idempotent; later steps run every pass in this process."""
         self.join()
-        if self.helper is not None:
-            self.helper.close()
-            self.helper = None
+        for helper in (self.helper, self.pass_helper):
+            if helper is not None:
+                helper.close()
+        self.helper = self.pass_helper = None
 
     # -- protocol ----------------------------------------------------------
 
@@ -226,10 +236,12 @@ class Tracker:
             raise ValueError("init box outside frame")
         initial = self._template_feature(frame, init_box, frame_index=0)
         self.memory.init_memory(initial)  # raises on a second init, before any write or fork
-        n_z, cfg = self._n_z, self.config
+        cfg = self.config
+        fuse_tokens = max(cfg.st_capacity, cfg.lt_capacity) * self._n_z
         # The longest sequence: a frame, or a fuse of a full library.
-        tokens = max(2 * n_z + self._n_x, max(cfg.st_capacity, cfg.lt_capacity) * n_z)
-        self.helper = fork_helper(self.model.backbone, tokens)
+        self.helper = fork_helper(self.model.backbone,
+                                  max(2 * self._n_z + self._n_x, fuse_tokens))
+        self.pass_helper = fork_helper(self.model.backbone, fuse_tokens, PassHelper)
         np.add(initial.tokens, self.model.patch_embed.pos_embed_template,
                out=self._tokens[:self._n_z])
         self._regenerate_dynamic()

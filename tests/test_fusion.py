@@ -52,8 +52,8 @@ def test_six_templates_consume_384_concatenated_rows():
 def test_shared_mode_aliases_backbone_parameters(setup, monkeypatch):
     # The Memory Mamba is the backbone itself: every regeneration the
     # tracker runs (init inline, and a worker's fuse after a push) gets
-    # model.backbone. The inline fuse also gets the tracker's helper; the
-    # worker's runs without one.
+    # model.backbone. The inline fuse runs in the tracker's workspace with
+    # its backward helper; the worker's hands its pass to the pass helper.
     cfg, model, _ = setup
     stream, gt = synth_stream(SMALL_SYNTH)
     frames = stack_events(stream, cfg.window_us)[:11]
@@ -76,8 +76,10 @@ def test_shared_mode_aliases_backbone_parameters(setup, monkeypatch):
     # init, and the t = 5 push's fuse: started at t = 6, installed at t = 10
     assert (started, installs) == (6, [0, 10])
     assert len(received) == 2
-    assert received[0][1] is tracker.workspace and received[1][1] is tracker.fuse_workspace
-    assert received[0][2] is tracker.helper and received[1][2] is None
+    assert received[0][1] is tracker.workspace and received[1][1] is None
+    assert received[0][2] is tracker.helper and received[1][2] is tracker.pass_helper
+    assert tracker.pass_helper.whole_pass and not tracker.helper.whole_pass
+    tracker.close()
     assert all(params is model.backbone for params, _, _ in received)
 
 

@@ -1,7 +1,7 @@
-"""The backward-scan helper process: bit-identity with the in-process
-backbone, its lifecycle (no child outlives its tracker or its process) and
-its error paths. Every test runs under a deadline and fails if it leaves a
-child process behind."""
+"""The helper processes (backward direction, and whole passes at idle
+priority): bit-identity with the in-process backbone, their lifecycle (no
+child outlives its tracker or its process) and their error paths. Every
+test runs under a deadline and fails if it leaves a child process behind."""
 
 import gc
 import glob
@@ -28,7 +28,7 @@ from evtrack.backbone import backbone, init_backbone, vim_backward
 from evtrack.cli import main
 from evtrack.config import TrackerConfig
 from evtrack.events import stack_events, synth_stream
-from evtrack.helper import fork_helper
+from evtrack.helper import BackwardHelper, PassHelper, fork_helper
 from evtrack.model import init_model
 from evtrack.ops import Workspace
 from evtrack.ssm import _BLOCK_BYTES
@@ -88,7 +88,8 @@ def deadline_and_no_child_left():
 
 @pytest.fixture
 def forked(monkeypatch):
-    """The pids of every helper trackers fork during the test."""
+    """The pids of every helper trackers fork during the test, two per
+    tracker: its backward helper, then its pass helper."""
     pids = []
 
     def recording(*args):
@@ -108,38 +109,63 @@ def small_run():
 
 # -- bit-identity -------------------------------------------------------------
 
-def _compare(params, tokens):
-    helper = fork_helper(params, tokens.shape[0])
+def pinned_backbone(tokens, params):
+    """The in-process backbone at one BLAS thread, the count every helper
+    runs at: bit-identity holds at an equal thread count."""
+    blas.pin_one()
+    try:
+        return backbone(tokens, params)
+    finally:
+        blas.unpin()
+
+
+def _compare(params, tokens, kind=BackwardHelper):
+    helper = fork_helper(params, tokens.shape[0], kind)
     try:
         split = backbone(tokens, params, Workspace(), helper)
     finally:
         helper.close()
-    np.testing.assert_array_equal(split, backbone(tokens, params))
+    np.testing.assert_array_equal(split, pinned_backbone(tokens, params))
 
 
-@settings(max_examples=12)
-@given(embed=st.sampled_from([16, 32]), d_state=st.sampled_from([2, 4, 16]),
+def vim_s_params(rng):
+    cfg = TrackerConfig()
+    return cfg, init_backbone(cfg.embed_dim, cfg.depth, cfg.d_state, cfg.dt_rank,
+                              cfg.conv_width, rng)
+
+
+@settings(max_examples=20)
+@given(kind=st.sampled_from([BackwardHelper, PassHelper]),
+       embed=st.sampled_from([16, 32]), d_state=st.sampled_from([2, 4, 16]),
        depth=st.integers(1, 2), conv_width=st.sampled_from([2, 4]),
        length=st.sampled_from(["1", "block-1", "block+1", "384", "1024"]),
        seed=st.integers(0, 2 ** 16))
-def test_helper_backbone_is_bitwise_the_in_process_backbone(embed, d_state, depth, conv_width,
-                                                             length, seed):
+def test_helper_backbone_is_bitwise_the_in_process_backbone(kind, embed, d_state, depth,
+                                                             conv_width, length, seed):
     rng = np.random.default_rng(seed)
     params = init_backbone(embed, depth, d_state, 2, conv_width, rng)
     # The scan's token block at this geometry (d_inner = 2 * embed, float32).
     block = _BLOCK_BYTES // (2 * embed * d_state * 4)
     L = {"1": 1, "block-1": block - 1, "block+1": block + 1, "384": 384, "1024": 1024}[length]
-    _compare(params, rng.standard_normal((L, embed)).astype(np.float32))
+    _compare(params, rng.standard_normal((L, embed)).astype(np.float32), kind)
 
 
 def test_helper_backbone_is_bitwise_the_in_process_backbone_at_vim_s():
-    cfg = TrackerConfig()
     rng = np.random.default_rng(0)
-    params = init_backbone(cfg.embed_dim, cfg.depth, cfg.d_state, cfg.dt_rank,
-                           cfg.conv_width, rng)
+    cfg, params = vim_s_params(rng)
     L = 2 * cfg.n_template_tokens + cfg.n_search_tokens
     assert L == 384
     _compare(params, rng.standard_normal((L, cfg.embed_dim)).astype(np.float32))
+
+
+@pytest.mark.parametrize("fused", ["st", "lt"])
+def test_pass_helper_backbone_is_bitwise_the_in_process_backbone_at_vim_s(fused):
+    # A full ST fuse (6 x 64 = 384 tokens) and a full LT fuse (16 x 64).
+    rng = np.random.default_rng(0)
+    cfg, params = vim_s_params(rng)
+    L = {"st": cfg.st_capacity, "lt": cfg.lt_capacity}[fused] * cfg.n_template_tokens
+    assert L == {"st": 384, "lt": 1024}[fused]
+    _compare(params, rng.standard_normal((L, cfg.embed_dim)).astype(np.float32), PassHelper)
 
 
 def test_tracker_without_fork_tracks_the_same_boxes(monkeypatch):
@@ -148,7 +174,7 @@ def test_tracker_without_fork_tracks_the_same_boxes(monkeypatch):
     monkeypatch.delattr(os, "fork")
     tracker = Tracker(cfg, model)
     tracker.init(frames[0], gt[0])
-    assert tracker.helper is None
+    assert tracker.helper is None and tracker.pass_helper is None
     assert [tracker.step(f) for f in frames[1:]] == with_helper[1:]
 
 
@@ -157,7 +183,7 @@ def test_tracker_without_fork_tracks_the_same_boxes(monkeypatch):
 def test_track_frames_leaves_no_child_when_it_returns_or_raises(monkeypatch, forked):
     cfg, model, frames, gt = small_run()
     track_frames(cfg, model, frames[:8], gt[0])
-    assert len(forked) == 1 and forked[0] not in children()
+    assert len(forked) == 2 and not children() & set(forked)
 
     head_forward = tracker_module.head_forward
     calls = []
@@ -171,7 +197,7 @@ def test_track_frames_leaves_no_child_when_it_returns_or_raises(monkeypatch, for
     monkeypatch.setattr(tracker_module, "head_forward", failing)
     with pytest.raises(ValueError, match="^frame 3: head failed$"):
         track_frames(cfg, model, frames, gt[0])
-    assert len(forked) == 2 and forked[1] not in children()
+    assert len(forked) == 4 and not children() & set(forked)
 
 
 def test_closing_the_older_of_two_trackers_first_returns():
@@ -183,12 +209,12 @@ def test_closing_the_older_of_two_trackers_first_returns():
     older, newer = Tracker(cfg, model), Tracker(cfg, model)
     older.init(frames[0], gt[0])
     newer.init(frames[0], gt[0])
-    helpers = older.helper, newer.helper
+    helpers = older.helper, older.pass_helper, newer.helper, newer.pass_helper
     start = time.perf_counter()
     older.close()
     assert time.perf_counter() - start < 2.0
     newer.close()
-    assert [h._child.exit for h in helpers] == ["exit status 0"] * 2  # EOF, not a kill
+    assert [h._child.exit for h in helpers] == ["exit status 0"] * 4  # EOF, not a kill
 
 
 def test_child_holds_only_stdio_and_its_own_pipe_ends():
@@ -198,12 +224,15 @@ def test_child_holds_only_stdio_and_its_own_pipe_ends():
     try:
         tracker.init(frames[0], gt[0])
         os.close(write_end)
-        helper = tracker.helper
-        fds = {int(fd): os.readlink(f"/proc/{helper.pid}/fd/{fd}")
-               for fd in os.listdir(f"/proc/{helper.pid}/fd")}
-        own = {f"pipe:[{os.fstat(fd).st_ino}]" for fd in (helper._requests, helper._replies)}
-        assert {0, 1, 2} <= fds.keys() and len(fds) == 5
-        assert {fds[fd] for fd in fds.keys() - {0, 1, 2}} == own
+        # The pass helper is forked second, with the backward helper's pipe
+        # ends open in the parent: it must not hold them.
+        helpers = tracker.helper, tracker.pass_helper
+        for helper in helpers:
+            fds = {int(fd): os.readlink(f"/proc/{helper.pid}/fd/{fd}")
+                   for fd in os.listdir(f"/proc/{helper.pid}/fd")}
+            own = {f"pipe:[{os.fstat(fd).st_ino}]" for fd in (helper._requests, helper._replies)}
+            assert {0, 1, 2} <= fds.keys() and len(fds) == 5
+            assert {fds[fd] for fd in fds.keys() - {0, 1, 2}} == own
         # The caller's write end is closed everywhere, so its reader sees EOF
         # while the tracker is still open.
         assert select.select([read_end], [], [], 2.0)[0] == [read_end]
@@ -211,6 +240,7 @@ def test_child_holds_only_stdio_and_its_own_pipe_ends():
     finally:
         os.close(read_end)
         tracker.close()
+    assert [h._child.exit for h in helpers] == ["exit status 0"] * 2  # EOF, not a kill
 
 
 def test_rejected_init_after_close_forks_nothing():
@@ -223,7 +253,7 @@ def test_rejected_init_after_close_forks_nothing():
     before = children()
     with pytest.raises(ValueError, match="already initialized"):
         tracker.init(frames[2], gt[2])
-    assert tracker.helper is None and children() == before
+    assert tracker.helper is None and tracker.pass_helper is None and children() == before
     assert blas.threads() == threads
     a_log = model.backbone.blocks[0].ssm_bwd.a_log
     a_log[0, 0] = a_log[0, 0]  # writable
@@ -240,15 +270,62 @@ def test_init_forks_without_a_warning():
     tracker.close()
 
 
+@pytest.mark.skipif(not hasattr(os, "SCHED_IDLE"), reason="no SCHED_IDLE on this platform")
+def test_pass_child_runs_at_idle_priority():
+    cfg, model, frames, gt = small_run()
+    tracker = Tracker(cfg, model)
+    try:
+        tracker.init(frames[0], gt[0])
+        assert os.sched_getscheduler(tracker.pass_helper.pid) == os.SCHED_IDLE
+        assert os.sched_getscheduler(tracker.helper.pid) == os.sched_getscheduler(0)
+    finally:
+        tracker.close()
+
+
+def test_init_while_another_trackers_fuse_is_in_flight(monkeypatch):
+    # The second tracker forks while the first one's worker waits on its
+    # pass helper's pipe. Its children must come out whole, and neither
+    # tracker's boxes may change.
+    cfg, model, frames, gt = small_run()
+    solo = track_frames(cfg, model, frames, gt[0])
+    real = helper_module.backbone
+    calls = []
+
+    def slow_first_pass(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            time.sleep(1.0)
+        return real(*args, **kwargs)
+
+    first, second = Tracker(cfg, model), Tracker(cfg, model)
+    try:
+        monkeypatch.setattr(helper_module, "backbone", slow_first_pass)
+        boxes = [[first.init(frames[0], gt[0])], []]  # its pass child keeps the slow function
+        monkeypatch.undo()
+        boxes[0] += [first.step(f) for f in frames[1:7]]  # the t = 5 push's fuse starts at 6
+        assert first.fuse_running
+        boxes[1].append(second.init(frames[0], gt[0]))
+        assert first.fuse_running
+        for frame in frames[1:7]:
+            boxes[1].append(second.step(frame))
+        for frame in frames[7:]:
+            boxes[0].append(first.step(frame))
+            boxes[1].append(second.step(frame))
+    finally:
+        first.close()
+        second.close()
+    assert boxes == [solo, solo]
+
+
 def test_dropped_tracker_is_reaped():
     cfg, model, frames, gt = small_run()
     tracker = Tracker(cfg, model)
     tracker.init(frames[0], gt[0])
-    pid = tracker.helper.pid
-    assert pid in children()
+    pids = {tracker.helper.pid, tracker.pass_helper.pid}
+    assert pids <= children()
     del tracker
     gc.collect()
-    assert pid not in children()
+    assert not pids & children()
 
 
 def test_process_exit_ends_every_child():
@@ -266,7 +343,7 @@ def test_process_exit_ends_every_child():
         for tracker in trackers:
             tracker.init(frames[0], gt[0])
             tracker.step(frames[1])
-        print(*(t.helper.pid for t in trackers), flush=True)
+        print(*(h.pid for t in trackers for h in (t.helper, t.pass_helper)), flush=True)
         os._exit(0)
     """)
     tests = Path(__file__).resolve().parent
@@ -275,7 +352,7 @@ def test_process_exit_ends_every_child():
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=DEADLINE_S / 2, check=True).stdout
     pids = [int(p) for p in out.split()]
-    assert len(pids) == 2
+    assert len(pids) == 4
     stop = time.monotonic() + 5.0
     while not all(map(exited, pids)) and time.monotonic() < stop:
         time.sleep(0.05)
@@ -291,7 +368,7 @@ def test_evtrack_track_leaves_no_child(tmp_path, forked):
                  "--out-gt", str(gt)]) == 0
     assert main(["track", "--config", str(config), "--events", str(events),
                  "--init-bbox", gt.read_text().splitlines()[0], "--out", str(pred)]) == 0
-    assert len(forked) == 1 and forked[0] not in children()
+    assert len(forked) == 2 and not children() & set(forked)
 
 
 # -- errors -------------------------------------------------------------------
@@ -310,6 +387,23 @@ def test_killed_child_fails_the_next_steps_at_once():
             tracker.step(frames[t])
         assert time.perf_counter() - start < 2.0
     tracker.close()
+
+
+def test_killed_pass_child_fails_the_next_tick():
+    cfg, model, frames, gt = small_run()
+    tracker = Tracker(cfg, model)
+    try:
+        tracker.init(frames[0], gt[0])
+        for frame in frames[1:6]:
+            tracker.step(frame)
+        os.kill(tracker.pass_helper.pid, signal.SIGKILL)
+        for frame in frames[6:10]:  # the fuse starts at 6; the frames keep the old template
+            tracker.step(frame)
+        with pytest.raises(RuntimeError, match=r"^frame 10: template fuse failed: pass helper "
+                                               r"process \d+ died \(killed by signal 9\)$"):
+            tracker.step(frames[10])
+    finally:
+        tracker.close()
 
 
 def test_child_error_comes_back_with_its_type_and_message():
@@ -345,6 +439,41 @@ def test_failure_only_the_child_meets_gives_the_in_process_result(monkeypatch):
             x = rng.standard_normal((8, block.d_inner)).astype(np.float32)
             helper.submit(block, x)
             np.testing.assert_array_equal(helper.result(), vim_backward(x, block))
+    finally:
+        helper.close()
+
+
+def test_pass_child_error_comes_back_with_its_type_and_message():
+    model = init_model(small_config())
+    params = model.backbone
+    helper = fork_helper(params, 8, PassHelper)
+    try:
+        x = np.ones((8, 16), np.float32)
+        x[3, 1] = np.nan
+        with pytest.raises(ValueError, match="^non-finite input$"):
+            backbone(x, params, None, helper)
+        x[3, 1] = 0.5  # the child serves on
+        np.testing.assert_array_equal(backbone(x, params, None, helper), pinned_backbone(x, params))
+    finally:
+        helper.close()
+
+
+def test_failure_only_the_pass_child_meets_gives_the_in_process_result(monkeypatch):
+    model = init_model(small_config())
+    params = model.backbone
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("only the child fails")
+
+    monkeypatch.setattr(helper_module, "backbone", failing)
+    helper = fork_helper(params, 8, PassHelper)  # the child keeps the failing function
+    monkeypatch.undo()
+    try:
+        rng = np.random.default_rng(0)
+        for _ in range(2):  # the child serves on
+            x = rng.standard_normal((8, 16)).astype(np.float32)
+            np.testing.assert_array_equal(backbone(x, params, None, helper),
+                                          pinned_backbone(x, params))
     finally:
         helper.close()
 

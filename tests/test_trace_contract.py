@@ -5,6 +5,12 @@ and its observers read call arguments, e.g. `generate_dynamic_template`'s
 first argument as the `MemoryLibrary`. A renamed function or a moved argument
 breaks `perfbench/run.py --trace 1` without failing any other test, so this
 one steps a small tracker under the tracer and checks every layer metric.
+
+Every fuse, the worker's deferred ones included, must call both
+`evtrack.tracker.generate_dynamic_template` and `evtrack.fusion.backbone` in
+this process, whichever process runs the pass: the tracer counts fuses and
+their tokens there. Every fuse of this config routes ST, a full library of
+`st_capacity` templates.
 """
 
 import importlib.util
@@ -56,3 +62,7 @@ def test_traced_tracker_reports_every_layer():
     bad = {name: value for name, (value, _) in metrics.items()
            if not isinstance(value, (int, float)) or not math.isfinite(value)}
     assert not bad, f"layer metrics without a finite value: {bad}"
+    # init's inline fuse and the worker fuses started at t = 6, 11 and 16
+    assert metrics["fusion.regens"][0] == 4 / 20
+    assert tracing.summarize(tracer.spans)["fusion.backbone"]["calls"] == 4
+    assert metrics["fusion.fuse_tokens"][0] == cfg.st_capacity * cfg.n_template_tokens

@@ -121,20 +121,13 @@ def test_tracker_workspace_persists_across_steps():
     frames = stack_events(stream, cfg.window_us)
     tracker = Tracker(cfg, model)
     tracker.init(frames[0], gt[0])
-    workspace, fuse_workspace = tracker.workspace, tracker.fuse_workspace
-    assert fuse_workspace.nbytes == 0  # init fuses inline
+    workspace = tracker.workspace
     tracker.step(frames[1])  # a frame is longer than this config's fuse
     size = workspace.nbytes
-    for frame in frames[2:7]:
+    for frame in frames[2:]:  # worker fuses start at t = 6, 11, 16
         tracker.step(frame)
-    tracker.join()  # the first worker fuse started at t = 6
-    fuse_size = fuse_workspace.nbytes
-    assert fuse_size > 0
-    for frame in frames[7:]:
-        tracker.step(frame)
-    tracker.join()
+    tracker.close()
     assert tracker.workspace is workspace and workspace.nbytes == size
-    assert tracker.fuse_workspace is fuse_workspace and fuse_workspace.nbytes == fuse_size
 
 
 def test_rejected_second_init_leaves_the_tracker_unchanged():

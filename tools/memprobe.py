@@ -9,14 +9,15 @@ inputs: load_config -> init_model -> (load_weights if --weights 1) ->
 load_events_csv -> stack_events -> Tracker.init. After each call it records
 the resident set (VmRSS) and the peak so far (ru_maxrss), and the bytes the
 loaded event stream's columns hold, in all and per event. Once the tracker
-has forked its backward-scan helper, it also records the helper's peak
-resident set (VmHWM), which this process's ru_maxrss does not include, and
-the part of the helper's current resident set that is its own rather than
-shared copy-on-write with this process (Private_* of smaps_rollup). It then steps
---frames frames and reads, per frame, the wall time and the change in
-getrusage's minor faults and system CPU time, and after the step the bytes
-held by the tracker's two workspaces (frame and worker fuse), OpenBLAS's
-thread count and whether a template fuse was still running on the worker.
+has forked its two helper children (the backward-direction helper and the
+pass helper that runs the deferred fuses), it also records each child's
+peak resident set (VmHWM), which this process's ru_maxrss does not include,
+and the part of each child's current resident set that is its own rather
+than shared copy-on-write with this process (Private_* of smaps_rollup). It
+then steps --frames frames and reads, per frame, the wall time and the
+change in getrusage's minor faults and system CPU time, and after the step
+the bytes held by the tracker's frame workspace, OpenBLAS's thread count
+and whether a template fuse was still in flight.
 Stepping with and without a weight load is what separates steady-state
 stepping from allocator state left behind by set-up. The tracker is joined
 before the final stage is read, and closed after. One JSON object goes to
@@ -49,10 +50,12 @@ def status_mib(field: str, pid: int | str = "self", name: str = "status") -> flo
     return sum(kib) / 1024 if kib else float("nan")
 
 
-def helper_mib(tracker) -> tuple[float, float]:
-    """(peak resident, private resident) of the tracker's helper process."""
-    pid = tracker.helper.pid
-    return status_mib("VmHWM:", pid), status_mib("Private_", pid, "smaps_rollup")
+def helpers_mib(tracker) -> dict[str, tuple[float, float]]:
+    """(peak resident, private resident) of each of the tracker's helper
+    processes, by kind; empty where the platform could not fork them."""
+    helpers = {"backward": tracker.helper, "pass": tracker.pass_helper}
+    return {kind: (status_mib("VmHWM:", h.pid), status_mib("Private_", h.pid, "smaps_rollup"))
+            for kind, h in helpers.items() if h is not None}
 
 
 def rss_mib() -> float:
@@ -87,9 +90,7 @@ def main(argv: list[str] | None = None) -> int:
     tracker = Tracker(config, model)
     tracker.init(frames[0], BBox(*inputs.boxes[0]))
     stages["tracker_init"] = (rss_mib(), peak_mib())
-    helper = {}
-    if tracker.helper is not None:
-        helper["tracker_init"] = helper_mib(tracker)
+    helpers = {"tracker_init": helpers_mib(tracker)}
 
     per_frame = []
     for k in range(1, args.frames + 1):
@@ -103,13 +104,11 @@ def main(argv: list[str] | None = None) -> int:
                           "minor_faults": after.ru_minflt - before.ru_minflt,
                           "sys_ms": (after.ru_stime - before.ru_stime) * 1e3,
                           "workspace_bytes": tracker.workspace.nbytes,
-                          "fuse_workspace_bytes": tracker.fuse_workspace.nbytes,
                           "blas_threads": blas.threads(),
                           "fuse_in_flight": tracker.fuse_running})
     tracker.join()
     stages["stepped"] = (rss_mib(), peak_mib())
-    if tracker.helper is not None:
-        helper["stepped"] = helper_mib(tracker)
+    helpers["stepped"] = helpers_mib(tracker)
     tracker.close()
 
     def median(key):
@@ -119,8 +118,10 @@ def main(argv: list[str] | None = None) -> int:
         "workload": args.workload, "seed": args.seed, "weights": bool(args.weights),
         "rss_mib": {k: round(v[0], 2) for k, v in stages.items()},
         "peak_rss_mib": {k: round(v[1], 2) for k, v in stages.items()},
-        "helper_peak_rss_mib": {k: round(v[0], 2) for k, v in helper.items()},
-        "helper_private_rss_mib": {k: round(v[1], 2) for k, v in helper.items()},
+        "helper_peak_rss_mib": {stage: {kind: round(v[0], 2) for kind, v in by_kind.items()}
+                                for stage, by_kind in helpers.items()},
+        "helper_private_rss_mib": {stage: {kind: round(v[1], 2) for kind, v in by_kind.items()}
+                                   for stage, by_kind in helpers.items()},
         "stream_bytes": stream_bytes,
         "stream_bytes_per_event": round(stream_bytes / max(len(stream), 1), 2),
         "frame_median": {"ms": round(median("ms"), 1),
