@@ -23,12 +23,12 @@ so there is one code path.
 A block's backward direction is `vim_backward`. `vim_block` runs it in this
 process after the forward direction, or, given a `helper.BackwardHelper`,
 has the helper's forked process run it at the same time as the forward
-one. Given a `helper.PassHelper`, `backbone()` instead hands the whole pass
-to that helper's process and waits for it. The tracker passes its backward
-helper to its frame and inline-fuse passes, and its pass helper to the
-fuses its worker thread runs; `backbone()` without a helper is the
-in-process spec both helpers are tested against bit for bit, at an equal
-BLAS thread count.
+one. Given a `helper.PassHelper`, `backbone()` instead sends the whole pass
+to that helper's process and returns without waiting. The tracker passes
+its backward helper to its frame and inline-fuse passes, and its pass
+helper to the fuses it defers to the next tick; `backbone()` without a
+helper is the in-process spec both helpers are tested against bit for bit,
+at an equal BLAS thread count.
 """
 
 from __future__ import annotations
@@ -221,11 +221,13 @@ def backbone(tokens: np.ndarray, params: BackboneParams,
 
     Blocks run in `ws` (a fresh Workspace if None), passing tokens between
     two ping-pong buffers, and with a backward `helper` (see `vim_block`) if
-    given. A pass helper runs the whole pass in its process instead, and
-    `ws` goes unused. The result is always a fresh array.
+    given; the result is a fresh array. A pass helper runs the whole pass in
+    its process instead, and `ws` goes unused: the result is then the
+    helper's output buffer, valid once `helper.result()` returns, until the
+    helper's next submit.
     """
     if helper is not None and helper.whole_pass:
-        return helper.run(tokens, params)
+        return helper.submit(tokens, params)
     ws = Workspace() if ws is None else ws
     for i, block in enumerate(params.blocks):
         out = ws.take(f"tokens.{i % 2}", tokens.shape,

@@ -4,8 +4,10 @@ A tracker's helper processes (`helper`) run next to the process that
 steps the tracker, one core each. OpenBLAS's default pool would put a
 second thread on the core another process needs, so every open helper
 holds a pin to one thread: `pin_one` when it starts, before its fork, so
-the child inherits the count, and `unpin` when it closes.
-Pins nest: the first saves the count and the last `unpin` restores it.
+the child inherits the count, and `unpin` when it closes. Every open
+tracker holds one more, from `init` to `close`, so its passes run at one
+thread whether or not it could fork. Pins nest: the first saves the count
+and the last `unpin` restores it.
 
 The pin is load-bearing, though no output depends on it. On a 2-vCPU
 Xeon VM, over 7 alternating pairs of `perfbench/run.py --workload
@@ -14,9 +16,9 @@ read 0.55-0.66 fps, against 1.07-1.28 with the pin.
 
 The count is process-wide: this OpenBLAS's `openblas_set_num_threads_local`
 sets it for every thread too. So change it only while no other thread may
-be inside a BLAS call. Without a matching OpenBLAS (a different BLAS, or a
-system copy under other names), the count is left alone and `threads` is
-None; the pins are still counted.
+be inside a BLAS call; the tracker starts no thread. Without a matching
+OpenBLAS (a different BLAS, or a system copy under other names), the count
+is left alone and `threads` is None; the pins are still counted.
 """
 
 from __future__ import annotations

@@ -25,7 +25,8 @@ def fuse(templates: Sequence[TemplateFeature], params: BackboneParams,
 
     The concatenated (m * N_z) x C sequence runs through the backbone in
     `ws` (a fresh Workspace if None), with `helper` if given; the final N_z
-    rows are returned. No positional embedding is added.
+    rows are returned, which with a pass helper hold the template once its
+    `result` returns (see `backbone`). No positional embedding is added.
     """
     if len(templates) == 0:
         raise ValueError("cannot fuse an empty template sequence")

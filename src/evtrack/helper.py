@@ -15,14 +15,15 @@ into a second shared buffer and replies. There are two kinds of child:
   while the parent runs the forward direction; `result` waits for the reply
   and returns a view of the output buffer.
 - `PassHelper` runs whole `backbone()` passes (the tracker's deferred
-  template fuses) at idle priority. `run` sends the tokens and waits on the
-  pipe, holding the interpreter lock not at all, and returns a copy of the
-  output. Right after fork the child sets itself to SCHED_IDLE, so it runs
-  only on CPU time that every other runnable process leaves over; where the
-  platform has no SCHED_IDLE, or refuses it, the child stays at normal
-  priority. On one CPU, or on a host busy with other work, a pass therefore
-  waits for idle time, however long that takes. An unprivileged process
-  cannot leave SCHED_IDLE again, so the child keeps it for its life.
+  template fuses) at idle priority. `submit` sends the tokens and returns
+  at once a view of the output buffer, which holds the pass's output once
+  `result` has waited for the reply. Right after fork the child sets itself
+  to SCHED_IDLE, so it runs only on CPU time that every other runnable
+  process leaves over; where the platform has no SCHED_IDLE, or refuses it,
+  the child stays at normal priority. On one CPU, or on a host busy with
+  other work, a pass therefore waits for idle time, however long that
+  takes. An unprivileged process cannot leave SCHED_IDLE again, so the
+  child keeps it for its life.
 
 Each child runs the same function on the same values as the in-process path,
 under the same BLAS thread count (the pin below), so the two are
@@ -50,13 +51,12 @@ still in the shared buffer. That raises the child's error, of the same type
 and message; if the error was the child's alone, it gives the right output
 instead. A dead child makes the next request or reply raise RuntimeError at
 once, naming how it ended. An exception in the parent between request and
-reply leaves the reply unread; the next request reads and drops it first,
-so no call ever reads a stale reply.
+reply leaves the reply unread: a later `result` still reads it, and the
+next request reads and drops it first, so no call ever reads a stale reply.
 
 One thread at a time may use a helper. A process that forks while another
 of its threads is inside BLAS may leave the child a lock that thread held;
-the tracker forks in `init`, before it starts any thread of its own, and its
-worker thread only ever waits on a pass helper's pipe.
+the tracker starts no thread.
 """
 
 from __future__ import annotations
@@ -317,15 +317,22 @@ class PassHelper(Helper):
     def _work(self, ws: Workspace, n: int) -> None:
         self._y[:n] = backbone(self._x[:n], self.params, ws)
 
-    def run(self, tokens: np.ndarray, params: BackboneParams) -> np.ndarray:
-        """`backbone(tokens, params)`, run by the child; a fresh array."""
+    def submit(self, tokens: np.ndarray, params: BackboneParams) -> np.ndarray:
+        """Start `backbone(tokens, params)` in the child; returns the output
+        buffer's rows, valid once `result` returns, until the next submit."""
         if params is not self.params:
             raise ValueError("params are not this helper's backbone")
         n = tokens.shape[0]
         self._send(tokens, n)
+        return self._y[:n]
+
+    def result(self) -> None:
+        """Wait for the submitted pass; its output is then in the rows
+        `submit` returned."""
+        self._check_open()
+        (n,) = self._pending
         if self._reply() == _FAILED:  # raises the child's error, or mends its own
-            return backbone(self._x[:n], params)
-        return self._y[:n].copy()
+            self._y[:n] = backbone(self._x[:n], self.params)
 
 
 def fork_helper(params: BackboneParams, max_tokens: int,

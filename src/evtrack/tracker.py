@@ -15,10 +15,10 @@ fixed row offsets: the static template in rows [0, N_z), the dynamic
 template in [N_z, 2 N_z) and the search region in the last N_x rows, with
 N_z = `n_template_tokens` and N_x = `n_search_tokens` of the config. `init`
 writes the static rows once (embedding plus `pos_embed_template`); every
-install of a dynamic template, inline or from the worker, copies it into the
-dynamic rows on the stepping thread, and those rows are the only copy of the
-installed template; each frame embeds its search crop straight into the
-search rows and adds `pos_embed_search` in place. The head reads the
+install of a dynamic template, inline or from the pass helper, copies it
+into the dynamic rows, and those rows are the only copy of the installed
+template; each frame embeds its search crop straight into the search rows
+and adds `pos_embed_search` in place. The head reads the
 backbone output's last N_x rows. The array is a plain attribute rather than
 a `Workspace` buffer because the static and dynamic rows must persist
 across steps, and a Workspace leaves a buffer's contents undefined between
@@ -35,37 +35,33 @@ next tick's frame by default, or for the very next frame with
 By default the fuse runs behind the frames that do not read it. A tick's
 push (end of frame t) fixes every input of the next fuse, and nothing reads
 its result before the next tick, t + update_interval. So at the start of
-frame t + 1 the fuse starts on a worker thread, while frames t + 1 ...
-keep the old template; at the start of the next tick the tracker joins the
-worker and installs its result, so every frame sees the template it would
-see if the fuse ran inline there. A worker's error is raised at that tick
-as a template-fuse failure. A fuse needed on the frame where it would start
-(`init`, `regenerate_every_frame`, `update_interval` 1) runs inline on the
-stepping thread instead. A step that raises joins an in-flight fuse first
-and keeps its outcome for the next tick, and `track_frames` joins (by
-`close`) before it returns, so a sequence ends by waiting for at most one
-fuse. At most one fuse is in flight: pushes happen only at ticks, after
-the join.
+frame t + 1 the tracker routes and sends the fuse's backbone pass to its
+`pass_helper` (module `helper`), a child process at idle priority, while
+frames t + 1 ... keep the old template; at the start of the next tick it
+waits for the child's reply and installs the result, so every frame sees
+the template it would see if the fuse ran inline there. The child runs
+only on CPU time the frames leave idle, so the pass spreads over frames
+t + 1 ... t + update_interval - 1 instead of slowing frame t + 1. On one
+CPU, or on a host busy with other work, the pass waits for idle time, and
+the tick waits for the pass. A fuse's error is raised at that tick as a
+template-fuse failure, and the next fuse retries. A fuse needed on the
+frame where it would be sent (`init`, `regenerate_every_frame`,
+`update_interval` 1) runs inline instead, and so does every fuse at the
+tick where the tracker has no pass helper (the platform cannot fork, or
+after `close`). A step that raises leaves a sent fuse in the child for the
+next tick, an interrupt during the tick's wait included. At most one fuse
+is in flight: pushes happen only at ticks, after the install.
 
-The worker only waits. It hands the fuse's backbone pass to the tracker's
-`pass_helper` (module `helper`), a child process at idle priority, and
-waits on its pipe, holding the interpreter lock not at all and running no
-numpy. The child runs only on CPU time the frames leave idle, so the fuse
-spreads over frames t + 1 ... t + update_interval - 1 instead of slowing
-frame t + 1. On one CPU, or on a host busy with other work, the fuse waits
-for idle time, and the tick waits for the fuse. Where the platform cannot
-fork, or after `close`, the worker runs the pass itself, in a Workspace
-allocated per fuse.
-
-The tracker owns one backbone Workspace, `workspace`, for the frame backbone
-and inline fuses. It lives as long as the tracker because a workspace built
-per call would re-allocate, and re-fault, about 11 MiB of Vim-S scratch on
-every backbone pass; it grows only when a longer sequence first arrives (an
-LT fuse is up to 1024 tokens), and stepping then allocates nothing large.
+The tracker owns one backbone Workspace, `workspace`, for the frame
+backbone, inline fuses and every fuse's input sequence. It lives as long
+as the tracker because a workspace built per call would re-allocate, and
+re-fault, about 11 MiB of Vim-S scratch on every backbone pass; it grows
+only when a longer sequence first arrives (an LT fuse is up to 1024
+tokens), and stepping then allocates nothing large.
 
 A frame that fails raises, and `track_frames` (so the CLI) stops there; no
 policy holds the last box in its place. Every `Exception` raised inside a
-step, a non-finite activation as much as a worker's fuse error, is raised
+step, a non-finite activation as much as a deferred fuse's error, is raised
 again as "frame t: <original message>", of the same type where its
 constructor takes a message alone (else RuntimeError), caused by the
 original.
@@ -75,33 +71,35 @@ each Vim block's backward direction while the stepping thread runs the
 forward one, for the frame backbone and every inline fuse. Its shared
 buffers hold the longest sequence the config allows: a frame (2 N_z + N_x
 tokens) or a fuse of a full library (max(st, lt capacity) N_z). The
-second, `pass_helper`, runs the worker's fuses whole, and its buffers hold a
-fuse of a full library. On a platform without `os.fork` every pass runs in
-this process, as `backbone()` does without a helper. The outputs are
+second, `pass_helper`, runs the deferred fuses whole, and its buffers hold
+a fuse of a full library. On a platform without `os.fork` every pass runs
+in this process, as `backbone()` does without a helper. The outputs are
 bit-identical either way.
 
 The model is fixed from `init`. The children were forked with the model
 already built, and read its backbone copy-on-write, so they would never
 see a later write. While they are open the backbone's arrays are
 therefore read-only, and a write raises instead of desyncing the
-processes. OpenBLAS is pinned to one thread for as long, so each process
-keeps to one core.
+processes. From `init` to `close` OpenBLAS is pinned to one thread, forked
+or not, so each process keeps to one core and every pass runs at the
+thread count the helpers' outputs are bit-identical at.
 
-`close` joins the worker and stops both children, which lifts the
-read-only flags and the pin; the tracker may still step afterwards, running
-every pass in this process.
-`track_frames` closes its tracker before it returns or raises. A tracker
-dropped without `close` stops its children when it is garbage-collected,
-and the process's exit, however abrupt, ends them.
+`close` drops a fuse in flight, stops both children, which lifts the
+read-only flags, and releases the pin; the tracker may still step
+afterwards, running every pass in this process. `track_frames` closes its
+tracker before it returns or raises. A tracker dropped without `close`
+stops its children and releases its pin when it is garbage-collected, and
+the process's exit, however abrupt, ends them.
 """
 
 from __future__ import annotations
 
-import threading
+import weakref
 from typing import IO, Iterable
 
 import numpy as np
 
+from . import blas
 from .backbone import backbone
 from .config import TrackerConfig
 from .events import BBox, EventFrame, EventStream, crop_region, iter_event_frames
@@ -112,24 +110,6 @@ from .memory import MemoryLibrary, TemplateFeature
 from .model import ModelParams
 from .ops import Workspace
 from .tokenizer import patch_embed
-
-
-class _FuseWorker(threading.Thread):
-    """One `generate_dynamic_template` call; keeps its result or its error."""
-
-    def __init__(self, *args):
-        # Not a daemon: interpreter exit waits for at most one fuse rather
-        # than stopping a thread inside numpy.
-        super().__init__(name="evtrack-fuse")
-        self._args = args
-        self.result: np.ndarray | None = None
-        self.error: BaseException | None = None
-
-    def run(self) -> None:
-        try:
-            self.result = generate_dynamic_template(*self._args)
-        except BaseException as exc:  # raised on the stepping thread at install
-            self.error = exc
 
 
 def _reworded(error: BaseException, message: str) -> BaseException:
@@ -158,8 +138,9 @@ class Tracker:
         self._tokens = np.empty((2 * self._n_z + self._n_x, config.embed_dim),
                                 model.patch_embed.projection.dtype)
         self._dynamic_stale = False  # a push happened since the last fuse started
-        self._fuse: _FuseWorker | None = None  # started, not yet installed
+        self._fuse: np.ndarray | None = None  # sent, not yet installed
         self.helper = self.pass_helper = None  # forked by init
+        self._unpin: weakref.finalize | None = None  # releases init's BLAS pin
         self._frame_index = 0
         self._box: BBox | None = None
 
@@ -174,25 +155,24 @@ class Tracker:
     def _install(self, dynamic: np.ndarray) -> None:
         self._tokens[self._n_z:2 * self._n_z] = dynamic
 
-    def _regenerate_dynamic(self) -> None:
-        self._install(generate_dynamic_template(
-            self.memory, self.memory.st[-1], self.model.backbone, self.workspace, self.helper))
+    def _fused(self, helper) -> np.ndarray:
+        """Route and fuse the memory as it stands, with `helper`."""
+        dynamic = generate_dynamic_template(
+            self.memory, self.memory.st[-1], self.model.backbone, self.workspace, helper)
         self._dynamic_stale = False
-
-    def _start_fuse(self) -> None:
-        self._fuse = _FuseWorker(self.memory, self.memory.st[-1], self.model.backbone,
-                                 None, self.pass_helper)
-        self._dynamic_stale = False
-        self._fuse.start()
+        return dynamic
 
     def _install_fuse(self) -> None:
-        self.join()
-        worker, self._fuse = self._fuse, None
-        if worker.error is not None:
-            self._dynamic_stale = True  # the next tick's fuse retries, as inline
-            error = worker.error
+        # `_fuse` views the pass helper's output buffer, which holds the
+        # template once `result` returns. An interrupt during the wait keeps
+        # both, and the next tick waits again.
+        try:
+            self.pass_helper.result()
+        except Exception as error:
+            self._fuse, self._dynamic_stale = None, True  # the next fuse retries
             raise _reworded(error, f"template fuse failed: {error}") from error
-        self._install(worker.result)
+        dynamic, self._fuse = self._fuse, None
+        self._install(dynamic)
 
     def _update_template(self, tick: bool) -> None:
         if self._fuse is not None:
@@ -200,33 +180,23 @@ class Tracker:
                 self._install_fuse()
         elif self._dynamic_stale:
             if tick or self.config.regenerate_every_frame:
-                self._regenerate_dynamic()
-            else:
-                self._start_fuse()
-
-    @property
-    def fuse_running(self) -> bool:
-        """Whether a worker is still running a fuse."""
-        return self._fuse is not None and self._fuse.is_alive()
-
-    def join(self) -> None:
-        """Wait for an in-flight fuse.
-
-        The fuse's result or error is kept, and installed or raised at the
-        next tick as usual.
-        """
-        if self._fuse is not None:
-            self._fuse.join()
+                self._install(self._fused(self.helper))
+            elif self.pass_helper is not None:
+                self._fuse = self._fused(self.pass_helper)
 
     def close(self) -> None:
-        """Join an in-flight fuse and stop both helper processes, which
-        releases their BLAS pins and the backbone's read-only flags.
-        Idempotent; later steps run every pass in this process."""
-        self.join()
+        """Drop a fuse in flight (the next tick fuses inline), stop both
+        helper processes, which releases their BLAS pins and the backbone's
+        read-only flags, and release init's pin. Idempotent; later steps run
+        every pass in this process."""
+        if self._fuse is not None:
+            self._fuse, self._dynamic_stale = None, True
         for helper in (self.helper, self.pass_helper):
             if helper is not None:
                 helper.close()
         self.helper = self.pass_helper = None
+        if self._unpin is not None:
+            self._unpin()
 
     # -- protocol ----------------------------------------------------------
 
@@ -238,13 +208,15 @@ class Tracker:
         self.memory.init_memory(initial)  # raises on a second init, before any write or fork
         cfg = self.config
         fuse_tokens = max(cfg.st_capacity, cfg.lt_capacity) * self._n_z
+        blas.pin_one()  # before the forks; the helpers' own pins nest inside it
+        self._unpin = weakref.finalize(self, blas.unpin)
         # The longest sequence: a frame, or a fuse of a full library.
         self.helper = fork_helper(self.model.backbone,
                                   max(2 * self._n_z + self._n_x, fuse_tokens))
         self.pass_helper = fork_helper(self.model.backbone, fuse_tokens, PassHelper)
         np.add(initial.tokens, self.model.patch_embed.pos_embed_template,
                out=self._tokens[:self._n_z])
-        self._regenerate_dynamic()
+        self._install(self._fused(self.helper))
         self._box = init_box
         return init_box
 
@@ -262,11 +234,7 @@ class Tracker:
                 self.memory.st_push(self._template_feature(frame, box, frame_index=t))
                 self._dynamic_stale = True
         except Exception as exc:
-            self.join()
             raise _reworded(exc, f"frame {t}: {exc}") from exc
-        except BaseException:
-            self.join()
-            raise
         self._box = box
         return box
 

@@ -63,7 +63,7 @@ def test_collapsed_or_exploded_size_maps_give_bounded_boxes(golden, size, init_b
             for frame in frames[1:7]:
                 assert_bounded(tracker.step(frame), SIDE, SIDE)
         finally:
-            tracker.join()
+            tracker.close()
 
 
 @PROPERTY

@@ -51,36 +51,31 @@ def test_six_templates_consume_384_concatenated_rows():
 
 def test_shared_mode_aliases_backbone_parameters(setup, monkeypatch):
     # The Memory Mamba is the backbone itself: every regeneration the
-    # tracker runs (init inline, and a worker's fuse after a push) gets
-    # model.backbone. The inline fuse runs in the tracker's workspace with
-    # its backward helper; the worker's hands its pass to the pass helper.
+    # tracker runs (init inline, and a deferred fuse after a push) gets
+    # model.backbone and the tracker's workspace. The inline fuse runs with
+    # the backward helper; the deferred one hands its pass to the pass helper.
     cfg, model, _ = setup
     stream, gt = synth_stream(SMALL_SYNTH)
     frames = stack_events(stream, cfg.window_us)[:11]
     received = []
 
     def recording(lib, incoming, params, ws=None, helper=None):
-        received.append((params, ws, helper))
+        received.append((tracker._frame_index, params, ws, helper))
         return generate_dynamic_template(lib, incoming, params, ws, helper)
 
     monkeypatch.setattr(tracker_module, "generate_dynamic_template", recording)
     installs = record_installs(monkeypatch)
     tracker = Tracker(cfg, model)
     tracker.init(frames[0], gt[0])
-    started = None
-    for t, frame in enumerate(frames[1:], start=1):
-        worker = tracker._fuse
+    for frame in frames[1:]:
         tracker.step(frame)
-        if tracker._fuse is not None and tracker._fuse is not worker:
-            started = t
-    # init, and the t = 5 push's fuse: started at t = 6, installed at t = 10
-    assert (started, installs) == (6, [0, 10])
-    assert len(received) == 2
-    assert received[0][1] is tracker.workspace and received[1][1] is None
-    assert received[0][2] is tracker.helper and received[1][2] is tracker.pass_helper
+    # init, and the t = 5 push's fuse: sent at t = 6, installed at t = 10
+    assert [t for t, *_ in received] == [0, 6] and installs == [0, 10]
+    assert all(ws is tracker.workspace for _, _, ws, _ in received)
+    assert received[0][3] is tracker.helper and received[1][3] is tracker.pass_helper
     assert tracker.pass_helper.whole_pass and not tracker.helper.whole_pass
     tracker.close()
-    assert all(params is model.backbone for params, _, _ in received)
+    assert all(params is model.backbone for _, params, _, _ in received)
 
 
 def test_order_sensitivity(setup):

@@ -123,6 +123,8 @@ def _compare(params, tokens, kind=BackwardHelper):
     helper = fork_helper(params, tokens.shape[0], kind)
     try:
         split = backbone(tokens, params, Workspace(), helper)
+        if helper.whole_pass:
+            helper.result()
     finally:
         helper.close()
     np.testing.assert_array_equal(split, pinned_backbone(tokens, params))
@@ -260,8 +262,8 @@ def test_rejected_init_after_close_forks_nothing():
 
 
 def test_init_forks_without_a_warning():
-    # Python 3.12+ warns when a process that has threads forks; init forks
-    # before the tracker starts its worker.
+    # Python 3.12+ warns when a process that has threads forks; the tracker
+    # starts none.
     cfg, model, frames, gt = small_run()
     tracker = Tracker(cfg, model)
     with warnings.catch_warnings():
@@ -283,9 +285,9 @@ def test_pass_child_runs_at_idle_priority():
 
 
 def test_init_while_another_trackers_fuse_is_in_flight(monkeypatch):
-    # The second tracker forks while the first one's worker waits on its
-    # pass helper's pipe. Its children must come out whole, and neither
-    # tracker's boxes may change.
+    # The second tracker forks while the first one's pass child runs a fuse.
+    # Its children must come out whole, and neither tracker's boxes may
+    # change.
     cfg, model, frames, gt = small_run()
     solo = track_frames(cfg, model, frames, gt[0])
     real = helper_module.backbone
@@ -302,10 +304,14 @@ def test_init_while_another_trackers_fuse_is_in_flight(monkeypatch):
         monkeypatch.setattr(helper_module, "backbone", slow_first_pass)
         boxes = [[first.init(frames[0], gt[0])], []]  # its pass child keeps the slow function
         monkeypatch.undo()
-        boxes[0] += [first.step(f) for f in frames[1:7]]  # the t = 5 push's fuse starts at 6
-        assert first.fuse_running
+        boxes[0] += [first.step(f) for f in frames[1:7]]  # the t = 5 push's fuse is sent at 6
+
+        def in_flight():
+            return not select.select([first.pass_helper._replies], [], [], 0)[0]
+
+        assert in_flight()
         boxes[1].append(second.init(frames[0], gt[0]))
-        assert first.fuse_running
+        assert in_flight()
         for frame in frames[1:7]:
             boxes[1].append(second.step(frame))
         for frame in frames[7:]:
@@ -389,19 +395,29 @@ def test_killed_child_fails_the_next_steps_at_once():
     tracker.close()
 
 
-def test_killed_pass_child_fails_the_next_tick():
+def test_killed_pass_child_fails_the_next_tick(monkeypatch):
     cfg, model, frames, gt = small_run()
+    real = helper_module.backbone
+
+    def slow(*args, **kwargs):
+        time.sleep(10.0)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(helper_module, "backbone", slow)
     tracker = Tracker(cfg, model)
     try:
-        tracker.init(frames[0], gt[0])
-        for frame in frames[1:6]:
+        tracker.init(frames[0], gt[0])  # the pass child keeps the slow function
+        monkeypatch.undo()
+        for frame in frames[1:7]:  # the fuse is sent at 6
             tracker.step(frame)
         os.kill(tracker.pass_helper.pid, signal.SIGKILL)
-        for frame in frames[6:10]:  # the fuse starts at 6; the frames keep the old template
+        for frame in frames[7:10]:  # the frames keep the old template
             tracker.step(frame)
-        with pytest.raises(RuntimeError, match=r"^frame 10: template fuse failed: pass helper "
-                                               r"process \d+ died \(killed by signal 9\)$"):
+        died = r"pass helper process \d+ died \(killed by signal 9\)$"
+        with pytest.raises(RuntimeError, match="^frame 10: template fuse failed: " + died):
             tracker.step(frames[10])
+        with pytest.raises(RuntimeError, match="^frame 11: " + died):  # the retry's send
+            tracker.step(frames[11])
     finally:
         tracker.close()
 
@@ -450,10 +466,13 @@ def test_pass_child_error_comes_back_with_its_type_and_message():
     try:
         x = np.ones((8, 16), np.float32)
         x[3, 1] = np.nan
+        backbone(x, params, None, helper)
         with pytest.raises(ValueError, match="^non-finite input$"):
-            backbone(x, params, None, helper)
+            helper.result()
         x[3, 1] = 0.5  # the child serves on
-        np.testing.assert_array_equal(backbone(x, params, None, helper), pinned_backbone(x, params))
+        out = backbone(x, params, None, helper)
+        helper.result()
+        np.testing.assert_array_equal(out, pinned_backbone(x, params))
     finally:
         helper.close()
 
@@ -472,10 +491,36 @@ def test_failure_only_the_pass_child_meets_gives_the_in_process_result(monkeypat
         rng = np.random.default_rng(0)
         for _ in range(2):  # the child serves on
             x = rng.standard_normal((8, 16)).astype(np.float32)
-            np.testing.assert_array_equal(backbone(x, params, None, helper),
-                                          pinned_backbone(x, params))
+            out = backbone(x, params, None, helper)
+            helper.result()
+            np.testing.assert_array_equal(out, pinned_backbone(x, params))
     finally:
         helper.close()
+
+
+def test_fuses_only_the_pass_child_fails_leave_the_boxes_unchanged(monkeypatch):
+    cfg, model, frames, gt = small_run()
+    solo = track_frames(cfg, model, frames, gt[0])
+    real = helper_module.backbone
+    reruns = []
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("only the child fails")
+
+    def rerun(*args, **kwargs):
+        reruns.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(helper_module, "backbone", failing)
+    tracker = Tracker(cfg, model)
+    try:
+        boxes = [tracker.init(frames[0], gt[0])]  # the pass child keeps the failing pass
+        monkeypatch.setattr(helper_module, "backbone", rerun)
+        boxes += [tracker.step(frame) for frame in frames[1:]]
+    finally:
+        tracker.close()
+    assert boxes == solo
+    assert len(reruns) == 3  # the fuses sent at t = 6, 11 and 16, mended at their ticks
 
 
 def test_interrupt_between_request_and_reply_leaves_no_stale_reply(monkeypatch):

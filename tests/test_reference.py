@@ -7,8 +7,8 @@ the tracker only the stages that have their own oracles: `crop_region`,
 `patch_embed`, `backbone`, `head_forward`, `decode_bbox`, `pearson` and
 `gram_matrix`. Its fuse runs inline on the frame after a push and its result
 is installed at the next tick, or on that frame under
-`regenerate_every_frame`, so it shows when the tracker's worker, token
-layout, Gram cache and member order must take effect.
+`regenerate_every_frame`, so it shows when the tracker's deferred fuse,
+token layout, Gram cache and member order must take effect.
 
 A change to the loop's behaviour changes this reference in the same commit.
 """
@@ -158,5 +158,5 @@ def test_tracker_equals_reference_loop(depth, update_interval, st_capacity, lt_c
                     assert_same_bytes(getattr(got, name), getattr(outputs, name), name, t)
                 assert_same_bytes(tracker._tokens[n_z:2 * n_z], dynamic, "template", t)
         finally:
-            tracker.join()
+            tracker.close()
     assert [json.loads(line) for line in log.getvalue().splitlines()] == records

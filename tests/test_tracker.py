@@ -1,15 +1,15 @@
-"""Tracker loop: when and on which thread the dynamic template is
-regenerated, the tracker's lifecycle and errors, and BLAS pinning. What each
-step computes is checked against the reference loop in test_reference.py."""
+"""Tracker loop: when the dynamic template is regenerated and whether
+inline or deferred to the pass helper, the tracker's lifecycle and errors,
+and BLAS pinning. What each step computes is checked against the reference
+loop in test_reference.py."""
 
 import io
 import json
-import threading
-import time
 
 import numpy as np
 import pytest
 
+import evtrack.helper as helper_module
 import evtrack.tracker as tracker_module
 from evtrack import blas
 from evtrack.events import iter_event_frames, stack_events, synth_stream
@@ -23,61 +23,65 @@ from _utils import SMALL_SYNTH, record_installs, small_config
 def run_recording(monkeypatch, **overrides):
     """Track 21 frames; returns the frame index at which each fuse started
     and the one from which its template was used (0 is init), per fuse call
-    whether it ran on the stepping thread, and the debug stream's ops."""
+    whether it was deferred (handed the pass helper), and the debug
+    stream's ops."""
     cfg = small_config(**overrides)
     model = init_model(cfg)
     stream, gt = synth_stream(SMALL_SYNTH)
     frames = stack_events(stream, cfg.window_us)
     log = io.StringIO()
     tracker = Tracker(cfg, model, log)
-    on_main = []
+    starts, deferred = [], []
 
-    def recording(*args, **kwargs):
-        on_main.append(threading.current_thread() is threading.main_thread())
-        return generate_dynamic_template(*args, **kwargs)
+    def recording(lib, incoming, params, ws=None, helper=None):
+        starts.append(tracker._frame_index)
+        deferred.append(helper is not None and helper is tracker.pass_helper)
+        return generate_dynamic_template(lib, incoming, params, ws, helper)
 
     monkeypatch.setattr(tracker_module, "generate_dynamic_template", recording)
     installs = record_installs(monkeypatch)
     tracker.init(frames[0], gt[0])
-    starts = [0]
-    for t, frame in enumerate(frames[1:], start=1):
-        worker, inline = tracker._fuse, on_main.count(True)
+    for frame in frames[1:]:
         tracker.step(frame)
-        if tracker._fuse is not None and tracker._fuse is not worker:
-            starts.append(t)  # a worker was started in this step
-        elif on_main.count(True) > inline:
-            starts.append(t)  # an inline fuse ran in this step
-    tracker.join()
+    tracker.close()
     assert len(frames) == 21
     ops = [json.loads(line)["op"] for line in log.getvalue().splitlines()]
-    return starts, installs, on_main, ops
+    return starts, installs, deferred, ops
 
 
 def test_default_mode_regenerates_at_ticks_after_a_push(monkeypatch):
-    # Pushes happen at the end of t = 5, 10, 15, 20. Each push's fuse starts
-    # on a worker at the start of the next frame and is installed at the next
-    # tick; the t = 20 push has no frame after it, so no fuse starts.
-    starts, installs, on_main, ops = run_recording(monkeypatch)
+    # Pushes happen at the end of t = 5, 10, 15, 20. Each push's fuse is
+    # sent to the pass helper at the start of the next frame and installed
+    # at the next tick; the t = 20 push has no frame after it, so no fuse
+    # starts.
+    starts, installs, deferred, ops = run_recording(monkeypatch)
     assert starts == [0, 6, 11, 16]
     assert installs == [0, 10, 15, 20]
-    assert on_main == [True, False, False, False]
+    assert deferred == [False, True, True, True]
     assert ops.count("route") == len(installs)  # one route per fuse
     assert ops.count("st_push") == 4
 
 
 def test_every_frame_mode_regenerates_on_the_frame_after_a_push(monkeypatch):
-    starts, installs, on_main, ops = run_recording(monkeypatch, regenerate_every_frame=True)
+    starts, installs, deferred, ops = run_recording(monkeypatch, regenerate_every_frame=True)
     assert starts == installs == [0, 6, 11, 16]
-    assert on_main == [True] * 4
+    assert deferred == [False] * 4
     assert ops.count("route") == len(installs)
 
 
 def test_interval_one_fuses_inline_on_every_frame_after_init(monkeypatch):
     # Every frame is a tick, so each push's template is needed on the very
     # next frame and nothing can run behind it. The first push ends t = 1.
-    starts, installs, on_main, _ = run_recording(monkeypatch, update_interval=1)
+    starts, installs, deferred, _ = run_recording(monkeypatch, update_interval=1)
     assert starts == installs == [0, *range(2, 21)]
-    assert on_main == [True] * 20
+    assert deferred == [False] * 20
+
+
+def test_without_a_pass_helper_a_stale_template_is_fused_inline_at_the_tick(monkeypatch):
+    monkeypatch.setattr(tracker_module, "fork_helper", lambda *args: None)
+    starts, installs, deferred, _ = run_recording(monkeypatch)
+    assert starts == installs == [0, 10, 15, 20]
+    assert deferred == [False] * 4
 
 
 def test_track_sequence_equals_tracking_prestacked_frames():
@@ -124,7 +128,7 @@ def test_tracker_workspace_persists_across_steps():
     workspace = tracker.workspace
     tracker.step(frames[1])  # a frame is longer than this config's fuse
     size = workspace.nbytes
-    for frame in frames[2:]:  # worker fuses start at t = 6, 11, 16
+    for frame in frames[2:]:  # deferred fuses are sent at t = 6, 11, 16
         tracker.step(frame)
     tracker.close()
     assert tracker.workspace is workspace and workspace.nbytes == size
@@ -150,47 +154,45 @@ def test_rejected_second_init_leaves_the_tracker_unchanged():
         tracker.close()
 
 
-def _slow_fuse(monkeypatch, seconds=0.2):
-    """Make every worker fuse wait `seconds` first; returns the BLAS thread
-    counts the worker saw."""
-    seen = []
-
-    def slow(*args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
-            seen.append(blas.threads())
-            time.sleep(seconds)
-        return generate_dynamic_template(*args, **kwargs)
-
-    monkeypatch.setattr(tracker_module, "generate_dynamic_template", slow)
-    return seen
-
-
-def test_track_frames_joins_an_in_flight_fuse(monkeypatch):
-    # 8 frames: the t = 5 push starts a fuse at t = 6 that no tick installs.
+def test_track_frames_drops_an_in_flight_fuse(monkeypatch):
+    # 8 frames: the t = 5 push sends a fuse at t = 6 that no tick installs.
     cfg = small_config()
     model = init_model(cfg)
     stream, gt = synth_stream(SMALL_SYNTH)
     frames = stack_events(stream, cfg.window_us)[:8]
-    threads, blas_threads = threading.active_count(), blas.threads()
-    seen = _slow_fuse(monkeypatch)
+    blas_threads = blas.threads()
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(blas.threads())
+        return generate_dynamic_template(*args, **kwargs)
+
+    monkeypatch.setattr(tracker_module, "generate_dynamic_template", recording)
     assert len(track_frames(cfg, model, frames, gt[0])) == 8
-    assert threading.active_count() == threads
     assert blas.threads() == blas_threads
-    assert len(seen) == 1 and seen[0] in (None, 1)  # BLAS pinned while it ran
+    assert len(seen) == 2 and set(seen) <= {None, 1}  # BLAS pinned at every fuse
 
 
-def test_step_that_raises_mid_cycle_joins_and_keeps_the_fuse(monkeypatch):
+def _reference_templates(cfg, model, frames, gt, steps):
+    """The dynamic rows after each of an undisturbed tracker's first `steps`
+    steps, by frame index."""
+    n_z = cfg.n_template_tokens
+    tracker = Tracker(cfg, model)
+    tracker.init(frames[0], gt[0])
+    templates = {}
+    for t, frame in enumerate(frames[1:steps + 1], start=1):
+        tracker.step(frame)
+        templates[t] = tracker._tokens[n_z:2 * n_z].copy()
+    tracker.close()
+    return templates
+
+
+def test_step_that_raises_mid_cycle_keeps_the_fuse(monkeypatch):
     cfg = small_config()
     model = init_model(cfg)
     stream, gt = synth_stream(SMALL_SYNTH)
     frames = stack_events(stream, cfg.window_us)
-    reference = Tracker(cfg, model)
-    reference.init(frames[0], gt[0])
-    for frame in frames[1:11]:
-        reference.step(frame)
-
-    threads, blas_threads = threading.active_count(), blas.threads()
-    _slow_fuse(monkeypatch)
+    reference = _reference_templates(cfg, model, frames, gt, 10)
     head_forward = tracker_module.head_forward
     tracker = Tracker(cfg, model)
 
@@ -203,37 +205,72 @@ def test_step_that_raises_mid_cycle_joins_and_keeps_the_fuse(monkeypatch):
     tracker.init(frames[0], gt[0])
     for frame in frames[1:7]:
         tracker.step(frame)
-    assert tracker.fuse_running
+    fuse = tracker._fuse
+    assert fuse is not None
     with pytest.raises(ValueError, match="head failed"):
         tracker.step(frames[7])
-    assert not tracker.fuse_running
-    assert threading.active_count() == threads
-    assert blas.threads() == blas_threads
+    assert tracker._fuse is fuse
     for frame in frames[8:11]:
         tracker.step(frame)
-    # The fuse started at t = 6 read only memory fixed at t = 5, so the
+    # The fuse sent at t = 6 read only memory fixed at t = 5, so the
     # template installed at t = 10 is the undisturbed run's.
     n_z = cfg.n_template_tokens
-    np.testing.assert_array_equal(tracker._tokens[n_z:2 * n_z],
-                                  reference._tokens[n_z:2 * n_z])
+    np.testing.assert_array_equal(tracker._tokens[n_z:2 * n_z], reference[10])
+    tracker.close()
 
 
-def test_worker_error_raises_at_the_installing_tick(monkeypatch):
+def test_interrupt_during_the_ticks_wait_leaves_the_fuse_for_the_next_tick(monkeypatch):
     cfg = small_config()
     model = init_model(cfg)
     stream, gt = synth_stream(SMALL_SYNTH)
     frames = stack_events(stream, cfg.window_us)
-    threads, blas_threads = threading.active_count(), blas.threads()
-
-    def failing(*args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
-            raise FloatingPointError("fuse failed")
-        return generate_dynamic_template(*args, **kwargs)
-
-    monkeypatch.setattr(tracker_module, "generate_dynamic_template", failing)
+    reference = _reference_templates(cfg, model, frames, gt, 10)
     tracker = Tracker(cfg, model)
     tracker.init(frames[0], gt[0])
-    for frame in frames[1:10]:  # the fuse fails during t = 6 .. 9
+    try:
+        for frame in frames[1:10]:
+            tracker.step(frame)
+        if tracker.pass_helper is None:
+            pytest.skip("no pass helper where the platform cannot fork")
+
+        def interrupted():
+            raise KeyboardInterrupt  # arrives before the reply is read
+
+        monkeypatch.setattr(tracker.pass_helper, "_reply", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            tracker.step(frames[10])
+        monkeypatch.undo()
+        n_z = cfg.n_template_tokens
+        for frame in frames[11:16]:
+            assert tracker._fuse is not None
+            tracker.step(frame)
+        # Frame 10 was lost, so no push: the t = 15 tick installs the fuse
+        # sent at t = 6, the template the undisturbed run installed at 10.
+        assert tracker._fuse is None
+        np.testing.assert_array_equal(tracker._tokens[n_z:2 * n_z], reference[10])
+    finally:
+        tracker.close()
+
+
+def test_fuse_error_raises_at_the_installing_tick(monkeypatch):
+    cfg = small_config()
+    model = init_model(cfg)
+    stream, gt = synth_stream(SMALL_SYNTH)
+    frames = stack_events(stream, cfg.window_us)
+
+    def failing(*args, **kwargs):
+        raise FloatingPointError("fuse failed")
+
+    # The pass child keeps the failing pass from its fork, and the parent's
+    # rerun of it meets it too; init's inline fuse does not run it.
+    monkeypatch.setattr(helper_module, "backbone", failing)
+    blas_threads = blas.threads()
+    tracker = Tracker(cfg, model)
+    tracker.init(frames[0], gt[0])
+    if tracker.pass_helper is None:
+        tracker.close()
+        pytest.skip("no pass helper where the platform cannot fork")
+    for frame in frames[1:10]:  # the fuse is sent at t = 6 and fails in the child
         tracker.step(frame)
     with pytest.raises(FloatingPointError,
                        match="^frame 10: template fuse failed: fuse failed$") as info:
@@ -242,9 +279,33 @@ def test_worker_error_raises_at_the_installing_tick(monkeypatch):
     assert isinstance(fuse_error, FloatingPointError)
     assert str(fuse_error) == "template fuse failed: fuse failed"
     assert str(fuse_error.__cause__) == "fuse failed"
-    assert threading.active_count() == threads
+    assert tracker._fuse is None and tracker._dynamic_stale
     tracker.close()
     assert blas.threads() == blas_threads
+
+
+def test_one_blas_pin_per_open_tracker_without_fork(monkeypatch):
+    # A tracker that could not fork still pins OpenBLAS from init to close,
+    # and with no pass helper fuses a stale template inline at the tick.
+    cfg = small_config()
+    model = init_model(cfg)
+    stream, gt = synth_stream(SMALL_SYNTH)
+    frames = stack_events(stream, cfg.window_us)
+    forked = track_frames(cfg, model, frames, gt[0])
+    before = blas.threads()
+    monkeypatch.setattr(tracker_module, "fork_helper", lambda *args: None)
+    tracker = Tracker(cfg, model)
+    boxes = [tracker.init(frames[0], gt[0])]
+    assert tracker.helper is None and tracker.pass_helper is None
+    assert blas.threads() == (None if before is None else 1)
+    for frame in frames[1:]:
+        boxes.append(tracker.step(frame))
+        assert blas.threads() == (None if before is None else 1)
+    tracker.close()
+    assert blas.threads() == before
+    tracker.close()  # idempotent: the pin is released once
+    assert blas.threads() == before
+    assert boxes == forked
 
 
 def test_non_finite_activation_names_its_frame(monkeypatch):

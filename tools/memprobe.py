@@ -14,14 +14,14 @@ pass helper that runs the deferred fuses), it also records each child's
 peak resident set (VmHWM), which this process's ru_maxrss does not include,
 and the part of each child's current resident set that is its own rather
 than shared copy-on-write with this process (Private_* of smaps_rollup). It
-then steps --frames frames and reads, per frame, the wall time and the
-change in getrusage's minor faults and system CPU time, and after the step
-the bytes held by the tracker's frame workspace, OpenBLAS's thread count
-and whether a template fuse was still in flight.
-Stepping with and without a weight load is what separates steady-state
-stepping from allocator state left behind by set-up. The tracker is joined
-before the final stage is read, and closed after. One JSON object goes to
-stdout.
+then steps --frames frames, rounded up to whole update cycles so that the
+last step is a tick and no template fuse is in flight when the final stage
+is read, and reads, per frame, the wall time and the change in getrusage's
+minor faults and system CPU time, and after the step the bytes held by the
+tracker's frame workspace and OpenBLAS's thread count. Stepping with and
+without a weight load is what separates steady-state stepping from
+allocator state left behind by set-up. The tracker is closed after the
+final stage is read. One JSON object goes to stdout.
 """
 
 from __future__ import annotations
@@ -92,8 +92,9 @@ def main(argv: list[str] | None = None) -> int:
     stages["tracker_init"] = (rss_mib(), peak_mib())
     helpers = {"tracker_init": helpers_mib(tracker)}
 
+    cycle = config.update_interval
     per_frame = []
-    for k in range(1, args.frames + 1):
+    for k in range(1, -(-args.frames // cycle) * cycle + 1):
         frame = frames[k % len(frames)]
         before = resource.getrusage(resource.RUSAGE_SELF)
         t0 = perf_counter()
@@ -104,9 +105,7 @@ def main(argv: list[str] | None = None) -> int:
                           "minor_faults": after.ru_minflt - before.ru_minflt,
                           "sys_ms": (after.ru_stime - before.ru_stime) * 1e3,
                           "workspace_bytes": tracker.workspace.nbytes,
-                          "blas_threads": blas.threads(),
-                          "fuse_in_flight": tracker.fuse_running})
-    tracker.join()
+                          "blas_threads": blas.threads()})
     stages["stepped"] = (rss_mib(), peak_mib())
     helpers["stepped"] = helpers_mib(tracker)
     tracker.close()
