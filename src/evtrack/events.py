@@ -7,8 +7,13 @@ For tracking we stack them into fixed-duration 3-channel frames:
     channel 1: per-pixel count of negative events, normalized by the window max
     channel 2: latest-event time at each pixel, normalized to [0, 1) in the window
 
-Pixels that saw no events are 0 in all channels. Counts come from one
-`np.bincount` per polarity over the window's flat pixel index y*W + x.
+Pixels that saw no events are 0 in all channels. A frame is sparse: it holds
+only the pixels its window's events touched, as ascending flat indices
+y*W + x and their three channel values, so its size follows the events, not
+the sensor. Each window finds its touched pixels with one `np.unique` over
+the events' flat indices and counts each polarity with one `np.bincount`
+over the pixels' ranks; every temporary holds one entry per event or per
+touched pixel.
 
 A stream is held in 13 bytes per event: ts int64, xs and ys int16, ps int8.
 The CSV parser writes those columns directly, so no (N, 4) int64 block is
@@ -18,7 +23,8 @@ overflows int16 from row 95 on a 346-px-wide sensor.
 
 Regions are cropped on a separable grid: the column and row sample positions
 are two 1-D grids, so the bilinear weights, indices and validity masks are
-built per axis and combined by outer product.
+built per axis and combined by outer product. A crop scatters only the
+frame's pixels inside the rectangle its samples read into a dense patch.
 """
 
 from __future__ import annotations
@@ -90,23 +96,76 @@ class EventStream:
 
 @dataclass(frozen=True)
 class EventFrame:
-    """One stacked 3 x H x W frame covering [window_start, window_end) microseconds."""
+    """One stacked window [window_start, window_end) microseconds on a
+    width x height sensor, holding only the pixels its events touched.
 
-    data: np.ndarray
+    `pixels` holds their flat indices y * width + x, ascending and unique, as
+    int32; `values` holds their three channel values, (3, len(pixels))
+    float32. Every other pixel is 0 in every channel. `region` scatters the
+    pixels inside a rectangle into a dense array, and `data` is the region
+    covering the whole sensor, the dense (3, height, width) frame, built anew
+    on every access. `from_dense` builds a frame from a dense array.
+    """
+
+    pixels: np.ndarray
+    values: np.ndarray
+    width: int
+    height: int
     window_start: int
     window_end: int
 
     def __post_init__(self):
-        if self.data.ndim != 3 or self.data.shape[0] != 3:
+        if self.width <= 0 or self.height <= 0:
+            raise ValueError("frame dimensions must be positive")
+        if max(self.width, self.height) > MAX_SENSOR_SIDE:  # so int32 holds every index
+            raise ValueError(f"sensor sides above {MAX_SENSOR_SIDE} px are not supported")
+        pixels = np.asarray(self.pixels)
+        if pixels.ndim != 1 or (pixels.size and pixels.dtype.kind not in "iu"):
+            raise ValueError("frame pixels must be a 1-D integer array")
+        if pixels.size and (pixels[0] < 0 or pixels[-1] >= self.width * self.height
+                            or (pixels[1:] <= pixels[:-1]).any()):
+            raise ValueError("frame pixels must be ascending, unique and on the sensor")
+        values = np.asarray(self.values, dtype=np.float32)
+        if values.shape != (3, pixels.size):
+            raise ValueError("frame values must be 3 x len(pixels)")
+        object.__setattr__(self, "pixels", pixels.astype(np.int32, copy=False))
+        object.__setattr__(self, "values", values)
+
+    @classmethod
+    def from_dense(cls, data: np.ndarray, window_start: int, window_end: int) -> "EventFrame":
+        """The frame of a dense (3, H, W) array, converted to float32; every
+        pixel whose bits are not all zero in some channel is kept, so `data`
+        returns the array bit for bit (-0.0 included)."""
+        data = np.asarray(data, dtype=np.float32)
+        if data.ndim != 3 or data.shape[0] != 3:
             raise ValueError("frame data must be 3 x H x W")
+        _, h, w = data.shape
+        flat = data.reshape(3, h * w)
+        pixels = np.flatnonzero(flat.view(np.uint32).any(axis=0))
+        return cls(pixels, flat[:, pixels], w, h, window_start, window_end)
+
+    def region(self, left: int, top: int, right: int, bottom: int) -> np.ndarray:
+        """The frame on the sensor rectangle [left, right) x [top, bottom), a
+        new dense (3, bottom - top, right - left) float32 array, 0 where no
+        event was. Reads only the pixels of rows top .. bottom - 1."""
+        if not (0 <= left <= right <= self.width and 0 <= top <= bottom <= self.height):
+            raise ValueError("region must lie on the sensor")
+        out = np.zeros((3, bottom - top, right - left), dtype=np.float32)
+        lo, hi = np.searchsorted(self.pixels, (top * self.width, bottom * self.width))
+        ys, xs = np.divmod(self.pixels[lo:hi], self.width)
+        inside = np.flatnonzero((xs >= left) & (xs < right))
+        out[:, ys[inside] - top, xs[inside] - left] = self.values[:, lo + inside]
+        return out
 
     @property
-    def height(self) -> int:
-        return self.data.shape[1]
+    def data(self) -> np.ndarray:
+        """The dense (3, height, width) frame: a new array on every access."""
+        return self.region(0, 0, self.width, self.height)
 
     @property
-    def width(self) -> int:
-        return self.data.shape[2]
+    def nbytes(self) -> int:
+        """Bytes the frame's arrays hold: 16 per touched pixel."""
+        return self.pixels.nbytes + self.values.nbytes
 
 
 @dataclass(frozen=True)
@@ -175,9 +234,10 @@ def iter_event_frames(stream: EventStream, window_us: int) -> Iterator[EventFram
     """Stack a stream into consecutive fixed-duration 3-channel frames, one
     window at a time.
 
-    Windows tile [first_t, last_t]; an empty stream yields nothing.
-    Polarity counts are `np.bincount` over the flat pixel index, and the
-    latest-time surface is `np.maximum.at` on the flattened channel.
+    Windows tile [first_t, last_t]; an empty stream yields nothing, and an
+    empty window gives a frame with no pixels. Each frame holds only its
+    window's touched pixels (see `EventFrame`); their values are those of
+    the dense encoding, bit for bit.
     """
     if window_us <= 0:
         raise ValueError("window_us must be positive")
@@ -198,67 +258,81 @@ def _windows(stream: EventStream, window_us: int) -> Iterator[EventFrame]:
     for k in range(n_frames):
         lo, hi = bounds[k], bounds[k + 1]
         start = first + k * window_us
-        data = np.zeros((3, h, w), dtype=np.float32)
-        if hi > lo:
-            # Flat pixel index per window: a whole-stream index would hold
-            # one int64 per event for the whole call. ys is widened first,
-            # as int16 y * w overflows from y = 32768 // w.
-            flat = stream.ys[lo:hi].astype(np.intp) * w + stream.xs[lo:hi]
-            pos = stream.ps[lo:hi] > 0
-            for c, sel in enumerate((pos, ~pos)):
-                counts = np.bincount(flat[sel], minlength=h * w)
-                m = counts.max()
-                if m > 0:
-                    data[c] = (counts / m).reshape(h, w)
-            # Latest-event surface: timestamps are sorted, so a running max
-            # of the normalized in-window time keeps the last event per pixel.
-            tnorm = (stream.ts[lo:hi] - start).astype(np.float64) / window_us
-            np.maximum.at(data[2].reshape(-1), flat, tnorm.astype(np.float32))
-        yield EventFrame(data=data, window_start=start, window_end=start + window_us)
+        # Flat pixel index per window: a whole-stream index would hold one
+        # int64 per event for the whole call. ys is widened first, as int16
+        # y * w overflows from y = 32768 // w.
+        flat = stream.ys[lo:hi].astype(np.intp) * w + stream.xs[lo:hi]
+        # The touched pixels, ascending, and each event's rank among them.
+        pixels, rank = np.unique(flat, return_inverse=True)
+        values = np.zeros((3, pixels.size), dtype=np.float32)
+        pos = stream.ps[lo:hi] > 0
+        for c, sel in enumerate((pos, ~pos)):
+            counts = np.bincount(rank[sel], minlength=pixels.size)
+            m = counts.max(initial=0)
+            if m > 0:
+                values[c] = counts / m
+        # Latest-event surface: timestamps are sorted, so a running max of
+        # the normalized in-window time keeps the last event per pixel.
+        tnorm = (stream.ts[lo:hi] - start).astype(np.float64) / window_us
+        np.maximum.at(values[2], rank, tnorm.astype(np.float32))
+        yield EventFrame(pixels, values, w, h, start, start + window_us)
 
 
 def stack_events(stream: EventStream, window_us: int) -> list[EventFrame]:
-    """Every frame of `iter_event_frames`, as a list."""
+    """Every frame of `iter_event_frames`, as a list. Each frame holds 16
+    bytes per touched pixel (an int32 index and three float32 values), so
+    the list grows with the events, not with the sensor."""
     return list(iter_event_frames(stream, window_us))
 
 
-def _bilinear_sample(img: np.ndarray, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    """Sample (3, H, W) on the separable grid gy x gx; outside the image reads 0.
+def _bilinear_sample(frame: EventFrame, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Sample `frame` on the separable grid gy x gx; off the sensor reads 0.
 
     gx is the 1-D column grid and gy the 1-D row grid, in edge-based
     coordinates (pixel (i, j) spans [j, j+1) x [i, i+1)); the result is
-    (3, len(gy), len(gx)). Indices, weights and validity are built per axis,
-    and each corner's weight is their outer product. Corners are summed in
-    the (dy, dx) order (0, 0), (0, 1), (1, 0), (1, 1); another order rounds
-    the float32 sum differently.
+    (3, len(gy), len(gx)) float32. Indices, weights and validity are built
+    per axis, and each corner's weight is their outer product. Corners are
+    summed in the (dy, dx) order (0, 0), (0, 1), (1, 0), (1, 1); another
+    order rounds the float32 sum differently.
+
+    The frame is read through one dense patch: the rectangle of sensor
+    pixels the corners fall on, the grid's span plus the 1-px margin of the
+    second corner, clipped to the sensor. Validity is taken against the
+    sensor, so an off-sensor corner weighs 0 whichever patch pixel its
+    clipped index reads, and the result equals sampling the dense frame.
 
     A non-finite grid raises ValueError. A finite grid is clipped to
     [-1, side + 1] per axis first: every sample beyond that reads 0 wherever
     it lies, and the clip keeps the int64 casts in range.
     """
-    _, h, w = img.shape
+    h, w = frame.height, frame.width
     if not (np.isfinite(gx).all() and np.isfinite(gy).all()):
         raise ValueError("crop grid must be finite")
     cx = np.clip(gx, -1.0, w + 1.0) - 0.5  # index space: pixel centers at integers
     cy = np.clip(gy, -1.0, h + 1.0) - 0.5
     x0 = np.floor(cx).astype(np.int64)
     y0 = np.floor(cy).astype(np.int64)
-    fx = (cx - x0).astype(img.dtype)
-    fy = (cy - y0).astype(img.dtype)
+    fx = (cx - x0).astype(np.float32)
+    fy = (cy - y0).astype(np.float32)
+    out = np.zeros((3, gy.size, gx.size), dtype=np.float32)
+    left, right = max(int(x0.min()), 0), min(int(x0.max()) + 2, w)
+    top, bottom = max(int(y0.min()), 0), min(int(y0.max()) + 2, h)
+    if left >= right or top >= bottom:
+        return out  # every corner lies off the sensor
+    img = frame.region(left, top, right, bottom)
 
-    # Both column sets are gathered from the frame once, then each one's rows
+    # Both column sets are gathered from the patch once, then each one's rows
     # per dy: the values and products of a row-first gather, but each take
-    # reads a (3, H, len(gx)) array, not a (3, len(gy), W) one per dx.
+    # reads a (3, rows, len(gx)) array, not a (3, len(gy), cols) one per dx.
     columns = []
     for dx, wx in ((0, 1.0 - fx), (1, fx)):
         xi = x0 + dx
         vx = (xi >= 0) & (xi < w)
-        columns.append((wx, vx, img.take(np.clip(xi, 0, w - 1), axis=2)))
-    out = np.zeros((img.shape[0], gy.size, gx.size), dtype=img.dtype)
+        columns.append((wx, vx, img.take(np.clip(xi, left, right - 1) - left, axis=2)))
     for dy, wy in ((0, 1.0 - fy), (1, fy)):
         yi = y0 + dy
         vy = (yi >= 0) & (yi < h)
-        yc = np.clip(yi, 0, h - 1)
+        yc = np.clip(yi, top, bottom - 1) - top
         for wx, vx, cols in columns:
             weight = wy[:, None] * wx[None, :] * (vy[:, None] & vx[None, :])
             out += weight * cols.take(yc, axis=1)
@@ -271,7 +345,10 @@ def crop_region(frame: EventFrame, box: BBox, context_factor: float, out_size: i
     The crop side is context_factor * sqrt(w * h); out-of-frame area is
     zero-padded. resize_factor = out_size / crop_side is recorded so patch
     coordinates can be mapped back to frame coordinates. The sample grid is
-    separable: columns at x0 + grid, rows at y0 + grid.
+    separable: columns at x0 + grid, rows at y0 + grid. Only the frame's
+    pixels inside the sampled rectangle (the crop's span plus a 1-px margin,
+    clipped to the sensor) are read; the patch equals a crop of the dense
+    frame bit for bit.
     """
     if context_factor < 1:
         raise ValueError("context_factor must be >= 1")
@@ -282,7 +359,7 @@ def crop_region(frame: EventFrame, box: BBox, context_factor: float, out_size: i
     x0 = box.cx - side / 2.0
     y0 = box.cy - side / 2.0
     grid = (np.arange(out_size, dtype=np.float64) + 0.5) / rf
-    data = _bilinear_sample(frame.data.astype(np.float32, copy=False), x0 + grid, y0 + grid)
+    data = _bilinear_sample(frame, x0 + grid, y0 + grid)
     return RegionPatch(data=data, resize_factor=rf, crop_center=(box.cx, box.cy))
 
 

@@ -37,7 +37,9 @@ and its own two pipe ends, so it holds open no other helper's pipe (a
 tracker's second child not its first's) and no file or pipe of the
 caller's. `close` (also run when the helper is garbage-collected, and at
 interpreter exit) closes the pipes and reaps the child, killing it if it has
-not exited within _EXIT_WAIT_S. While a helper is open:
+not exited within _EXIT_WAIT_S. With a request still pending, its reply
+would go unread, so `close` kills the child at once instead of waiting for
+the work to end. While a helper is open:
 - the backbone's arrays are read-only. The child holds a copy-on-write
   snapshot of them taken at fork, and would not see a later write, so a
   write fails loudly instead. They are writable again once the last helper
@@ -122,6 +124,7 @@ class _Child:
         self.pid, self.fds, self.params = pid, fds, params
         self.owner = os.getpid()
         self.exit: str | None = None  # how the child ended, once reaped
+        self.pending: tuple | None = None  # the request awaiting its reply
 
     def reap(self, timeout: float | None = None) -> str:
         """Wait for the child, killing it after `timeout` seconds if given;
@@ -140,6 +143,11 @@ class _Child:
         if os.getpid() != self.owner:  # a forked copy of the owner: not ours to stop
             return
         try:
+            if self.pending is not None and self.exit is None:
+                try:  # nobody will read the reply: do not wait for the work
+                    os.kill(self.pid, signal.SIGKILL)
+                except ProcessLookupError:  # reaped elsewhere
+                    pass
             for fd in self.fds:
                 os.close(fd)  # the child reads EOF and exits
             self.reap(_EXIT_WAIT_S)
@@ -206,11 +214,10 @@ class Helper:
         self._requests, self._replies = request_w, reply_r
         self._child = _Child(pid, (request_w, reply_r), params)
         self._stop = weakref.finalize(self, self._child.stop)
-        self._pending: tuple | None = None  # the request awaiting its reply
 
     def close(self) -> None:
-        """Stop the child, release the BLAS pin and the backbone's read-only
-        flags. Idempotent."""
+        """Stop the child (killing it if a request is pending), release the
+        BLAS pin and the backbone's read-only flags. Idempotent."""
         self._stop()
 
     def _enter_child(self) -> None:
@@ -234,7 +241,7 @@ class Helper:
     def _send(self, x: np.ndarray, *request) -> None:
         """Copy x, (tokens, width_in), to the input buffer and send `request`."""
         self._check_open()
-        if self._pending is not None:
+        if self._child.pending is not None:
             self._reply()  # left by an interrupted call; its outcome is moot
         n = x.shape[0]
         if n > self.max_tokens or x.dtype != self.dtype:
@@ -245,7 +252,7 @@ class Helper:
             os.write(self._requests, self._request.pack(*request))
         except BrokenPipeError:
             raise self._died() from None
-        self._pending = request
+        self._child.pending = request
 
     def _check_open(self) -> None:
         if not self._stop.alive:
@@ -257,7 +264,7 @@ class Helper:
         reply = os.read(self._replies, 1)
         if not reply:
             raise self._died()
-        self._pending = None
+        self._child.pending = None
         return reply
 
     def _died(self) -> RuntimeError:
@@ -290,7 +297,7 @@ class BackwardHelper(Helper):
         token order, as `vim_backward` returns it; valid until the next
         submit."""
         self._check_open()
-        index, n = self._pending
+        index, n = self._child.pending
         if self._reply() == _FAILED:  # raises the child's error, or mends its own
             return vim_backward(self._x[:n], self.params.blocks[index])
         return self._y[:n]
@@ -330,7 +337,7 @@ class PassHelper(Helper):
         """Wait for the submitted pass; its output is then in the rows
         `submit` returned."""
         self._check_open()
-        (n,) = self._pending
+        (n,) = self._child.pending
         if self._reply() == _FAILED:  # raises the child's error, or mends its own
             self._y[:n] = backbone(self._x[:n], self.params)
 

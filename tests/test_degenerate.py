@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evtrack.tracker as tracker_module
-from evtrack.events import BBox, EventStream, _bilinear_sample, stack_events, synth_stream
+from evtrack.events import (BBox, EventFrame, EventStream, _bilinear_sample, stack_events,
+                            synth_stream)
 from evtrack.head import MIN_BOX_SIDE
 from evtrack.model import init_model
 from evtrack.tracker import Tracker, track_sequence
@@ -110,21 +111,21 @@ grids = st.lists(finite, min_size=1, max_size=12).map(np.array)
 @given(gx=grids, gy=grids, bad=st.sampled_from([math.nan, math.inf, -math.inf]),
        axis=st.integers(0, 1), data=st.data())
 def test_non_finite_grid_raises(gx, gy, bad, axis, data):
-    img = np.ones((3, 5, 7), dtype=np.float32)
+    frame = EventFrame.from_dense(np.ones((3, 5, 7), dtype=np.float32), 0, 1)
     grid = (gx, gy)[axis]
     grid[data.draw(st.integers(0, grid.size - 1))] = bad
     with pytest.raises(ValueError, match="crop grid must be finite"):
-        _bilinear_sample(img, gx, gy)
+        _bilinear_sample(frame, gx, gy)
 
 
 @settings(PROPERTY, max_examples=100)
 @given(gx=grids, gy=grids)
 def test_finite_grid_reads_zero_off_the_frame_without_warnings(gx, gy):
     # Samples half a pixel or more outside the 7 x 5 frame read 0, however far.
-    img = np.ones((3, 5, 7), dtype=np.float32)
+    frame = EventFrame.from_dense(np.ones((3, 5, 7), dtype=np.float32), 0, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = _bilinear_sample(img, gx, gy)
+        out = _bilinear_sample(frame, gx, gy)
     assert np.isfinite(out).all()
     off = ((gy <= -0.5) | (gy >= 5.5))[:, None] | ((gx <= -0.5) | (gx >= 7.5))[None, :]
     assert not out[:, off].any()

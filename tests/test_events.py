@@ -1,9 +1,13 @@
 import math
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import evtrack.events
 from evtrack.events import (BBox, EventFrame, EventStream, RegionPatch,
@@ -238,10 +242,8 @@ class TestWindowBounds:
 
 class TestCropRegion:
     def frame(self, h=32, w=32, seed=0):
-        from evtrack.events import EventFrame
         rng = np.random.default_rng(seed)
-        return EventFrame(data=rng.random((3, h, w)).astype(np.float32),
-                          window_start=0, window_end=1)
+        return EventFrame.from_dense(rng.random((3, h, w)).astype(np.float32), 0, 1)
 
     def test_identity_crop(self):
         frame = self.frame()
@@ -342,7 +344,7 @@ class TestCropMatches2DOracle:
         rng = np.random.default_rng(w * h)
         data = rng.random((3, h, w)).astype(np.float32)
         data[rng.random((3, h, w)) < 0.7] = 0.0  # mostly empty, like stacked events
-        return EventFrame(data=data, window_start=0, window_end=1)
+        return EventFrame.from_dense(data, 0, 1)
 
     @pytest.mark.parametrize("out_size,context", [(128, 2.0), (256, 4.0)])
     @pytest.mark.parametrize("sensor", SENSORS, ids=lambda s: f"{s[0]}x{s[1]}")
@@ -377,6 +379,145 @@ class TestCropMatches2DOracle:
                 crop_2d_oracle(frame, box, 4.0, 256)
             with pytest.raises(ValueError, match="crop grid must be finite"):
                 crop_region(frame, box, 4.0, 256)
+
+
+def stack_dense_oracle(stream, window_us):
+    """The dense stacker that sparse frames replaced: one (3, H, W) float32
+    array per window, counted by `np.bincount` over the whole sensor."""
+    if len(stream) == 0:
+        return []
+    h, w = stream.sensor_height, stream.sensor_width
+    first = int(stream.ts[0])
+    n_frames = (int(stream.ts[-1]) - first) // window_us + 1
+    bounds = np.searchsorted(stream.ts, first + np.arange(n_frames + 1) * window_us)
+    frames = []
+    for k in range(n_frames):
+        lo, hi = bounds[k], bounds[k + 1]
+        start = first + k * window_us
+        data = np.zeros((3, h, w), dtype=np.float32)
+        if hi > lo:
+            flat = stream.ys[lo:hi].astype(np.intp) * w + stream.xs[lo:hi]
+            pos = stream.ps[lo:hi] > 0
+            for c, sel in enumerate((pos, ~pos)):
+                counts = np.bincount(flat[sel], minlength=h * w)
+                m = counts.max()
+                if m > 0:
+                    data[c] = (counts / m).reshape(h, w)
+            tnorm = (stream.ts[lo:hi] - start).astype(np.float64) / window_us
+            np.maximum.at(data[2].reshape(-1), flat, tnorm.astype(np.float32))
+        frames.append(data)
+    return frames
+
+
+@st.composite
+def event_streams(draw):
+    """(stream, window_us): small sensors, times from a narrow range so that
+    timestamps repeat and windows go empty, coordinates biased to the first
+    and last row and column, and sometimes one polarity only."""
+    w, h = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    n = draw(st.integers(1, 50))
+
+    def coords(side):
+        return st.lists(st.one_of(st.sampled_from([0, side - 1]), st.integers(0, side - 1)),
+                        min_size=n, max_size=n)
+
+    span = draw(st.integers(0, 300))
+    ts = sorted(draw(st.lists(st.integers(0, span), min_size=n, max_size=n)))
+    polarities = draw(st.sampled_from([(-1, 1), (1,), (-1,)]))
+    ps = draw(st.lists(st.sampled_from(polarities), min_size=n, max_size=n))
+    stream = EventStream(draw(coords(w)), draw(coords(h)), ts, ps, w, h)
+    return stream, draw(st.integers(1, 60))
+
+
+def edge_boxes(w, h, bw, bh):
+    """Boxes across each sensor edge and corner, and one fully off it."""
+    return [BBox(0.3, h / 2, bw, bh), BBox(w - 0.2, h / 2, bw, bh),
+            BBox(w / 2, 0.1, bw, bh), BBox(w / 2, h - 0.4, bw, bh),
+            BBox(-0.7, -0.6, bw, bh), BBox(w + 0.5, h + 0.2, bw, bh),
+            BBox(-3.0 * w - bw, h / 2, bw, bh)]
+
+
+class TestSparseFrames:
+    """A frame holds only its window's touched pixels; its dense view and
+    its crops equal those of the dense stacker bit for bit."""
+
+    def test_frames_and_crops_equal_the_dense_oracle(self):
+        seen = set()
+
+        @settings(max_examples=150)
+        @given(case=event_streams(), bw=st.floats(0.5, 30.0), bh=st.floats(0.5, 30.0))
+        def check(case, bw, bh):
+            stream, window_us = case
+            frames = stack_events(stream, window_us)
+            expected = stack_dense_oracle(stream, window_us)
+            assert len(frames) == len(expected)
+            w, h = stream.sensor_width, stream.sensor_height
+            for frame, dense in zip(frames, expected):
+                assert (frame.width, frame.height) == (w, h)
+                assert np.array_equal(frame.data.view(np.uint32), dense.view(np.uint32))
+                for box in edge_boxes(w, h, bw, bh):
+                    got = crop_region(frame, box, 2.0, 16)
+                    want = crop_2d_oracle(types.SimpleNamespace(data=dense), box, 2.0, 16)
+                    assert got.data.tobytes() == want.data.tobytes()
+            seen.update(name for name, hit in [
+                ("equal_times", bool((np.diff(stream.ts) == 0).any())),
+                ("empty_window", any(f.pixels.size == 0 for f in frames)),
+                ("last_row", bool((stream.ys == h - 1).any()) and h > 1),
+                ("last_column", bool((stream.xs == w - 1).any()) and w > 1),
+                ("one_polarity", len(set(stream.ps.tolist())) == 1 and len(stream) > 1),
+            ] if hit)
+
+        check()
+        assert seen == {"equal_times", "empty_window", "last_row", "last_column",
+                        "one_polarity"}
+
+    @settings(max_examples=100)
+    @given(data=st.data(), h=st.integers(1, 9), w=st.integers(1, 9))
+    def test_from_dense_round_trips_any_finite_array(self, data, h, w):
+        finite = st.floats(width=32, allow_nan=False, allow_infinity=False)
+        dense = data.draw(arrays(np.float32, (3, h, w), elements=finite))
+        frame = EventFrame.from_dense(dense, 0, 1)
+        assert frame.data.view(np.uint32).tobytes() == dense.view(np.uint32).tobytes()
+        touched = (dense.view(np.uint32) != 0).any(axis=0).reshape(-1)
+        assert frame.pixels.tolist() == np.flatnonzero(touched).tolist()
+
+    def test_negative_zero_is_kept(self):
+        dense = np.zeros((3, 2, 3), np.float32)
+        dense[1, 1, 2] = -0.0
+        frame = EventFrame.from_dense(dense, 0, 1)
+        assert frame.pixels.tolist() == [5]
+        assert np.signbit(frame.data[1, 1, 2])
+
+    @pytest.mark.parametrize("pixels", [[3, 1], [2, 2], [-1], [12]])
+    def test_pixels_must_be_ascending_unique_and_on_the_sensor(self, pixels):
+        with pytest.raises(ValueError, match="ascending, unique and on the sensor"):
+            EventFrame(pixels, np.zeros((3, len(pixels))), 4, 3, 0, 1)
+
+    def test_region_is_the_dense_frame_cut(self):
+        stream = STACK_CASES["non_square"]
+        for frame in stack_events(stream, 10_000):
+            assert frame.region(3, 1, 29, 6).tobytes() == frame.data[:, 1:6, 3:29].tobytes()
+            assert frame.region(5, 2, 5, 7).shape == (3, 5, 0)
+        with pytest.raises(ValueError, match="on the sensor"):
+            frame.region(0, 0, 32, 7)
+
+    def test_stacking_holds_about_16_bytes_per_touched_pixel(self):
+        # 1280 x 720 (EventVOT's sensor): a dense frame would be 10.5 MiB, or
+        # about 37 kB per touched pixel at 300 events per window.
+        rng = np.random.default_rng(8)
+        windows, per_window = 40, 300
+        stream = random_stream(rng, windows * per_window, 1280, 720, windows * 10_000)
+        tracemalloc.start()
+        try:
+            frames = stack_events(stream, 10_000)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        touched = sum(f.pixels.size for f in frames)
+        assert len(frames) == windows and touched > 0.9 * len(stream)
+        assert sum(f.nbytes for f in frames) == 16 * touched
+        assert held / touched <= 24
+        assert peak / touched <= 32
 
 
 class TestSynthStream:

@@ -422,6 +422,32 @@ def test_killed_pass_child_fails_the_next_tick(monkeypatch):
         tracker.close()
 
 
+def test_close_with_a_fuse_in_flight_kills_the_pass_child(monkeypatch):
+    # Nobody will read the pass's reply, so close must not wait for the pass.
+    cfg, model, frames, gt = small_run()
+    real = helper_module.backbone
+
+    def slow(*args, **kwargs):
+        time.sleep(10.0)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(helper_module, "backbone", slow)
+    tracker = Tracker(cfg, model)
+    try:
+        tracker.init(frames[0], gt[0])  # the pass child keeps the slow function
+        monkeypatch.undo()
+        for frame in frames[1:7]:  # the fuse is sent at 6
+            tracker.step(frame)
+        helpers = tracker.helper, tracker.pass_helper
+    finally:
+        start = time.perf_counter()
+        tracker.close()
+        elapsed = time.perf_counter() - start
+    assert elapsed < 2.0
+    assert [h._child.exit for h in helpers] == ["exit status 0", "killed by signal 9"]
+    assert not {h.pid for h in helpers} & children()
+
+
 def test_child_error_comes_back_with_its_type_and_message():
     model = init_model(small_config())
     block = model.backbone.blocks[0]

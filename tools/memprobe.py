@@ -7,8 +7,9 @@ Run from the repository root:
 It makes the set-up calls `evtrack track` makes, on a perfbench workload's
 inputs: load_config -> init_model -> (load_weights if --weights 1) ->
 load_events_csv -> stack_events -> Tracker.init. After each call it records
-the resident set (VmRSS) and the peak so far (ru_maxrss), and the bytes the
-loaded event stream's columns hold, in all and per event. Once the tracker
+the resident set (VmRSS) and the peak so far (ru_maxrss), the bytes the
+loaded event stream's columns hold, in all and per event, and the bytes the
+stacked frames hold, in all and per frame. Once the tracker
 has forked its two helper children (the backward-direction helper and the
 pass helper that runs the deferred fuses), it also records each child's
 peak resident set (VmHWM), which this process's ru_maxrss does not include,
@@ -87,6 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     stream_bytes = sum(getattr(stream, name).nbytes for name in ("ts", "xs", "ys", "ps"))
     frames = stack_events(stream, config.window_us)
     stages["stack_events"] = (rss_mib(), peak_mib())
+    frame_bytes = sum(frame.nbytes for frame in frames)
     tracker = Tracker(config, model)
     tracker.init(frames[0], BBox(*inputs.boxes[0]))
     stages["tracker_init"] = (rss_mib(), peak_mib())
@@ -123,6 +125,8 @@ def main(argv: list[str] | None = None) -> int:
                                    for stage, by_kind in helpers.items()},
         "stream_bytes": stream_bytes,
         "stream_bytes_per_event": round(stream_bytes / max(len(stream), 1), 2),
+        "frame_bytes": frame_bytes,
+        "frame_bytes_per_frame": round(frame_bytes / max(len(frames), 1), 1),
         "frame_median": {"ms": round(median("ms"), 1),
                          "minor_faults": median("minor_faults"),
                          "sys_ms": round(median("sys_ms"), 1)},
