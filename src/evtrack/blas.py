@@ -2,12 +2,11 @@
 
 A tracker's helper processes (`helper`) run next to the process that
 steps the tracker, one core each. OpenBLAS's default pool would put a
-second thread on the core another process needs, so every open helper
-holds a pin to one thread: `pin_one` when it starts, before its fork, so
-the child inherits the count, and `unpin` when it closes. Every open
-tracker holds one more, from `init` to `close`, so its passes run at one
-thread whether or not it could fork. Pins nest: the first saves the count
-and the last `unpin` restores it.
+second thread on the core another process needs, so each open tracker
+holds one pin to one thread, from `init` to `close`, whether or not it
+could fork. It takes the pin before it forks its helpers, which take none
+of their own: the children inherit the count. Pins nest: the first saves
+the count and the last `unpin` restores it.
 
 The pin is load-bearing, though no output depends on it. On a 2-vCPU
 Xeon VM, over 7 alternating pairs of `perfbench/run.py --workload

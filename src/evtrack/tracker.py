@@ -76,20 +76,17 @@ a fuse of a full library. On a platform without `os.fork` every pass runs
 in this process, as `backbone()` does without a helper. The outputs are
 bit-identical either way.
 
-The model is fixed from `init`. The children were forked with the model
-already built, and read its backbone copy-on-write, so they would never
-see a later write. While they are open the backbone's arrays are
-therefore read-only, and a write raises instead of desyncing the
-processes. From `init` to `close` OpenBLAS is pinned to one thread, forked
-or not, so each process keeps to one core and every pass runs at the
-thread count the helpers' outputs are bit-identical at.
+From `init` to `close` the tracker holds one BLAS pin (`blas.pin_one`),
+forked or not. It is taken before the forks, so both children run at the
+one thread it sets: each process keeps to one core, and every pass runs at
+the thread count the helpers' outputs are bit-identical at. The model is
+fixed from `init`: while the children are open, its backbone is read-only.
+Module `helper` says how a child ends and how its errors come back.
 
-`close` drops a fuse in flight, stops both children, which lifts the
-read-only flags, and releases the pin; the tracker may still step
-afterwards, running every pass in this process. `track_frames` closes its
-tracker before it returns or raises. A tracker dropped without `close`
-stops its children and releases its pin when it is garbage-collected, and
-the process's exit, however abrupt, ends them.
+`close` drops a fuse in flight, closes both helpers and releases the pin;
+the tracker may still step afterwards, running every pass in this process.
+`track_frames` closes its tracker before it returns or raises, and a
+tracker dropped without `close` is closed when it is garbage-collected.
 """
 
 from __future__ import annotations
@@ -185,10 +182,10 @@ class Tracker:
                 self._fuse = self._fused(self.pass_helper)
 
     def close(self) -> None:
-        """Drop a fuse in flight (the next tick fuses inline), stop both
-        helper processes, which releases their BLAS pins and the backbone's
-        read-only flags, and release init's pin. Idempotent; later steps run
-        every pass in this process."""
+        """Drop a fuse in flight (the next tick fuses inline), close both
+        helpers, which lifts the backbone's read-only flags, and release
+        init's BLAS pin. Idempotent; later steps run every pass in this
+        process."""
         if self._fuse is not None:
             self._fuse, self._dynamic_stale = None, True
         for helper in (self.helper, self.pass_helper):
@@ -208,7 +205,7 @@ class Tracker:
         self.memory.init_memory(initial)  # raises on a second init, before any write or fork
         cfg = self.config
         fuse_tokens = max(cfg.st_capacity, cfg.lt_capacity) * self._n_z
-        blas.pin_one()  # before the forks; the helpers' own pins nest inside it
+        blas.pin_one()  # before the forks: both children run at this count
         self._unpin = weakref.finalize(self, blas.unpin)
         # The longest sequence: a frame, or a fuse of a full library.
         self.helper = fork_helper(self.model.backbone,

@@ -332,7 +332,7 @@ def test_non_finite_activation_names_its_frame(monkeypatch):
 
 
 def test_blas_restore_returns_to_the_count_before_the_first_pin(monkeypatch):
-    # Pins nest, one per open helper: the last unpin restores the count
+    # Pins nest, one per open tracker: the last unpin restores the count
     # saved by the first pin. Pins held by other trackers stay held.
     before = blas.threads()
     if before is None:

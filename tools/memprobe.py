@@ -22,7 +22,10 @@ minor faults and system CPU time, and after the step the bytes held by the
 tracker's frame workspace and OpenBLAS's thread count. Stepping with and
 without a weight load is what separates steady-state stepping from
 allocator state left behind by set-up. The tracker is closed after the
-final stage is read. One JSON object goes to stdout.
+final stage is read; the output gives the wall time of that `close` and,
+per helper, how many of its requests the child failed and this process
+reran (`reruns`; nonzero means that work ran at in-process speed). One
+JSON object goes to stdout.
 """
 
 from __future__ import annotations
@@ -51,12 +54,17 @@ def status_mib(field: str, pid: int | str = "self", name: str = "status") -> flo
     return sum(kib) / 1024 if kib else float("nan")
 
 
+def helpers_of(tracker) -> dict:
+    """The tracker's helpers by kind; empty where the platform could not fork."""
+    helpers = {"backward": tracker.helper, "pass": tracker.pass_helper}
+    return {kind: h for kind, h in helpers.items() if h is not None}
+
+
 def helpers_mib(tracker) -> dict[str, tuple[float, float]]:
     """(peak resident, private resident) of each of the tracker's helper
-    processes, by kind; empty where the platform could not fork them."""
-    helpers = {"backward": tracker.helper, "pass": tracker.pass_helper}
+    processes, by kind."""
     return {kind: (status_mib("VmHWM:", h.pid), status_mib("Private_", h.pid, "smaps_rollup"))
-            for kind, h in helpers.items() if h is not None}
+            for kind, h in helpers_of(tracker).items()}
 
 
 def rss_mib() -> float:
@@ -110,7 +118,10 @@ def main(argv: list[str] | None = None) -> int:
                           "blas_threads": blas.threads()})
     stages["stepped"] = (rss_mib(), peak_mib())
     helpers["stepped"] = helpers_mib(tracker)
+    reruns = {kind: h.reruns for kind, h in helpers_of(tracker).items()}
+    t0 = perf_counter()
     tracker.close()
+    close_ms = (perf_counter() - t0) * 1e3
 
     def median(key):
         return statistics.median(f[key] for f in per_frame)
@@ -127,6 +138,8 @@ def main(argv: list[str] | None = None) -> int:
         "stream_bytes_per_event": round(stream_bytes / max(len(stream), 1), 2),
         "frame_bytes": frame_bytes,
         "frame_bytes_per_frame": round(frame_bytes / max(len(frames), 1), 1),
+        "helper_reruns": reruns,
+        "close_ms": round(close_ms, 2),
         "frame_median": {"ms": round(median("ms"), 1),
                          "minor_faults": median("minor_faults"),
                          "sys_ms": round(median("sys_ms"), 1)},
