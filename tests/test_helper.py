@@ -241,6 +241,27 @@ def test_track_frames_leaves_no_child_when_it_returns_or_raises(monkeypatch, for
     assert len(forked) == 4 and not children() & set(forked)
 
 
+def test_closing_the_older_of_two_trackers_first_returns():
+    # Closing the older tracker first must return at once, end only its own
+    # children, and leave the newer tracker tracking the same boxes.
+    cfg, model, frames, gt = small_run()
+    solo = track_frames(cfg, model, frames, gt[0])
+    older, newer = Tracker(cfg, model), Tracker(cfg, model)
+    try:
+        older.init(frames[0], gt[0])
+        boxes = [newer.init(frames[0], gt[0])]
+        pids = [{t.helper.pid, t.pass_helper.pid} for t in (older, newer)]
+        start = time.perf_counter()
+        older.close()
+        assert time.perf_counter() - start < 2.0
+        assert not pids[0] & children() and pids[1] <= children()
+        boxes += [newer.step(f) for f in frames[1:]]
+    finally:
+        older.close()
+        newer.close()
+    assert boxes == solo
+
+
 def test_child_holds_only_stdio_and_its_own_pipe_ends():
     # A child reads EOF, and exits, when its parent dies without `close`,
     # only if no other process holds its request pipe open: so no child may
