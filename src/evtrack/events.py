@@ -16,10 +16,13 @@ over the pixels' ranks; every temporary holds one entry per event or per
 touched pixel.
 
 A stream is held in 13 bytes per event: ts int64, xs and ys int16, ps int8.
-The CSV parser writes those columns directly, so no (N, 4) int64 block is
-ever built. int16 coordinates cap a sensor side at 32768 px, and a window's
-ys are widened to np.intp before the flat index is formed, because y * W
-overflows int16 from row 95 on a 346-px-wide sensor.
+The CSV parser writes packed 13-byte records of those types, so no (N, 4)
+int64 block is ever built, and the loader turns the records into the columns
+in place: xs, ys and ps are copied out, the timestamps are moved to the
+front of the records' own buffer, which is then shrunk to them. A load peaks
+at 18 bytes per event. int16 coordinates cap a sensor side at 32768 px, and
+a window's ys are widened to np.intp before the flat index is formed,
+because y * W overflows int16 from row 95 on a 346-px-wide sensor.
 
 Regions are cropped on a separable grid: the column and row sample positions
 are two 1-D grids, so the bilinear weights, indices and validity masks are
@@ -486,6 +489,7 @@ def synth_stream(cfg: SynthConfig) -> tuple[EventStream, list[BBox]]:
 # ---------------------------------------------------------------------------
 
 _SAVE_CHUNK = 1 << 16  # rows per write; a chunk's Python ints take about 8 MiB
+_PACK_CHUNK = 1 << 14  # rows per step of `_split_records`; its temporary is 128 KiB
 
 
 def save_events_csv(stream: EventStream, path) -> None:
@@ -502,10 +506,24 @@ def save_events_csv(stream: EventStream, path) -> None:
 def load_events_csv(path) -> EventStream:
     """Load an event CSV, inferring the sensor size from the largest x and y.
 
-    Rows are parsed straight into the stream's compact columns, so a value
+    Rows are parsed straight into packed 13-byte t,x,y,p records, so a value
     outside its column's range (x = 40000, p = 300) fails in the parser with
     "could not convert ...". A file with the header and no rows gives the
     empty stream, with sensor size 1 x 1.
+
+    The records become the stream's columns without a second whole copy.
+    `_split_records` copies out xs, ys and ps (5 B/event) and moves each
+    record's t to bytes [8i, 8i + 8) of the records' own buffer. The buffer
+    is then shrunk to the ceil(8N / 13) records that cover those bytes and
+    viewed as the int64 ts column. The load peaks at the records plus the
+    three small columns, 18 B/event, and holds 13 B/event after it.
+
+    `ndarray.resize` keeps its reference check. Every view of the records
+    lives inside `_split_records`, which has returned, so only this frame
+    holds the buffer and no view can dangle. Where something else still
+    holds it (a tracer that reads frame locals), numpy refuses, and ts is
+    copied out of the packed bytes instead: the load then peaks as a copy
+    would, at 26 B/event.
     """
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
@@ -519,9 +537,38 @@ def load_events_csv(path) -> EventStream:
         # open file it would pull the rows through Python line by line.
         records = np.loadtxt(path, delimiter=",", dtype=_CSV_RECORD, ndmin=1, skiprows=1,
                              encoding="utf-8")
-    ts, xs, ys, ps = (np.ascontiguousarray(records[f]) for f in _CSV_RECORD.names)
-    del records
+    n = records.size
+    xs, ys, ps = _split_records(records)
+    try:
+        records.resize(-(-8 * n // _CSV_RECORD.itemsize))
+    except ValueError:  # numpy's reference check: the buffer is held elsewhere
+        ts = _packed_ts(records, n).copy()
+    else:
+        ts = _packed_ts(records, n)
     return EventStream(xs, ys, ts, ps, int(xs.max(initial=0)) + 1, int(ys.max(initial=0)) + 1)
+
+
+def _packed_ts(records: np.ndarray, n: int) -> np.ndarray:
+    """The int64 view of the first 8n bytes of the records' buffer."""
+    return records.view(np.uint8)[:8 * n].view(np.int64)
+
+
+def _split_records(records: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Copy out the records' x, y and p columns, then write record i's t to
+    bytes [8i, 8i + 8) of the records' buffer, chunk by chunk from the
+    front.
+
+    A chunk's t values are copied to a temporary before they are written,
+    and the chunk of rows [lo, hi) is written to bytes [8lo, 8hi), which end
+    before row hi starts at byte 13hi: every write lands on rows already
+    read. Every view of the records is dropped when this returns.
+    """
+    xs, ys, ps = (records[name].copy() for name in "xyp")
+    ts = _packed_ts(records, records.size)
+    for lo in range(0, records.size, _PACK_CHUNK):
+        hi = lo + _PACK_CHUNK
+        ts[lo:hi] = records["t"][lo:hi].copy()
+    return xs, ys, ps
 
 
 def save_boxes_csv(boxes: Sequence[BBox], path) -> None:

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .events import BBox, RegionPatch
 from .ops import sigmoid
@@ -98,12 +97,18 @@ def init_head(embed_dim: int, search_context: float, rng: np.random.Generator) -
 
 def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """Zero-padded "same" patches of x (C_in, H, W) as (H*W, C_in*kh*kw),
-    columns ordered (channel, dy, dx) like a flattened conv weight."""
+    columns ordered (channel, dy, dx) like a flattened conv weight.
+
+    x is padded channel-last, then each of the kh*kw offsets is one strided
+    copy into an (H, W, C_in, kh, kw) array, whose reshape is free."""
     c_in, h, wd = x.shape
-    xp = np.zeros((c_in, h + kh - 1, wd + kw - 1), dtype=x.dtype)
-    xp[:, kh // 2:kh // 2 + h, kw // 2:kw // 2 + wd] = x
-    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))  # (C_in, H, W, kh, kw)
-    return windows.transpose(1, 2, 0, 3, 4).reshape(h * wd, c_in * kh * kw)
+    xp = np.zeros((h + kh - 1, wd + kw - 1, c_in), dtype=x.dtype)
+    xp[kh // 2:kh // 2 + h, kw // 2:kw // 2 + wd] = x.transpose(1, 2, 0)
+    cols = np.empty((h, wd, c_in, kh, kw), dtype=x.dtype)
+    for dy in range(kh):
+        for dx in range(kw):
+            cols[:, :, :, dy, dx] = xp[dy:dy + h, dx:dx + wd]
+    return cols.reshape(h * wd, c_in * kh * kw)
 
 
 def _conv_cols(cols: np.ndarray, w: np.ndarray, h: int, wd: int) -> np.ndarray:

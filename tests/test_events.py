@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import types
 import warnings
@@ -610,20 +611,35 @@ class TestCompactStore:
         save_events_csv(stream, tmp_path / "events.csv")
         self.assert_compact(load_events_csv(tmp_path / "events.csv"))
 
-    def test_loading_peaks_below_28_bytes_per_event(self, tmp_path):
+    @staticmethod
+    def traced_load(tmp_path, n=200_000):
+        """(events, tracemalloc current after, tracemalloc peak) of loading an
+        n-event CSV; a small load first keeps one-time set-up out of both."""
         rng = np.random.default_rng(5)
-        n = 200_000
         path = tmp_path / "events.csv"
         save_events_csv(random_stream(rng, n, 346, 260, 10 ** 7), path)
+        save_events_csv(random_stream(rng, 10, 346, 260, 10 ** 7), tmp_path / "warm.csv")
+        load_events_csv(tmp_path / "warm.csv")
         tracemalloc.start()
         try:
             stream = load_events_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
+            current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(stream) == n
-        # an (N, 4) int64 parse alone would be 32 bytes per event
-        assert peak / n <= 28
+        return n, current, peak
+
+    def test_loading_peaks_below_20_bytes_per_event(self, tmp_path):
+        # The packed 13-byte records and the 5 bytes of xs, ys and ps, plus
+        # the packing's chunk; a whole second copy of the columns would add 13.
+        n, _, peak = self.traced_load(tmp_path)
+        assert peak / n <= 20
+
+    def test_loaded_stream_holds_below_13_5_bytes_per_event(self, tmp_path):
+        # The columns' nbytes read 13 per event even if ts were a view of the
+        # unshrunk 13-byte records, which would hold 18.
+        n, current, _ = self.traced_load(tmp_path)
+        assert current / n <= 13.5
 
     def test_sensor_side_limit(self):
         with pytest.raises(ValueError, match="above 32768 px"):
@@ -638,6 +654,80 @@ class TestCompactStore:
                              np.array([0.5, 10.0]), np.array([1.0, -1.0]), 4, 4)
         assert (stream.xs.tolist(), stream.ys.tolist(), stream.ts.tolist()) == (
             [1, 2], [0, 3], [0, 10])
+
+
+def loadtxt_columns(path):
+    """Reference: each field of loadtxt's packed t,x,y,p records, copied to
+    its own contiguous array."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # no rows: "input contained no data"
+        records = np.loadtxt(path, delimiter=",", dtype=evtrack.events._CSV_RECORD, ndmin=1,
+                             skiprows=1, encoding="utf-8")
+    return {name: np.ascontiguousarray(records[name[0]]) for name in ("ts", "xs", "ys", "ps")}
+
+
+class TestLoadMatchesLoadtxt:
+    """The loaded columns equal loadtxt's record fields bit for bit, dtype
+    for dtype, and are C-contiguous and aligned."""
+
+    @staticmethod
+    def assert_matches(path):
+        stream = load_events_csv(path)
+        for name, want in loadtxt_columns(path).items():
+            got = getattr(stream, name)
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+            assert got.flags.c_contiguous and got.flags.aligned, name
+        return stream
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 6, 7, 8, 13, 14, 15, 20, 21, 22, 50, 99])
+    def test_row_counts_around_the_packing_chunk(self, tmp_path, monkeypatch, n):
+        monkeypatch.setattr(evtrack.events, "_PACK_CHUNK", 7)
+        path = tmp_path / "events.csv"
+        save_events_csv(random_stream(np.random.default_rng(n), n, 40, 30, 50_000), path)
+        stream = self.assert_matches(path)
+        oracle = loadtxt_columns(path)
+        expected = EventStream(oracle["xs"], oracle["ys"], oracle["ts"], oracle["ps"],
+                               stream.sensor_width, stream.sensor_height)
+        got, want = stack_events(stream, 10_000), stack_events(expected, 10_000)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.pixels, b.pixels)
+            np.testing.assert_array_equal(a.values, b.values)
+            assert (a.window_start, a.window_end) == (b.window_start, b.window_end)
+
+    def test_blank_lines_comments_and_crlf(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_bytes(b"t,x,y,p\r\n0,1,2,1\r\n\r\n# note\r\n5,3,4,-1 # late\r\n\n7,0,0,1\r\n")
+        stream = self.assert_matches(path)
+        assert stream.ts.tolist() == [0, 5, 7]
+
+    def test_negative_and_near_int64_max_timestamps(self, tmp_path):
+        top = np.iinfo(np.int64).max
+        low = np.iinfo(np.int64).min
+        path = tmp_path / "events.csv"
+        path.write_text(f"t,x,y,p\n{low},0,0,1\n-5,1,1,-1\n{top - 1},2,2,1\n{top},3,3,-1\n",
+                        encoding="utf-8")
+        stream = self.assert_matches(path)
+        assert stream.ts.tolist() == [low, -5, top - 1, top]
+
+    def test_under_a_tracer_that_reads_frame_locals(self, tmp_path):
+        """A tracer holding the loader's locals makes numpy refuse the
+        resize; the load still succeeds, with the same columns."""
+        path = tmp_path / "events.csv"
+        save_events_csv(random_stream(np.random.default_rng(1), 30, 40, 30, 50_000), path)
+
+        def tracer(frame, event, arg):
+            frame.f_locals  # noqa: B018 - the snapshot holds a reference to each local
+            return tracer
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            stream = self.assert_matches(path)
+        finally:
+            sys.settrace(previous)
+        assert len(stream) == 30
 
 
 class TestLoadEventsErrors:

@@ -9,7 +9,10 @@ inputs: load_config -> init_model -> (load_weights if --weights 1) ->
 load_events_csv -> stack_events -> Tracker.init. After each call it records
 the resident set (VmRSS) and the peak so far (ru_maxrss), the bytes the
 loaded event stream's columns hold, in all and per event, and the bytes the
-stacked frames hold, in all and per frame. Once the tracker
+stacked frames hold, in all and per frame. tracemalloc runs around
+`load_events_csv` alone and gives the load's own peak and the bytes still
+held after it, per event, so the parse peak shows even where the load does
+not set the process's maximum. Once the tracker
 has forked its two helper children (the backward-direction helper and the
 pass helper that runs the deferred fuses), it also records each child's
 peak resident set (VmHWM), which this process's ru_maxrss does not include,
@@ -35,6 +38,7 @@ import json
 import resource
 import statistics
 import sys
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -91,7 +95,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.weights:
         load_weights(inputs.weights, model)
         stages["load_weights"] = (rss_mib(), peak_mib())
-    stream = load_events_csv(inputs.events)
+    tracemalloc.start()
+    try:
+        stream = load_events_csv(inputs.events)
+        held, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     stages["load_events_csv"] = (rss_mib(), peak_mib())
     stream_bytes = sum(getattr(stream, name).nbytes for name in ("ts", "xs", "ys", "ps"))
     frames = stack_events(stream, config.window_us)
@@ -136,6 +145,8 @@ def main(argv: list[str] | None = None) -> int:
                                    for stage, by_kind in helpers.items()},
         "stream_bytes": stream_bytes,
         "stream_bytes_per_event": round(stream_bytes / max(len(stream), 1), 2),
+        "load_peak_bytes_per_event": round(load_peak / max(len(stream), 1), 2),
+        "stream_held_bytes_per_event": round(held / max(len(stream), 1), 2),
         "frame_bytes": frame_bytes,
         "frame_bytes_per_frame": round(frame_bytes / max(len(frames), 1), 1),
         "helper_reruns": reruns,
