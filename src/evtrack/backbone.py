@@ -216,26 +216,27 @@ def vim_block(tokens: np.ndarray, params: VimBlockParams, ws: Workspace | None =
 
 def backbone(tokens: np.ndarray, params: BackboneParams,
              ws: Workspace | None = None,
-             helper: Helper | None = None) -> np.ndarray:
+             helper: Helper | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Apply all residual blocks, then the final Norm + linear projection.
 
     Blocks run in `ws` (a fresh Workspace if None), passing tokens between
     two ping-pong buffers, and with a backward `helper` (see `vim_block`) if
-    given; the result is a fresh array. A pass helper runs the whole pass in
-    its process instead, and `ws` goes unused: the result is then the
-    helper's output buffer, valid once `helper.result()` returns, until the
-    helper's next submit.
+    given; the result goes to `out` (a fresh array if None). A pass helper
+    runs the whole pass in its process instead, and `ws` and `out` go
+    unused: the result is then the helper's output buffer, valid once
+    `helper.result()` returns, until the helper's next submit.
     """
     if helper is not None and helper.whole_pass:
         return helper.submit(tokens, params)
     ws = Workspace() if ws is None else ws
     for i, block in enumerate(params.blocks):
-        out = ws.take(f"tokens.{i % 2}", tokens.shape,
+        buf = ws.take(f"tokens.{i % 2}", tokens.shape,
                       np.result_type(tokens, block.pre_norm.scale, block.out_proj))
-        tokens = vim_block(tokens, block, ws, out=out, helper=helper)
+        tokens = vim_block(tokens, block, ws, out=buf, helper=helper)
     norm = params.final_norm
     tokens = layer_norm(tokens, norm.scale, norm.shift, out=ws.take(
         "scratch.0", tokens.shape, np.result_type(tokens, norm.scale, norm.shift)))
-    tokens = tokens @ params.mlp.weight
-    tokens += params.mlp.bias
-    return tokens
+    out = np.matmul(tokens, params.mlp.weight, out=out)
+    out += params.mlp.bias
+    return out

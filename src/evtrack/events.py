@@ -15,19 +15,23 @@ the events' flat indices and counts each polarity with one `np.bincount`
 over the pixels' ranks; every temporary holds one entry per event or per
 touched pixel.
 
-A stream is held in 13 bytes per event: ts int64, xs and ys int16, ps int8.
-The CSV parser writes packed 13-byte records of those types, so no (N, 4)
-int64 block is ever built, and the loader turns the records into the columns
-in place: xs, ys and ps are copied out, the timestamps are moved to the
-front of the records' own buffer, which is then shrunk to them. A load peaks
-at 18 bytes per event. int16 coordinates cap a sensor side at 32768 px, and
-a window's ys are widened to np.intp before the flat index is formed,
-because y * W overflows int16 from row 95 on a 346-px-wide sensor.
+A stream is held in 13 bytes per event: ts int64, xs and ys int16, ps int8,
+the four columns back to back in one buffer when loaded from a CSV. The CSV
+parser writes packed 13-byte records of those types, so no (N, 4) int64
+block is ever built, and the loader moves the records into the columns from
+the back, shrinking the records as it goes: a load's resident peak is
+loadtxt's own, about 14 bytes per event, and a stream's checks run in
+chunks, so no temporary holds an entry per event. int16 coordinates cap a
+sensor side at 32768 px, and a window's ys are widened to np.intp before
+the flat index is formed, because y * W overflows int16 from row 95 on a
+346-px-wide sensor.
 
 Regions are cropped on a separable grid: the column and row sample positions
 are two 1-D grids, so the bilinear weights, indices and validity masks are
 built per axis and combined by outer product. A crop scatters only the
 frame's pixels inside the rectangle its samples read into a dense patch.
+Its grid-sized arrays are buffers of a `Workspace` (`ops`), the tracker's
+when it crops, so a warm crop allocates only per-axis vectors.
 """
 
 from __future__ import annotations
@@ -40,12 +44,16 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .config import check_kinds, known_fields
+from .ops import Workspace
 
 MAX_SENSOR_SIDE = 32768  # int16 coordinates reach 32767
 # Stored dtype of each EventStream column, in the CSV's t,x,y,p order; the
 # CSV parser fills one record of these per row.
 _COLUMN_DTYPES = {"ts": np.int64, "xs": np.int16, "ys": np.int16, "ps": np.int8}
 _CSV_RECORD = np.dtype([(name[0], dtype) for name, dtype in _COLUMN_DTYPES.items()])
+# Events per step of the CSV loader's copy and of a stream's checks, so no
+# temporary holds one entry per event.
+_PACK_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -80,15 +88,21 @@ class EventStream:
             raise ValueError("sensor dimensions must be positive")
         if max(self.sensor_width, self.sensor_height) > MAX_SENSOR_SIDE:
             raise ValueError(f"sensor sides above {MAX_SENSOR_SIDE} px are not supported")
-        if n:
-            # Not np.diff: that would make an int64 temporary per event.
-            if (self.ts[1:] < self.ts[:-1]).any():
+        # Order and polarity are checked _PACK_CHUNK events at a time: a
+        # whole-stream comparison would make a bool temporary per event.
+        chunks = range(0, n, _PACK_CHUNK)
+        for lo in chunks:
+            ts = self.ts[lo:lo + _PACK_CHUNK + 1]  # and the next chunk's first
+            if (ts[1:] < ts[:-1]).any():
                 raise ValueError("timestamps must be non-decreasing")
+        if n:
             if self.xs.min() < 0 or self.xs.max() >= self.sensor_width:
                 raise ValueError("event x out of sensor bounds")
             if self.ys.min() < 0 or self.ys.max() >= self.sensor_height:
                 raise ValueError("event y out of sensor bounds")
-            if not ((self.ps == 1) | (self.ps == -1)).all():
+        for lo in chunks:
+            ps = self.ps[lo:lo + _PACK_CHUNK]
+            if not ((ps == 1) | (ps == -1)).all():
                 raise ValueError("polarity must be +1 or -1")
         for name, dtype in _COLUMN_DTYPES.items():
             object.__setattr__(self, name, getattr(self, name).astype(dtype, copy=False))
@@ -147,13 +161,17 @@ class EventFrame:
         pixels = np.flatnonzero(flat.view(np.uint32).any(axis=0))
         return cls(pixels, flat[:, pixels], w, h, window_start, window_end)
 
-    def region(self, left: int, top: int, right: int, bottom: int) -> np.ndarray:
+    def region(self, left: int, top: int, right: int, bottom: int,
+               ws: Workspace | None = None) -> np.ndarray:
         """The frame on the sensor rectangle [left, right) x [top, bottom), a
-        new dense (3, bottom - top, right - left) float32 array, 0 where no
-        event was. Reads only the pixels of rows top .. bottom - 1."""
+        dense (3, bottom - top, right - left) float32 array, 0 where no event
+        was: a view of ws's "conv" buffer (a fresh Workspace if None). Reads
+        only the pixels of rows top .. bottom - 1."""
         if not (0 <= left <= right <= self.width and 0 <= top <= bottom <= self.height):
             raise ValueError("region must lie on the sensor")
-        out = np.zeros((3, bottom - top, right - left), dtype=np.float32)
+        ws = Workspace() if ws is None else ws
+        out = ws.take("conv", (3, bottom - top, right - left), np.float32)
+        out.fill(0)
         lo, hi = np.searchsorted(self.pixels, (top * self.width, bottom * self.width))
         ys, xs = np.divmod(self.pixels[lo:hi], self.width)
         inside = np.flatnonzero((xs >= left) & (xs < right))
@@ -288,21 +306,31 @@ def stack_events(stream: EventStream, window_us: int) -> list[EventFrame]:
     return list(iter_event_frames(stream, window_us))
 
 
-def _bilinear_sample(frame: EventFrame, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+def _bilinear_sample(frame: EventFrame, gx: np.ndarray, gy: np.ndarray,
+                     ws: Workspace | None = None) -> np.ndarray:
     """Sample `frame` on the separable grid gy x gx; off the sensor reads 0.
 
     gx is the 1-D column grid and gy the 1-D row grid, in edge-based
     coordinates (pixel (i, j) spans [j, j+1) x [i, i+1)); the result is
     (3, len(gy), len(gx)) float32. Indices, weights and validity are built
-    per axis, and each corner's weight is their outer product. Corners are
-    summed in the (dy, dx) order (0, 0), (0, 1), (1, 0), (1, 1); another
-    order rounds the float32 sum differently.
+    per axis; each axis's validity (exactly 0 or 1) is folded into its
+    weights, which are >= 0, and each corner's weight is their outer
+    product, as the outer products of weights and validity multiplied would
+    round. Corners are summed in the (dy, dx) order (0, 0), (0, 1), (1, 0),
+    (1, 1); another order rounds the float32 sum differently. The first
+    corner is written, not added to zeros: equal for products >= +0, so for
+    any frame of non-negative values, as stacked frames are.
 
     The frame is read through one dense patch: the rectangle of sensor
     pixels the corners fall on, the grid's span plus the 1-px margin of the
     second corner, clipped to the sensor. Validity is taken against the
     sensor, so an off-sensor corner weighs 0 whichever patch pixel its
     clipped index reads, and the result equals sampling the dense frame.
+
+    Every grid-sized array is a buffer of `ws` (a fresh Workspace if None):
+    the patch in "conv", the two column gathers in "silu" and "y_fwd", a
+    corner's weights and values in the scratch pair, and the result in
+    "in_proj", a view valid until ws's next use of that name.
 
     A non-finite grid raises ValueError. A finite grid is clipped to
     [-1, side + 1] per axis first: every sample beyond that reads 0 wherever
@@ -311,38 +339,50 @@ def _bilinear_sample(frame: EventFrame, gx: np.ndarray, gy: np.ndarray) -> np.nd
     h, w = frame.height, frame.width
     if not (np.isfinite(gx).all() and np.isfinite(gy).all()):
         raise ValueError("crop grid must be finite")
+    ws = Workspace() if ws is None else ws
     cx = np.clip(gx, -1.0, w + 1.0) - 0.5  # index space: pixel centers at integers
     cy = np.clip(gy, -1.0, h + 1.0) - 0.5
     x0 = np.floor(cx).astype(np.int64)
     y0 = np.floor(cy).astype(np.int64)
     fx = (cx - x0).astype(np.float32)
     fy = (cy - y0).astype(np.float32)
-    out = np.zeros((3, gy.size, gx.size), dtype=np.float32)
+    out = ws.take("in_proj", (3, gy.size, gx.size), np.float32)
     left, right = max(int(x0.min()), 0), min(int(x0.max()) + 2, w)
     top, bottom = max(int(y0.min()), 0), min(int(y0.max()) + 2, h)
     if left >= right or top >= bottom:
+        out.fill(0)
         return out  # every corner lies off the sensor
-    img = frame.region(left, top, right, bottom)
+    img = frame.region(left, top, right, bottom, ws)
 
     # Both column sets are gathered from the patch once, then each one's rows
     # per dy: the values and products of a row-first gather, but each take
     # reads a (3, rows, len(gx)) array, not a (3, len(gy), cols) one per dx.
+    # The indices are clipped already, so mode="clip" changes none; it lets
+    # take write to `out=` unbuffered.
     columns = []
-    for dx, wx in ((0, 1.0 - fx), (1, fx)):
+    for dx, wx, name in ((0, 1.0 - fx, "silu"), (1, fx, "y_fwd")):
         xi = x0 + dx
-        vx = (xi >= 0) & (xi < w)
-        columns.append((wx, vx, img.take(np.clip(xi, left, right - 1) - left, axis=2)))
+        cols = ws.take(name, (3, bottom - top, gx.size), np.float32)
+        np.take(img, np.clip(xi, left, right - 1) - left, axis=2, out=cols, mode="clip")
+        columns.append((wx * ((xi >= 0) & (xi < w)), cols))
+    weight = ws.take("scratch.0", (gy.size, gx.size), np.float32)
+    corner = ws.take("scratch.1", out.shape, np.float32)
     for dy, wy in ((0, 1.0 - fy), (1, fy)):
         yi = y0 + dy
-        vy = (yi >= 0) & (yi < h)
+        wy = wy * ((yi >= 0) & (yi < h))
         yc = np.clip(yi, top, bottom - 1) - top
-        for wx, vx, cols in columns:
-            weight = wy[:, None] * wx[None, :] * (vy[:, None] & vx[None, :])
-            out += weight * cols.take(yc, axis=1)
+        for dx, (wx, cols) in enumerate(columns):
+            np.multiply(wy[:, None], wx[None, :], out=weight)
+            np.take(cols, yc, axis=1, out=corner, mode="clip")
+            if dy == dx == 0:
+                np.multiply(weight, corner, out=out)
+            else:
+                out += np.multiply(weight, corner, out=corner)
     return out
 
 
-def crop_region(frame: EventFrame, box: BBox, context_factor: float, out_size: int) -> RegionPatch:
+def crop_region(frame: EventFrame, box: BBox, context_factor: float, out_size: int,
+                ws: Workspace | None = None) -> RegionPatch:
     """Crop a context-scaled square around a box and resize it bilinearly.
 
     The crop side is context_factor * sqrt(w * h); out-of-frame area is
@@ -351,7 +391,8 @@ def crop_region(frame: EventFrame, box: BBox, context_factor: float, out_size: i
     separable: columns at x0 + grid, rows at y0 + grid. Only the frame's
     pixels inside the sampled rectangle (the crop's span plus a 1-px margin,
     clipped to the sensor) are read; the patch equals a crop of the dense
-    frame bit for bit.
+    frame bit for bit. Its data is a view of ws's "in_proj" buffer (a
+    fresh Workspace if None; see `_bilinear_sample`).
     """
     if context_factor < 1:
         raise ValueError("context_factor must be >= 1")
@@ -362,7 +403,7 @@ def crop_region(frame: EventFrame, box: BBox, context_factor: float, out_size: i
     x0 = box.cx - side / 2.0
     y0 = box.cy - side / 2.0
     grid = (np.arange(out_size, dtype=np.float64) + 0.5) / rf
-    data = _bilinear_sample(frame, x0 + grid, y0 + grid)
+    data = _bilinear_sample(frame, x0 + grid, y0 + grid, ws)
     return RegionPatch(data=data, resize_factor=rf, crop_center=(box.cx, box.cy))
 
 
@@ -489,7 +530,6 @@ def synth_stream(cfg: SynthConfig) -> tuple[EventStream, list[BBox]]:
 # ---------------------------------------------------------------------------
 
 _SAVE_CHUNK = 1 << 16  # rows per write; a chunk's Python ints take about 8 MiB
-_PACK_CHUNK = 1 << 14  # rows per step of `_split_records`; its temporary is 128 KiB
 
 
 def save_events_csv(stream: EventStream, path) -> None:
@@ -511,19 +551,21 @@ def load_events_csv(path) -> EventStream:
     "could not convert ...". A file with the header and no rows gives the
     empty stream, with sensor size 1 x 1.
 
-    The records become the stream's columns without a second whole copy.
-    `_split_records` copies out xs, ys and ps (5 B/event) and moves each
-    record's t to bytes [8i, 8i + 8) of the records' own buffer. The buffer
-    is then shrunk to the ceil(8N / 13) records that cover those bytes and
-    viewed as the int64 ts column. The load peaks at the records plus the
-    three small columns, 18 B/event, and holds 13 B/event after it.
+    The stream's four columns are one 13 B/event buffer, reserved whole
+    but filled from the back: per `_PACK_CHUNK` rows, the last rows of the
+    records are copied into the columns and the records are shrunk to the
+    rows before them with `ndarray.resize`. A page of the buffer becomes
+    resident only when written, and shrinking a large allocation returns its
+    tail pages, so the resident records and columns together stay near
+    13 B/event plus one chunk and a partly filled page per column. The load
+    then peaks at loadtxt's own parse. tracemalloc, which counts reserved
+    bytes, sees both whole buffers at once: 26 B/event.
 
-    `ndarray.resize` keeps its reference check. Every view of the records
-    lives inside `_split_records`, which has returned, so only this frame
-    holds the buffer and no view can dangle. Where something else still
-    holds it (a tracer that reads frame locals), numpy refuses, and ts is
-    copied out of the packed bytes instead: the load then peaks as a copy
-    would, at 26 B/event.
+    `ndarray.resize` keeps its reference check. No view of the records
+    outlives the statement that makes it, so only this frame holds them.
+    Where something else does (a tracer that reads frame locals), numpy
+    refuses, and the rest is copied without shrinking: that load peaks at
+    the records and the columns, 26 B/event resident.
     """
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
@@ -538,37 +580,24 @@ def load_events_csv(path) -> EventStream:
         records = np.loadtxt(path, delimiter=",", dtype=_CSV_RECORD, ndmin=1, skiprows=1,
                              encoding="utf-8")
     n = records.size
-    xs, ys, ps = _split_records(records)
-    try:
-        records.resize(-(-8 * n // _CSV_RECORD.itemsize))
-    except ValueError:  # numpy's reference check: the buffer is held elsewhere
-        ts = _packed_ts(records, n).copy()
-    else:
-        ts = _packed_ts(records, n)
-    return EventStream(xs, ys, ts, ps, int(xs.max(initial=0)) + 1, int(ys.max(initial=0)) + 1)
-
-
-def _packed_ts(records: np.ndarray, n: int) -> np.ndarray:
-    """The int64 view of the first 8n bytes of the records' buffer."""
-    return records.view(np.uint8)[:8 * n].view(np.int64)
-
-
-def _split_records(records: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Copy out the records' x, y and p columns, then write record i's t to
-    bytes [8i, 8i + 8) of the records' buffer, chunk by chunk from the
-    front.
-
-    A chunk's t values are copied to a temporary before they are written,
-    and the chunk of rows [lo, hi) is written to bytes [8lo, 8hi), which end
-    before row hi starts at byte 13hi: every write lands on rows already
-    read. Every view of the records is dropped when this returns.
-    """
-    xs, ys, ps = (records[name].copy() for name in "xyp")
-    ts = _packed_ts(records, records.size)
-    for lo in range(0, records.size, _PACK_CHUNK):
-        hi = lo + _PACK_CHUNK
-        ts[lo:hi] = records["t"][lo:hi].copy()
-    return xs, ys, ps
+    buffer = np.empty(_CSV_RECORD.itemsize * n, dtype=np.uint8)
+    # A field's column starts at n times its offset in a record: ts, xs, ys
+    # and ps back to back, each aligned to its itemsize.
+    columns = {field: buffer[offset * n:(offset + dtype.itemsize) * n].view(dtype)
+               for field, (dtype, offset) in _CSV_RECORD.fields.items()}
+    shrink = True
+    for hi in range(n, 0, -_PACK_CHUNK):
+        lo = max(hi - _PACK_CHUNK, 0)
+        for field, column in columns.items():
+            column[lo:hi] = records[field][lo:hi]
+        if shrink:
+            try:
+                records.resize(lo)
+            except ValueError:  # numpy's reference check: the records are held elsewhere
+                shrink = False
+    xs, ys = columns["x"], columns["y"]
+    return EventStream(xs, ys, columns["t"], columns["p"],
+                       int(xs.max(initial=0)) + 1, int(ys.max(initial=0)) + 1)
 
 
 def save_boxes_csv(boxes: Sequence[BBox], path) -> None:

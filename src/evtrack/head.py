@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import BBox, RegionPatch
-from .ops import sigmoid
+from .ops import Workspace, sigmoid
 
 BN_EPS = 1e-5
 MIN_BOX_SIDE = 1.0  # px
@@ -95,57 +95,92 @@ def init_head(embed_dim: int, search_context: float, rng: np.random.Generator) -
     return params
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+def _im2col(x: np.ndarray, kh: int, kw: int, out: np.ndarray | None = None,
+            padded: np.ndarray | None = None) -> np.ndarray:
     """Zero-padded "same" patches of x (C_in, H, W) as (H*W, C_in*kh*kw),
     columns ordered (channel, dy, dx) like a flattened conv weight.
 
-    x is padded channel-last, then each of the kh*kw offsets is one strided
-    copy into an (H, W, C_in, kh, kw) array, whose reshape is free."""
+    x is padded channel-last into `padded`, an (H + kh - 1, W + kw - 1,
+    C_in) array, then each of the kh*kw offsets is one strided copy into
+    `out`, a C-contiguous (H*W, C_in*kh*kw) array viewed as (H, W, C_in,
+    kh, kw); either is a fresh array if None."""
     c_in, h, wd = x.shape
-    xp = np.zeros((h + kh - 1, wd + kw - 1, c_in), dtype=x.dtype)
-    xp[kh // 2:kh // 2 + h, kw // 2:kw // 2 + wd] = x.transpose(1, 2, 0)
-    cols = np.empty((h, wd, c_in, kh, kw), dtype=x.dtype)
+    if padded is None:
+        padded = np.empty((h + kh - 1, wd + kw - 1, c_in), dtype=x.dtype)
+    if out is None:
+        out = np.empty((h * wd, c_in * kh * kw), dtype=x.dtype)
+    padded.fill(0)
+    padded[kh // 2:kh // 2 + h, kw // 2:kw // 2 + wd] = x.transpose(1, 2, 0)
+    cols = out.reshape(h, wd, c_in, kh, kw)
     for dy in range(kh):
         for dx in range(kw):
-            cols[:, :, :, dy, dx] = xp[dy:dy + h, dx:dx + wd]
-    return cols.reshape(h * wd, c_in * kh * kw)
+            cols[:, :, :, dy, dx] = padded[dy:dy + h, dx:dx + wd]
+    return out
 
 
-def _conv_cols(cols: np.ndarray, w: np.ndarray, h: int, wd: int) -> np.ndarray:
-    """Convolution from im2col columns: (H*W, C_in*kh*kw) -> (C_out, H, W)."""
+def _conv_cols(cols: np.ndarray, w: np.ndarray, h: int, wd: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Convolution from im2col columns: (H*W, C_in*kh*kw) -> (C_out, H, W),
+    the transposed view of the (H*W, C_out) product, written to `out` (a
+    fresh array if None)."""
     c_out = w.shape[0]
-    out = cols @ w.reshape(c_out, -1).T
+    out = np.matmul(cols, w.reshape(c_out, -1).T, out=out)
     return out.T.reshape(c_out, h, wd)
 
 
-def conv2d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Stride-1 convolution with zero "same" padding; x (C_in, H, W) -> (C_out, H, W)."""
+def conv2d_same(x: np.ndarray, w: np.ndarray, ws: Workspace | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Stride-1 convolution with zero "same" padding; x (C_in, H, W) -> (C_out, H, W).
+
+    The padded map and the columns are ws's scratch pair (a fresh Workspace
+    if None); the product goes to `out`, an (H*W, C_out) array (a fresh one
+    if None), of which the result is a view. x is copied into the padded
+    map before `out` is written, so `out` may share x's memory.
+    """
     c_in, h, wd = x.shape
     _, c_in2, kh, kw = w.shape
     if c_in != c_in2:
         raise ValueError("channel mismatch")
-    return _conv_cols(_im2col(x, kh, kw), w, h, wd)
+    ws = Workspace() if ws is None else ws
+    cols = _im2col(x, kh, kw, out=ws.take("scratch.1", (h * wd, c_in * kh * kw), x.dtype),
+                   padded=ws.take("scratch.0", (h + kh - 1, wd + kw - 1, c_in), x.dtype))
+    return _conv_cols(cols, w, h, wd, out)
 
 
-def _batch_norm(x: np.ndarray, p: ConvBNParams) -> np.ndarray:
+def _batch_norm(x: np.ndarray, p: ConvBNParams, out: np.ndarray | None = None) -> np.ndarray:
+    """(x - mean) / sqrt(var + eps) * scale + shift per channel, into `out`
+    (a fresh array if None), which may be x."""
     inv = 1.0 / np.sqrt(p.bn_var + BN_EPS)
-    return ((x - p.bn_mean[:, None, None]) * inv[:, None, None]
-            * p.bn_scale[:, None, None] + p.bn_shift[:, None, None])
+    out = np.subtract(x, p.bn_mean[:, None, None], out=out)
+    np.multiply(out, inv[:, None, None], out=out)
+    np.multiply(out, p.bn_scale[:, None, None], out=out)
+    return np.add(out, p.bn_shift[:, None, None], out=out)
 
 
 def _bn_relu(x: np.ndarray, p: ConvBNParams) -> np.ndarray:
-    return np.maximum(_batch_norm(x, p), 0.0)
+    """Batch norm then ReLU, in place on x."""
+    return np.maximum(_batch_norm(x, p, out=x), 0.0, out=x)
 
 
-def _branch_forward(first_cols: np.ndarray, side: int,
-                    branch: HeadBranchParams) -> np.ndarray:
-    """One branch on a side x side map given as its first stage's im2col."""
+def _branch_forward(first_cols: np.ndarray, side: int, branch: HeadBranchParams,
+                    ws: Workspace, name: str) -> np.ndarray:
+    """One branch on a side x side map given as its first stage's im2col.
+
+    Each stage's output is ws's "conv" buffer, normalized in place; the
+    branch's output, after its bias and sigmoid, is ws's `name` buffer.
+    """
     first, *rest = branch.stages
-    x = _bn_relu(_conv_cols(first_cols, first.conv_w, side, side), first)
+
+    def product(w, x, buffer="conv"):
+        return ws.take(buffer, (side * side, w.shape[0]), np.result_type(x, w))
+
+    x = _bn_relu(_conv_cols(first_cols, first.conv_w, side, side,
+                            product(first.conv_w, first_cols)), first)
     for stage in rest:
-        x = _bn_relu(conv2d_same(x, stage.conv_w), stage)
-    x = conv2d_same(x, branch.final_w) + branch.final_b[:, None, None]
-    return sigmoid(x)
+        x = _bn_relu(conv2d_same(x, stage.conv_w, ws, product(stage.conv_w, x)), stage)
+    x = conv2d_same(x, branch.final_w, ws, product(branch.final_w, x, name))
+    np.add(x, branch.final_b[:, None, None], out=x)
+    return sigmoid(x, out=x)
 
 
 def tokens_to_map(search_tokens: np.ndarray) -> np.ndarray:
@@ -157,16 +192,27 @@ def tokens_to_map(search_tokens: np.ndarray) -> np.ndarray:
     return search_tokens.reshape(side, side, c).transpose(2, 0, 1)
 
 
-def head_forward(search_tokens: np.ndarray, params: HeadParams) -> HeadOutputs:
-    """All three branches; they share the first stage's im2col of the map."""
+def head_forward(search_tokens: np.ndarray, params: HeadParams,
+                 ws: Workspace | None = None) -> HeadOutputs:
+    """All three branches; they share the first stage's im2col of the map.
+
+    Every map-sized array is a buffer of `ws` (a fresh Workspace if None):
+    the shared im2col in "in_proj", each stage's columns and padded map in
+    the scratch pair and its output in "conv", and the outputs in
+    "head.score", "head.offset" and "head.size", views valid until ws's
+    next use of those names.
+    """
+    ws = Workspace() if ws is None else ws
     fmap = tokens_to_map(search_tokens)
-    side = fmap.shape[1]
+    c, side, _ = fmap.shape
     kh, kw = params.score.stages[0].conv_w.shape[2:]
-    cols = _im2col(fmap, kh, kw)
+    cols = _im2col(fmap, kh, kw,
+                   out=ws.take("in_proj", (side * side, c * kh * kw), fmap.dtype),
+                   padded=ws.take("scratch.0", (side + kh - 1, side + kw - 1, c), fmap.dtype))
     return HeadOutputs(
-        score=_branch_forward(cols, side, params.score)[0],
-        offset=_branch_forward(cols, side, params.offset),
-        size=_branch_forward(cols, side, params.size),
+        score=_branch_forward(cols, side, params.score, ws, "head.score")[0],
+        offset=_branch_forward(cols, side, params.offset, ws, "head.offset"),
+        size=_branch_forward(cols, side, params.size, ws, "head.size"),
     )
 
 

@@ -18,15 +18,25 @@ class Workspace:
     """Named scratch buffers that outlive the call using them.
 
     `take(name, shape, dtype)` returns a C-contiguous view of the buffer kept
-    under (name, dtype), grown only when a larger one is first asked for.
-    Contents are undefined on return, and a later `take` of the same name
-    hands out the same memory, so a caller keeps a view only until it asks
-    for that name again.
+    under (name, dtype), grown, by at least a quarter, only when a larger
+    one is asked for. Contents are undefined on return, and a later `take`
+    of the same name hands out the same memory, so a caller keeps a view
+    only until it asks for that name again.
 
     "scratch.0" and "scratch.1" are shared by every function: each uses them
     only for buffers that are dead when it returns, and passes them to no
     function that takes a workspace. So a buffer that was just written is
     the next one written, as a malloc free list would hand it out.
+
+    A tracker's frame stages share the backbone's buffers the same way. The
+    crop, the patch embedding and the head run while no backbone buffer is
+    live, so they hold their frame-sized arrays in "in_proj", "conv",
+    "silu", "y_fwd" and the scratch pair (each function names its own), and
+    the workspace grows only where a stage needs more than a backbone pass
+    does. Two results have names of their own: the frame backbone's
+    output, "frame.out", which the head reads, and the head's three small
+    maps, "head.score", "head.offset" and "head.size", which a tick's
+    template crop after the head leaves intact.
     """
 
     def __init__(self):
@@ -38,7 +48,11 @@ class Workspace:
         key = (name, dtype.str)
         buf = self._buffers.get(key)
         if buf is None or buf.size < size:
-            buf = self._buffers[key] = np.empty(size, dtype=dtype)
+            # Grown by at least a quarter, so a size that creeps up call by
+            # call (a crop's rows as its box grows) does not re-allocate on
+            # each; a large buffer's unwritten tail is never made resident.
+            grown = size if buf is None else max(size, buf.size + buf.size // 4)
+            buf = self._buffers[key] = np.empty(grown, dtype=dtype)
         return buf[:size].reshape(shape)
 
     @property

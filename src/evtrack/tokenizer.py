@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import RegionPatch
+from .ops import Workspace
 
 
 @dataclass
@@ -52,27 +53,37 @@ def init_patch_embed(patch_size: int, embed_dim: int, template_size: int,
     )
 
 
-def patchify(data: np.ndarray, patch_size: int) -> np.ndarray:
-    """(3, S, S) -> (n_patches, 3*P*P); row-major patches, channel-major flattening."""
+def patchify(data: np.ndarray, patch_size: int, out: np.ndarray | None = None) -> np.ndarray:
+    """(3, S, S) -> (n_patches, 3*P*P); row-major patches, channel-major
+    flattening. The result goes to `out`, a C-contiguous (n_patches, 3*P*P)
+    array (a fresh one if None)."""
     c, s, s2 = data.shape
     p = patch_size
     if s != s2 or s % p != 0:
         raise ValueError("patch side must divide the image side")
     g = s // p
+    if out is None:
+        out = np.empty((g * g, c * p * p), dtype=data.dtype)
     # (c, gy, p, gx, p) -> (gy, gx, c, p, p): channel-major within each patch
-    tiles = data.reshape(c, g, p, g, p).transpose(1, 3, 0, 2, 4)
-    return tiles.reshape(g * g, c * p * p)
+    np.copyto(out.reshape(g, g, c, p, p), data.reshape(c, g, p, g, p).transpose(1, 3, 0, 2, 4))
+    return out
 
 
 def patch_embed(patch: RegionPatch, params: PatchEmbedParams,
-                out: np.ndarray | None = None) -> np.ndarray:
+                out: np.ndarray | None = None, ws: Workspace | None = None) -> np.ndarray:
     """Embed a region patch into an (n_patches, C) token matrix.
 
     Token i corresponds to grid cell (i // g, i % g) with g = side / P.
     No positional embedding is added here. With `out`, an (n_patches, C)
-    array, the tokens are written into it and it is returned.
+    array, the tokens are written into it and it is returned; else they are
+    a fresh array. The patches are flattened into ws's "scratch.0" (a fresh
+    Workspace if None).
     """
-    flat = patchify(patch.data, params.patch_size)
+    ws = Workspace() if ws is None else ws
+    p = params.patch_size
+    c, s, _ = patch.data.shape
+    flat = patchify(patch.data, p,
+                    out=ws.take("scratch.0", ((s // p) ** 2, c * p * p), patch.data.dtype))
     tokens = np.matmul(flat.astype(params.projection.dtype, copy=False), params.projection,
                        out=out)
     tokens += params.bias

@@ -52,12 +52,19 @@ after `close`). A step that raises leaves a sent fuse in the child for the
 next tick, an interrupt during the tick's wait included. At most one fuse
 is in flight: pushes happen only at ticks, after the install.
 
-The tracker owns one backbone Workspace, `workspace`, for the frame
-backbone, inline fuses and every fuse's input sequence. It lives as long
-as the tracker because a workspace built per call would re-allocate, and
-re-fault, about 11 MiB of Vim-S scratch on every backbone pass; it grows
-only when a longer sequence first arrives (an LT fuse is up to 1024
-tokens), and stepping then allocates nothing large.
+The tracker owns one Workspace, `workspace`, for every frame-sized array
+a step makes: the search and template crops, the patch embedding's
+patches, the frame backbone and its result, the head, inline fuses and
+every fuse's input sequence. The stages outside the backbone take the
+backbone's own buffers (see `ops.Workspace`), so the workspace of a
+vims-track run is 13.6 MiB, of which the backbone needs about 11. It lives as long as
+the tracker: glibc maps every allocation of at least its mmap threshold
+(128 KiB by default) afresh and faults its pages in, so arrays made per
+step would be paid for again on every step. It grows only when a larger
+array first arrives (an LT fuse is up to 1024 tokens; a crop's rows
+follow its box). A warm step then allocates only per-axis and
+per-channel vectors, numpy's iterator buffers and a tick's template
+tokens.
 
 A frame that fails raises, and `track_frames` (so the CLI) stops there; no
 policy holds the last box in its place. Every `Exception` raised inside a
@@ -145,8 +152,8 @@ class Tracker:
 
     def _template_feature(self, frame: EventFrame, box: BBox, frame_index: int) -> TemplateFeature:
         patch = crop_region(frame, box, self.config.template_context,
-                            self.config.template_size)
-        tokens = patch_embed(patch, self.model.patch_embed)
+                            self.config.template_size, self.workspace)
+        tokens = patch_embed(patch, self.model.patch_embed, ws=self.workspace)
         return TemplateFeature(tokens=tokens, frame_index=frame_index)
 
     def _install(self, dynamic: np.ndarray) -> None:
@@ -238,13 +245,15 @@ class Tracker:
     def _track(self, frame: EventFrame) -> BBox:
         """The box predicted on `frame` with the current dynamic template."""
         cfg = self.config
-        search_patch = crop_region(frame, self._box, cfg.search_context, cfg.search_size)
+        ws = self.workspace
+        search_patch = crop_region(frame, self._box, cfg.search_context, cfg.search_size, ws)
         search = patch_embed(search_patch, self.model.patch_embed,
-                             out=self._tokens[-self._n_x:])
+                             out=self._tokens[-self._n_x:], ws=ws)
         search += self.model.patch_embed.pos_embed_search
 
-        out = backbone(self._tokens, self.model.backbone, self.workspace, self.helper)
-        outputs = head_forward(out[-self._n_x:], self.model.head)
+        out = backbone(self._tokens, self.model.backbone, ws, self.helper,
+                       ws.take("frame.out", self._tokens.shape, self._tokens.dtype))
+        outputs = head_forward(out[-self._n_x:], self.model.head, ws)
         return decode_bbox(outputs, search_patch, frame.width, frame.height)
 
 

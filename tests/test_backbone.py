@@ -252,6 +252,14 @@ def test_backbone_result_outlives_the_next_call():
     _bitwise(first, kept)
 
 
+def test_backbone_writes_its_result_to_out():
+    params = init_backbone(32, 2, 16, 4, 4, np.random.default_rng(2))
+    tokens = _tokens(64, 32, 1)
+    buf = np.empty_like(tokens)
+    assert backbone(tokens, params, Workspace(), out=buf) is buf
+    _bitwise(buf, backbone(tokens, params))
+
+
 def test_warm_backbone_call_allocates_little():
     # depth 2, L = C = 384 at Vim-S width. The allocating blocks peaked at
     # 12.9 MiB above the start; what remains is the result and small

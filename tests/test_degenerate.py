@@ -52,8 +52,8 @@ def test_collapsed_or_exploded_size_maps_give_bounded_boxes(golden, size, init_b
     cfg, model, frames = golden
     head_forward = tracker_module.head_forward
 
-    def forcing(search_tokens, params):
-        out = head_forward(search_tokens, params)
+    def forcing(search_tokens, params, ws=None):
+        out = head_forward(search_tokens, params, ws)
         out.size[:] = size
         return out
 

@@ -65,8 +65,8 @@ def run_sequence(regenerate_every_frame: bool):
     maps = []
     head_forward = tracker_module.head_forward
 
-    def recording(search_tokens, params):
-        out = head_forward(search_tokens, params)
+    def recording(search_tokens, params, ws=None):
+        out = head_forward(search_tokens, params, ws)
         maps.append([_digest(m) for m in (search_tokens, out.score, out.offset, out.size)])
         return out
 

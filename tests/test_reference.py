@@ -137,8 +137,8 @@ def test_tracker_equals_reference_loop(depth, update_interval, st_capacity, lt_c
 
     heads = []
 
-    def recording(search_tokens, params):
-        out = head_forward(search_tokens, params)
+    def recording(search_tokens, params, ws=None):
+        out = head_forward(search_tokens, params, ws)
         heads.append((search_tokens.copy(), out))
         return out
 

@@ -5,6 +5,7 @@ loop in test_reference.py."""
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,39 @@ def test_tracker_workspace_persists_across_steps():
         tracker.step(frame)
     tracker.close()
     assert tracker.workspace is workspace and workspace.nbytes == size
+
+
+def test_warm_steps_allocate_below_the_mmap_threshold():
+    # At the small-dense benchmark's model width and crop sizes a search
+    # crop alone is 768 KiB. glibc maps every allocation of at least 128
+    # KiB (its default mmap threshold) afresh and faults its pages in; a
+    # step whose arrays come from the workspace allocates only per-axis
+    # vectors, numpy's iterator buffers and a tick's template tokens. Steps
+    # 2 to 20 hold four ticks and the deferred fuses sent at t = 6, 11, 16.
+    cfg = small_config(embed_dim=32, depth=2, d_state=16, dt_rank=4,
+                       template_size=128, search_size=256)
+    model = init_model(cfg)
+    stream, gt = synth_stream(SMALL_SYNTH)
+    frames = stack_events(stream, cfg.window_us)
+    tracker = Tracker(cfg, model)
+    peaks = []
+    try:
+        tracker.init(frames[0], gt[0])
+        tracker.step(frames[1])  # sizes the workspace
+        for frame in frames[2:]:
+            tracemalloc.start()
+            try:
+                start, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                tracker.step(frame)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak - start)
+    finally:
+        tracker.close()
+    assert len(peaks) == 19
+    assert max(peaks) < 128 * 1024, [p // 1024 for p in peaks]
 
 
 def test_rejected_second_init_leaves_the_tracker_unchanged():
@@ -316,8 +350,8 @@ def test_non_finite_activation_names_its_frame(monkeypatch):
     embed = tracker_module.patch_embed
     tracker = Tracker(cfg, model)
 
-    def poisoned(patch, params, out=None):
-        tokens = embed(patch, params, out=out)
+    def poisoned(patch, params, out=None, ws=None):
+        tokens = embed(patch, params, out=out, ws=ws)
         if out is not None and tracker._frame_index == 3:  # frame 3's search tokens
             tokens[0, 0] = np.nan
         return tokens

@@ -12,7 +12,11 @@ loaded event stream's columns hold, in all and per event, and the bytes the
 stacked frames hold, in all and per frame. tracemalloc runs around
 `load_events_csv` alone and gives the load's own peak and the bytes still
 held after it, per event, so the parse peak shows even where the load does
-not set the process's maximum. Once the tracker
+not set the process's maximum. tracemalloc counts bytes reserved, not
+pages written, so next to it stands the rise of the process's peak
+resident set (VmHWM) across the load, per event: what the load made
+resident beyond every earlier peak, 0 where set-up peaked higher before
+it (the Vim-S workloads' 33k events). Once the tracker
 has forked its two helper children (the backward-direction helper and the
 pass helper that runs the deferred fuses), it also records each child's
 peak resident set (VmHWM), which this process's ru_maxrss does not include,
@@ -24,11 +28,17 @@ is read, and reads, per frame, the wall time and the change in getrusage's
 minor faults and system CPU time, and after the step the bytes held by the
 tracker's frame workspace and OpenBLAS's thread count. Stepping with and
 without a weight load is what separates steady-state stepping from
-allocator state left behind by set-up. The tracker is closed after the
-final stage is read; the output gives the wall time of that `close` and,
-per helper, how many of its requests the child failed and this process
-reran (`reruns`; nonzero means that work ran at in-process speed). One
-JSON object goes to stdout.
+allocator state left behind by set-up. After the final stage is read it
+steps as many frames again under tracemalloc, and gives each step's peak
+above its start (`traced_step_peak_bytes`): glibc maps and faults in
+afresh every allocation of at least its mmap threshold (128 KiB unless
+an earlier free raised it), so a peak below that means the step faulted
+no new pages. That second run is separate so tracemalloc's own cost
+stays out of the first run's times and faults. The tracker is closed
+then; the output gives the wall time of that `close` and, per helper,
+how many of its requests the child failed and this process reran
+(`reruns`; nonzero means that work ran at in-process speed). One JSON
+object goes to stdout.
 """
 
 from __future__ import annotations
@@ -95,12 +105,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.weights:
         load_weights(inputs.weights, model)
         stages["load_weights"] = (rss_mib(), peak_mib())
+    hwm_before = status_mib("VmHWM:")
     tracemalloc.start()
     try:
         stream = load_events_csv(inputs.events)
         held, load_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    load_hwm_rise = (status_mib("VmHWM:") - hwm_before) * 2 ** 20
     stages["load_events_csv"] = (rss_mib(), peak_mib())
     stream_bytes = sum(getattr(stream, name).nbytes for name in ("ts", "xs", "ys", "ps"))
     frames = stack_events(stream, config.window_us)
@@ -112,8 +124,9 @@ def main(argv: list[str] | None = None) -> int:
     helpers = {"tracker_init": helpers_mib(tracker)}
 
     cycle = config.update_interval
+    steps = -(-args.frames // cycle) * cycle
     per_frame = []
-    for k in range(1, -(-args.frames // cycle) * cycle + 1):
+    for k in range(1, steps + 1):
         frame = frames[k % len(frames)]
         before = resource.getrusage(resource.RUSAGE_SELF)
         t0 = perf_counter()
@@ -127,6 +140,16 @@ def main(argv: list[str] | None = None) -> int:
                           "blas_threads": blas.threads()})
     stages["stepped"] = (rss_mib(), peak_mib())
     helpers["stepped"] = helpers_mib(tracker)
+    step_peaks = []
+    tracemalloc.start()
+    try:
+        for k in range(steps + 1, 2 * steps + 1):
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            tracker.step(frames[k % len(frames)])
+            step_peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
     reruns = {kind: h.reruns for kind, h in helpers_of(tracker).items()}
     t0 = perf_counter()
     tracker.close()
@@ -147,6 +170,7 @@ def main(argv: list[str] | None = None) -> int:
         "stream_bytes_per_event": round(stream_bytes / max(len(stream), 1), 2),
         "load_peak_bytes_per_event": round(load_peak / max(len(stream), 1), 2),
         "stream_held_bytes_per_event": round(held / max(len(stream), 1), 2),
+        "load_hwm_rise_bytes_per_event": round(load_hwm_rise / max(len(stream), 1), 2),
         "frame_bytes": frame_bytes,
         "frame_bytes_per_frame": round(frame_bytes / max(len(frames), 1), 1),
         "helper_reruns": reruns,
@@ -155,6 +179,7 @@ def main(argv: list[str] | None = None) -> int:
                          "minor_faults": median("minor_faults"),
                          "sys_ms": round(median("sys_ms"), 1)},
         "frames": per_frame,
+        "traced_step_peak_bytes": step_peaks,
     }))
     return 0
 
