@@ -21,7 +21,7 @@ from .events import (BBox, EventFrame, EventStream, RegionPatch, SynthConfig,
                      crop_region, iter_event_frames, stack_events, synth_stream)
 from .head import HeadOutputs, decode_bbox, head_forward
 from .losses import LossWeights, focal_loss, giou, iou, total_loss
-from .memory import MemoryLibrary, TemplateFeature, gram_det, pearson
+from .memory import MemoryLibrary, TemplateFeature, pearson
 from .metrics import EvalReport, evaluate
 from .model import ModelParams, count_params, init_model
 from .ssm import SSMParams, scan_backward, scan_forward_chunked
@@ -36,7 +36,7 @@ __all__ = [
     "HeadOutputs", "LossWeights", "MemoryLibrary", "ModelParams", "RegionPatch",
     "SSMParams", "SynthConfig", "TemplateFeature", "Tracker", "TrackerConfig",
     "WeightFileError", "count_params", "crop_region", "decode_bbox", "evaluate",
-    "focal_loss", "giou", "gram_det", "head_forward", "init_model", "iou",
+    "focal_loss", "giou", "head_forward", "init_model", "iou",
     "iter_event_frames", "load_config", "load_weights", "patch_embed", "pearson",
     "save_weights", "scan_backward", "scan_forward_chunked", "stack_events",
     "synth_stream", "total_loss", "track_frames", "track_sequence",

@@ -156,21 +156,29 @@ def causal_conv(x: np.ndarray, conv: ConvParams, ws: Workspace | None = None,
     return out
 
 
+def _direction(x: np.ndarray, conv: ConvParams, ssm: SSMParams, ws: Workspace,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """One direction of a block over x, (L, d_inner), in x's token order:
+    causal conv -> SiLU -> selective scan. Takes ws's conv and SiLU
+    buffers; the result goes to `out`, or if None to the conv buffer, which
+    the scan no longer needs."""
+    c = ws.take("conv", x.shape, x.dtype)
+    act = silu(causal_conv(x, conv, ws, out=c), out=ws.take("silu", x.shape, x.dtype))
+    return scan_forward_chunked(act, ssm, ws, out=c if out is None else out)
+
+
 def vim_backward(x: np.ndarray, params: VimBlockParams, ws: Workspace | None = None,
                  out: np.ndarray | None = None) -> np.ndarray:
-    """A block's backward direction over its x branch, (L, d_inner): causal
-    conv -> SiLU -> selective scan over the reversed tokens, with the
-    block's `_bwd` parameters. The result is in reversed token order.
+    """A block's backward direction over its x branch, (L, d_inner): the
+    direction with the block's `_bwd` parameters over the reversed tokens.
+    The result is in reversed token order.
 
     Scratch comes from `ws` (a fresh Workspace if None), whose conv and SiLU
     buffers this takes. The result goes to `out`, or if None to the conv
-    buffer, which the scan no longer needs.
+    buffer.
     """
     ws = Workspace() if ws is None else ws
-    conv = ws.take("conv", x.shape, x.dtype)
-    act = silu(causal_conv(x[::-1], params.conv_bwd, ws, out=conv),
-               out=ws.take("silu", x.shape, x.dtype))
-    return scan_forward_chunked(act, params.ssm_bwd, ws, out=conv if out is None else out)
+    return _direction(x[::-1], params.conv_bwd, params.ssm_bwd, ws, out)
 
 
 def vim_block(tokens: np.ndarray, params: VimBlockParams, ws: Workspace | None = None,
@@ -199,14 +207,12 @@ def vim_block(tokens: np.ndarray, params: VimBlockParams, ws: Workspace | None =
 
     if helper is not None:
         helper.submit(params, x)
-    act = ws.take("silu", x.shape, x.dtype)
-    y_fwd = ws.take("y_fwd", x.shape, x.dtype)
-    silu(causal_conv(x, params.conv_fwd, ws, out=ws.take("conv", x.shape, x.dtype)), out=act)
-    scan_forward_chunked(act, params.ssm_fwd, ws, out=y_fwd)
+    y_fwd = _direction(x, params.conv_fwd, params.ssm_fwd, ws,
+                       out=ws.take("y_fwd", x.shape, x.dtype))
     y_bwd = vim_backward(x, params, ws) if helper is None else helper.result()
     # y = (y_fwd + y_bwd[::-1]) * silu(z), accumulated in y_fwd.
     y = np.add(y_fwd, y_bwd[::-1], out=y_fwd)
-    y *= silu(z, out=act)
+    y *= silu(z, out=ws.take("silu", x.shape, x.dtype))
     if out is None:
         out = np.empty(tokens.shape, dtype=np.result_type(tokens, y, params.out_proj))
     # tokens + y @ out_proj

@@ -89,19 +89,10 @@ class TrackerConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "TrackerConfig":
-        """Parse a JSON object. Unknown keys are an error. Older files' legacy
-        keys are dropped: "memory_mode": "shared" (the one mode kept) and the
-        loss weights, whatever their value (`losses.total_loss` takes its own
-        `LossWeights`)."""
+        """Parse a JSON object. Unknown keys are an error."""
         d = json.loads(text)
         if not isinstance(d, dict):
             raise ValueError("tracker config must be a JSON object")
-        for legacy in ("lambda_l1", "lambda_focal", "lambda_giou"):
-            d.pop(legacy, None)
-        mode = d.pop("memory_mode", "shared")
-        if mode != "shared":
-            raise ValueError(f"memory_mode {mode!r} was removed: the fusion "
-                             "stack is always the backbone's own parameters")
         return cls(**known_fields(cls, d, "config"))
 
 

@@ -121,7 +121,7 @@ class EventFrame:
     float32. Every other pixel is 0 in every channel. `region` scatters the
     pixels inside a rectangle into a dense array, and `data` is the region
     covering the whole sensor, the dense (3, height, width) frame, built anew
-    on every access. `from_dense` builds a frame from a dense array.
+    on every access.
     """
 
     pixels: np.ndarray
@@ -147,19 +147,6 @@ class EventFrame:
             raise ValueError("frame values must be 3 x len(pixels)")
         object.__setattr__(self, "pixels", pixels.astype(np.int32, copy=False))
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_dense(cls, data: np.ndarray, window_start: int, window_end: int) -> "EventFrame":
-        """The frame of a dense (3, H, W) array, converted to float32; every
-        pixel whose bits are not all zero in some channel is kept, so `data`
-        returns the array bit for bit (-0.0 included)."""
-        data = np.asarray(data, dtype=np.float32)
-        if data.ndim != 3 or data.shape[0] != 3:
-            raise ValueError("frame data must be 3 x H x W")
-        _, h, w = data.shape
-        flat = data.reshape(3, h * w)
-        pixels = np.flatnonzero(flat.view(np.uint32).any(axis=0))
-        return cls(pixels, flat[:, pixels], w, h, window_start, window_end)
 
     def region(self, left: int, top: int, right: int, bottom: int,
                ws: Workspace | None = None) -> np.ndarray:

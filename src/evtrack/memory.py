@@ -94,16 +94,6 @@ def checked_det(gram: np.ndarray) -> np.ndarray:
     return det
 
 
-def gram_det(templates: Sequence[TemplateFeature]) -> float:
-    """Determinant of the pairwise-correlation matrix; the diversity measure.
-
-    The value lies in [0, 1] up to rounding; see `checked_det`.
-    """
-    if not templates:
-        raise ValueError("empty template set")
-    return float(checked_det(gram_matrix(templates)))
-
-
 @dataclass(frozen=True)
 class AdmissionRecord:
     accepted: bool
@@ -124,8 +114,8 @@ class MemoryLibrary:
     st_capacity: int = 6
     lt_capacity: int = 16
     debug_stream: IO[str] | None = None
-    st: deque = field(default_factory=deque)
-    lt: list = field(default_factory=list)
+    st: deque = field(default_factory=deque, init=False)
+    lt: list = field(default_factory=list, init=False)
 
     def __post_init__(self):
         if self.st_capacity < 1 or self.lt_capacity < 1:

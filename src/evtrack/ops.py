@@ -90,7 +90,7 @@ def silu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
-               eps: float = LAYER_NORM_EPS, out: np.ndarray | None = None) -> np.ndarray:
+               out: np.ndarray | None = None) -> np.ndarray:
     """Per-row zero-mean/unit-variance normalization with learned scale/shift.
 
     The mean and variance are `x.mean` and `x.var` over the last axis,
@@ -106,6 +106,6 @@ def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
     np.true_divide(var, np.intp(x.shape[-1]), out=var, casting="unsafe")
     # (x - mean) / sqrt(var + eps) * scale + shift
     np.subtract(x, mean, out=out)
-    np.divide(out, np.sqrt(var + eps), out=out)
+    np.divide(out, np.sqrt(var + LAYER_NORM_EPS), out=out)
     np.multiply(out, scale, out=out)
     return np.add(out, shift, out=out)

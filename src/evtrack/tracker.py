@@ -258,15 +258,14 @@ class Tracker:
 
 
 def track_frames(config: TrackerConfig, model: ModelParams,
-                 frames: Iterable[EventFrame], init_box: BBox,
-                 debug_stream: IO[str] | None = None) -> list[BBox]:
+                 frames: Iterable[EventFrame], init_box: BBox) -> list[BBox]:
     """Track over frames, stepping each as it arrives; the first output box
     is init_box. The tracker is closed before this returns or raises."""
     frames = iter(frames)
     first = next(frames, None)
     if first is None:
         return []
-    tracker = Tracker(config, model, debug_stream)
+    tracker = Tracker(config, model)
     try:
         boxes = [tracker.init(first, init_box)]
         for frame in frames:
@@ -277,12 +276,11 @@ def track_frames(config: TrackerConfig, model: ModelParams,
 
 
 def track_sequence(config: TrackerConfig, model: ModelParams,
-                   stream: EventStream, init_box: BBox,
-                   debug_stream: IO[str] | None = None) -> list[BBox]:
+                   stream: EventStream, init_box: BBox) -> list[BBox]:
     """Track a stream one stacked window at a time; one box per window.
 
     Each frame is stacked just before it is tracked and dropped after, so
     memory does not grow with the sequence's length.
     """
     return track_frames(config, model, iter_event_frames(stream, config.window_us),
-                        init_box, debug_stream)
+                        init_box)

@@ -1,10 +1,10 @@
-"""Shared test helpers: small model builders, an install recorder, the
-bitwise scan reference and gradient comparison."""
+"""Shared test helpers: small model builders, an install recorder, frames
+from dense arrays, the bitwise scan reference and gradient comparison."""
 
 import numpy as np
 
 from evtrack.config import TrackerConfig
-from evtrack.events import SynthConfig
+from evtrack.events import EventFrame, SynthConfig
 from evtrack.model import init_model
 from evtrack.ssm import _coefficients_into, _selection, _state_matrix
 from evtrack.tracker import Tracker
@@ -43,6 +43,17 @@ def record_installs(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(Tracker, "_install", recording)
     return installs
+
+
+def frame_from_dense(data, window_start: int, window_end: int) -> EventFrame:
+    """The frame of a dense (3, H, W) array, converted to float32; every
+    pixel whose bits are not all zero in some channel is kept, so the frame's
+    `data` returns the array bit for bit (-0.0 included)."""
+    data = np.asarray(data, dtype=np.float32)
+    _, h, w = data.shape
+    flat = data.reshape(3, h * w)
+    pixels = np.flatnonzero(flat.view(np.uint32).any(axis=0))
+    return EventFrame(pixels, flat[:, pixels], w, h, window_start, window_end)
 
 
 def unblocked_scan(u, params):

@@ -8,7 +8,7 @@ PUBLIC = {
     "MemoryLibrary", "ModelParams", "RegionPatch", "SSMParams", "SynthConfig",
     "TemplateFeature", "Tracker", "TrackerConfig", "WeightFileError", "count_params",
     "crop_region", "decode_bbox", "evaluate", "focal_loss", "giou",
-    "gram_det", "head_forward", "init_model", "iou", "iter_event_frames",
+    "head_forward", "init_model", "iou", "iter_event_frames",
     "load_config", "load_weights", "patch_embed", "pearson", "save_weights",
     "scan_backward", "scan_forward_chunked", "stack_events", "synth_stream",
     "total_loss", "track_frames", "track_sequence",

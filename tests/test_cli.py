@@ -79,20 +79,6 @@ def test_corrupt_weights_exit_1(files, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("mode, code", [("shared", 0), ("separate", 1)])
-def test_params_reads_legacy_memory_mode(tmp_path, capsys, mode, code):
-    # Config files written while the fusion stack was a mode carry
-    # "memory_mode": "shared", which still loads; "separate" no longer exists.
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(dict(json.loads(small_config().to_json()), memory_mode=mode)))
-    assert main(["params", "--config", str(config)]) == code
-    out, err = capsys.readouterr()
-    if code == 0:
-        assert out.strip() == str(count_params(init_model(small_config())))
-    else:
-        assert err.startswith("error:") and "'separate' was removed" in err
-
-
 @pytest.mark.parametrize("bbox", ["1,2,3", "a,b,c,d"])
 def test_bad_init_bbox_exits_2(files, bbox):
     tmp, config, events, _ = files

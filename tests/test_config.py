@@ -83,32 +83,13 @@ def test_from_json_names_unknown_keys():
         TrackerConfig.from_json('{"widht": 3, "depth": 2, "deepth": 2}')
 
 
-@pytest.mark.parametrize("weights", [
-    dict(lambda_l1=5.0, lambda_focal=1.0, lambda_giou=2.0),
-    dict(lambda_l1=-1, lambda_focal="x", lambda_giou=None),
-    dict(lambda_giou=0.0)])
-def test_legacy_loss_weights_are_dropped(weights):
-    # Every config written before the fields were removed carries them.
-    legacy = dict(asdict(TrackerConfig(depth=2)), **weights)
-    assert TrackerConfig.from_json(json.dumps(legacy)) == TrackerConfig(depth=2)
-
-
-def test_legacy_keys_leave_other_unknown_keys_rejected():
-    legacy = dict(asdict(TrackerConfig()), lambda_l1=5.0, memory_mode="shared",
-                  lambda_iou=1.0)
-    with pytest.raises(ValueError, match="unknown config keys: lambda_iou$"):
+@pytest.mark.parametrize("key, value", [
+    ("lambda_l1", 5.0), ("lambda_focal", 1.0), ("lambda_giou", 2.0), ("memory_mode", "shared")])
+def test_removed_fields_are_unknown_keys(key, value):
+    # Configs written while these fields existed carry them, and fail to load.
+    legacy = dict(asdict(TrackerConfig(depth=2)), **{key: value})
+    with pytest.raises(ValueError, match=f"unknown config keys: {key}$"):
         TrackerConfig.from_json(json.dumps(legacy))
-
-
-def test_legacy_shared_memory_mode_is_dropped():
-    legacy = dict(asdict(TrackerConfig(depth=2)), memory_mode="shared")
-    assert TrackerConfig.from_json(json.dumps(legacy)) == TrackerConfig(depth=2)
-
-
-@pytest.mark.parametrize("mode", ["separate", None, 1])
-def test_other_memory_modes_name_the_removed_mode(mode):
-    with pytest.raises(ValueError, match=f"memory_mode {mode!r} was removed"):
-        TrackerConfig.from_json(json.dumps({"memory_mode": mode}))
 
 
 @pytest.mark.parametrize("cfg", [
@@ -118,7 +99,6 @@ def test_other_memory_modes_name_the_removed_mode(mode):
                   regenerate_every_frame=True)])
 def test_json_round_trip(cfg):
     text = cfg.to_json()
-    assert "memory_mode" not in json.loads(text)
     assert TrackerConfig.from_json(text) == cfg
 
 

@@ -16,13 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import evtrack.tracker as tracker_module
-from evtrack.events import (BBox, EventFrame, EventStream, _bilinear_sample, stack_events,
+from evtrack.events import (BBox, EventStream, _bilinear_sample, stack_events,
                             synth_stream)
 from evtrack.head import MIN_BOX_SIDE
 from evtrack.model import init_model
 from evtrack.tracker import Tracker, track_sequence
 
-from _utils import SMALL_SYNTH, small_config
+from _utils import SMALL_SYNTH, frame_from_dense, small_config
 
 PROPERTY = settings(max_examples=20)
 SIDE = 96  # SMALL_SYNTH's square sensor
@@ -111,7 +111,7 @@ grids = st.lists(finite, min_size=1, max_size=12).map(np.array)
 @given(gx=grids, gy=grids, bad=st.sampled_from([math.nan, math.inf, -math.inf]),
        axis=st.integers(0, 1), data=st.data())
 def test_non_finite_grid_raises(gx, gy, bad, axis, data):
-    frame = EventFrame.from_dense(np.ones((3, 5, 7), dtype=np.float32), 0, 1)
+    frame = frame_from_dense(np.ones((3, 5, 7), dtype=np.float32), 0, 1)
     grid = (gx, gy)[axis]
     grid[data.draw(st.integers(0, grid.size - 1))] = bad
     with pytest.raises(ValueError, match="crop grid must be finite"):
@@ -122,7 +122,7 @@ def test_non_finite_grid_raises(gx, gy, bad, axis, data):
 @given(gx=grids, gy=grids)
 def test_finite_grid_reads_zero_off_the_frame_without_warnings(gx, gy):
     # Samples half a pixel or more outside the 7 x 5 frame read 0, however far.
-    frame = EventFrame.from_dense(np.ones((3, 5, 7), dtype=np.float32), 0, 1)
+    frame = frame_from_dense(np.ones((3, 5, 7), dtype=np.float32), 0, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = _bilinear_sample(frame, gx, gy)

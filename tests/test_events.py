@@ -19,6 +19,8 @@ from evtrack.events import (BBox, EventFrame, EventStream, RegionPatch,
                             load_events_csv, save_boxes_csv, save_events_csv, stack_events,
                             synth_stream)
 
+from _utils import frame_from_dense
+
 
 def make_stream(points, w=16, h=16):
     """A stream from (x, y, t, p) tuples."""
@@ -249,7 +251,7 @@ class TestWindowBounds:
 class TestCropRegion:
     def frame(self, h=32, w=32, seed=0):
         rng = np.random.default_rng(seed)
-        return EventFrame.from_dense(rng.random((3, h, w)).astype(np.float32), 0, 1)
+        return frame_from_dense(rng.random((3, h, w)).astype(np.float32), 0, 1)
 
     def test_identity_crop(self):
         frame = self.frame()
@@ -350,7 +352,7 @@ class TestCropMatches2DOracle:
         rng = np.random.default_rng(w * h)
         data = rng.random((3, h, w)).astype(np.float32)
         data[rng.random((3, h, w)) < 0.7] = 0.0  # mostly empty, like stacked events
-        return EventFrame.from_dense(data, 0, 1)
+        return frame_from_dense(data, 0, 1)
 
     @pytest.mark.parametrize("out_size,context", [(128, 2.0), (256, 4.0)])
     @pytest.mark.parametrize("sensor", SENSORS, ids=lambda s: f"{s[0]}x{s[1]}")
@@ -454,7 +456,7 @@ class TestSparseFrames:
     def test_from_dense_round_trips_any_finite_array(self, data, h, w):
         finite = st.floats(width=32, allow_nan=False, allow_infinity=False)
         dense = data.draw(arrays(np.float32, (3, h, w), elements=finite))
-        frame = EventFrame.from_dense(dense, 0, 1)
+        frame = frame_from_dense(dense, 0, 1)
         assert frame.data.view(np.uint32).tobytes() == dense.view(np.uint32).tobytes()
         touched = (dense.view(np.uint32) != 0).any(axis=0).reshape(-1)
         assert frame.pixels.tolist() == np.flatnonzero(touched).tolist()
@@ -462,7 +464,7 @@ class TestSparseFrames:
     def test_negative_zero_is_kept(self):
         dense = np.zeros((3, 2, 3), np.float32)
         dense[1, 1, 2] = -0.0
-        frame = EventFrame.from_dense(dense, 0, 1)
+        frame = frame_from_dense(dense, 0, 1)
         assert frame.pixels.tolist() == [5]
         assert np.signbit(frame.data[1, 1, 2])
 

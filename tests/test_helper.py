@@ -107,6 +107,15 @@ def small_run():
     return cfg, init_model(cfg), stack_events(stream, cfg.window_us), gt
 
 
+def settled(tracker: Tracker) -> None:
+    """Complete one request through the tracker's pass helper. The child
+    serves requests only after its set-up right after fork (its priority,
+    closing inherited descriptors), so a reply proves that set-up done."""
+    tokens = np.zeros((1, tracker.config.embed_dim), np.float32)
+    tracker.pass_helper.submit(tokens, tracker.model.backbone)
+    tracker.pass_helper.result()
+
+
 # -- bit-identity -------------------------------------------------------------
 
 def pinned_backbone(tokens, params):
@@ -273,6 +282,10 @@ def test_child_holds_only_stdio_and_its_own_pipe_ends():
         older.init(frames[0], gt[0])
         newer.init(frames[0], gt[0])
         os.close(write_end)
+        # The backward helpers served the inits' passes; the pass helpers
+        # have served nothing yet.
+        settled(older)
+        settled(newer)
         # Each pass helper is forked with its backward helper's pipe ends open
         # in the parent, and the newer tracker's children with all four of the
         # older tracker's: none may hold them.
@@ -327,6 +340,7 @@ def test_pass_child_runs_at_idle_priority():
     tracker = Tracker(cfg, model)
     try:
         tracker.init(frames[0], gt[0])
+        settled(tracker)
         assert os.sched_getscheduler(tracker.pass_helper.pid) == os.SCHED_IDLE
         assert os.sched_getscheduler(tracker.helper.pid) == os.sched_getscheduler(0)
     finally:

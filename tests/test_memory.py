@@ -10,7 +10,7 @@ import pytest
 
 import evtrack
 from evtrack.memory import (PSD_FLOOR, AdmissionRecord, MemoryLibrary, TemplateFeature,
-                            checked_det, gram_det, gram_matrix, pearson)
+                            checked_det, gram_matrix, pearson)
 
 
 def feat(values, frame_index=0):
@@ -64,7 +64,7 @@ class TestGramDet:
     def test_identical_templates_zero(self):
         z = feat([1.0, 4.0, -2.0, 0.5])
         for n in (2, 3, 5):
-            assert abs(gram_det([z] * n)) < 1e-12
+            assert abs(checked_det(gram_matrix([z] * n))) < 1e-12
 
     def test_uncorrelated_templates_identity(self):
         h = hadamard(8)
@@ -72,33 +72,30 @@ class TestGramDet:
                      for i in (1, 2, 3, 4)]
         g = gram_matrix(templates)
         np.testing.assert_allclose(g, np.eye(4), atol=1e-14)
-        assert gram_det(templates) == pytest.approx(1.0, abs=1e-12)
+        assert checked_det(gram_matrix(templates)) == pytest.approx(1.0, abs=1e-12)
 
     def test_equicorrelated_closed_form(self):
         # pairwise rho = 0.5 exactly: det = 1 - 3 rho^2 + 2 rho^3 = 0.5
         h = hadamard(8)
         templates = [TemplateFeature(tokens=(h[i] + h[4]).reshape(4, 2), frame_index=i)
                      for i in (1, 2, 3)]
-        assert gram_det(templates) == pytest.approx(0.5, abs=1e-12)
+        assert checked_det(gram_matrix(templates)) == pytest.approx(0.5, abs=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)
         templates = [rand_feat(rng, i) for i in range(5)]
-        base = gram_det(templates)
+        base = checked_det(gram_matrix(templates))
         for _ in range(5):
             perm = list(rng.permutation(5))
-            assert gram_det([templates[i] for i in perm]) == pytest.approx(base, abs=1e-11)
+            permuted = gram_matrix([templates[i] for i in perm])
+            assert checked_det(permuted) == pytest.approx(base, abs=1e-11)
 
     def test_range_for_random_sets(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             templates = [rand_feat(rng, i) for i in range(4)]
-            det = gram_det(templates)
+            det = checked_det(gram_matrix(templates))
             assert -1e-9 <= det <= 1.0 + 1e-9
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            gram_det([])
 
 
 class TestPSDCheck:
@@ -189,10 +186,10 @@ class TestAdmission:
         rng = np.random.default_rng(6)
         lib = MemoryLibrary(st_capacity=3, lt_capacity=5)
         lib.init_memory(rand_feat(rng, 0))
-        det = gram_det(lib.lt)
+        det = checked_det(gram_matrix(lib.lt))
         for i in range(300):
             lib.st_push(rand_feat(rng, i + 1))
-            new_det = gram_det(lib.lt)
+            new_det = checked_det(gram_matrix(lib.lt))
             assert new_det >= det - 1e-9
             det = new_det
 
@@ -352,7 +349,7 @@ class TestInitAndDebug:
         lib = MemoryLibrary(st_capacity=6, lt_capacity=16)
         lib.init_memory(rand_feat(rng, 0))
         assert len(lib.st) == 6 and len(lib.lt) == 16
-        assert gram_det(lib.lt) == pytest.approx(0.0, abs=1e-12)
+        assert checked_det(gram_matrix(lib.lt)) == pytest.approx(0.0, abs=1e-12)
 
     def test_double_init_rejected(self):
         rng = np.random.default_rng(15)
