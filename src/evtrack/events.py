@@ -10,10 +10,13 @@ For tracking we stack them into fixed-duration 3-channel frames:
 Pixels that saw no events are 0 in all channels. A frame is sparse: it holds
 only the pixels its window's events touched, as ascending flat indices
 y*W + x and their three channel values, so its size follows the events, not
-the sensor. Each window finds its touched pixels with one `np.unique` over
-the events' flat indices and counts each polarity with one `np.bincount`
-over the pixels' ranks; every temporary holds one entry per event or per
-touched pixel.
+the sensor. Each window is stacked with one sort: every event gets an
+int64 key, its flat index y*W + x in the high 32 bits and its offset in the
+window in the low 32, so the sorted keys group each pixel's events into a
+run in time order. One comparison of neighbouring pixels finds the runs,
+one `np.add.reduceat` counts each run's positive events, and each run's
+last event is its pixel's latest. Every temporary holds one entry per
+event or per touched pixel, none one per sensor pixel.
 
 A stream is held in 13 bytes per event: ts int64, xs and ys int16, ps int8,
 the four columns back to back in one buffer when loaded from a CSV. The CSV
@@ -22,9 +25,9 @@ block is ever built, and the loader moves the records into the columns from
 the back, shrinking the records as it goes: a load's resident peak is
 loadtxt's own, about 14 bytes per event, and a stream's checks run in
 chunks, so no temporary holds an entry per event. int16 coordinates cap a
-sensor side at 32768 px, and a window's ys are widened to np.intp before
-the flat index is formed, because y * W overflows int16 from row 95 on a
-346-px-wide sensor.
+sensor side at 32768 px, so a flat index is below 2**30, and a window's ys
+are widened to int64 before the key is formed, because y * W overflows
+int16 from row 95 on a 346-px-wide sensor.
 
 Regions are cropped on a separable grid: the column and row sample positions
 are two 1-D grids, so the bilinear weights, indices and validity masks are
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, asdict
 from typing import Iterator, Sequence
 
@@ -246,6 +250,13 @@ def iter_event_frames(stream: EventStream, window_us: int) -> Iterator[EventFram
     empty window gives a frame with no pixels. Each frame holds only its
     window's touched pixels (see `EventFrame`); their values are those of
     the dense encoding, bit for bit.
+
+    A window is stacked with one in-place sort of one int64 key per event,
+    (y * width + x) << 32 | the event's offset in the window (see
+    `_pixel_runs`), so its temporaries take tens of bytes per event,
+    whatever the sensor's size. A window of more than 2**32 events, whose
+    offsets would not fit the key's low 32 bits, raises ValueError when
+    the first frame is asked for.
     """
     if window_us <= 0:
         raise ValueError("window_us must be positive")
@@ -263,27 +274,69 @@ def _windows(stream: EventStream, window_us: int) -> Iterator[EventFrame]:
     # Events are time sorted, so each window is a contiguous slice; its
     # bounds are the first events at or after each window edge.
     bounds = np.searchsorted(stream.ts, first + np.arange(n_frames + 1) * window_us)
+    largest = int(np.diff(bounds).max())
+    if largest > _MAX_WINDOW_EVENTS:
+        raise ValueError(f"a window holds {largest} events; stacking takes at most "
+                         f"{_MAX_WINDOW_EVENTS} per window")
+    # Each event's offset in its window, made once for the largest window:
+    # a fresh np.arange took a quarter of a 22k-event window's time.
+    offsets = np.arange(largest, dtype=np.int64)
     for k in range(n_frames):
         lo, hi = bounds[k], bounds[k + 1]
         start = first + k * window_us
-        # Flat pixel index per window: a whole-stream index would hold one
-        # int64 per event for the whole call. ys is widened first, as int16
-        # y * w overflows from y = 32768 // w.
-        flat = stream.ys[lo:hi].astype(np.intp) * w + stream.xs[lo:hi]
-        # The touched pixels, ascending, and each event's rank among them.
-        pixels, rank = np.unique(flat, return_inverse=True)
+        pixels, positive, length, latest = _pixel_runs(
+            stream.xs[lo:hi], stream.ys[lo:hi], stream.ps[lo:hi], w, offsets[:hi - lo])
         values = np.zeros((3, pixels.size), dtype=np.float32)
-        pos = stream.ps[lo:hi] > 0
-        for c, sel in enumerate((pos, ~pos)):
-            counts = np.bincount(rank[sel], minlength=pixels.size)
+        for c, counts in enumerate((positive, length - positive)):
             m = counts.max(initial=0)
             if m > 0:
                 values[c] = counts / m
-        # Latest-event surface: timestamps are sorted, so a running max of
-        # the normalized in-window time keeps the last event per pixel.
-        tnorm = (stream.ts[lo:hi] - start).astype(np.float64) / window_us
-        np.maximum.at(values[2], rank, tnorm.astype(np.float32))
+        # Latest-event surface: ts is sorted, so a pixel's last event is its
+        # latest, and its float32 time is the maximum over the pixel's events.
+        values[2] = (stream.ts[lo:hi][latest] - start).astype(np.float64) / window_us
         yield EventFrame(pixels, values, w, h, start, start + window_us)
+
+
+# A stacking key holds a flat pixel index in its high 32 bits and the
+# event's offset in its window in the low 32. The sorted keys are read back
+# as their two 32-bit halves; which half comes first in memory follows the
+# byte order. A flat index is below 2**30, as sensor sides are at most
+# MAX_SENSOR_SIDE; an offset must fit the low half.
+_LOW, _HIGH = (0, 1) if sys.byteorder == "little" else (1, 0)
+_MAX_WINDOW_EVENTS = 1 << 32
+
+
+def _pixel_runs(xs: np.ndarray, ys: np.ndarray, ps: np.ndarray, w: int,
+                offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One window's touched pixels and what their events add up to, from
+    one sort of the keys (y * w + x) << 32 | offset, where `offsets` holds
+    0, 1, ..., one int64 per event.
+
+    Sorting groups each pixel's events into a run, ascending by pixel and,
+    within a pixel, by offset. Returns the touched pixels (int32,
+    ascending), each one's positive-event count and event count (intp), and
+    the offset of each one's last event. Every temporary holds one entry
+    per event or per touched pixel.
+    """
+    n = xs.size
+    if n == 0:
+        return (np.empty(0, dtype=np.intp),) * 4
+    # ys is widened first, as int16 y * w overflows from y = 32768 // w.
+    key = ys.astype(np.int64)
+    key *= w
+    key += xs
+    key <<= 32
+    key += offsets
+    key.sort()
+    pixel = key.view(np.int32)[_HIGH::2]
+    offset = key.view(np.uint32)[_LOW::2]
+    run_start = np.empty(n, dtype=bool)
+    run_start[0] = True
+    np.not_equal(pixel[1:], pixel[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    ends = np.append(starts[1:], n)
+    positive = np.add.reduceat(np.take(ps, offset) > 0, starts, dtype=np.intp)
+    return pixel[starts], positive, ends - starts, offset[ends - 1]
 
 
 def stack_events(stream: EventStream, window_us: int) -> list[EventFrame]:
@@ -359,7 +412,10 @@ def _bilinear_sample(frame: EventFrame, gx: np.ndarray, gy: np.ndarray,
         wy = wy * ((yi >= 0) & (yi < h))
         yc = np.clip(yi, top, bottom - 1) - top
         for dx, (wx, cols) in enumerate(columns):
-            np.multiply(wy[:, None], wx[None, :], out=weight)
+            # The outer product without the iterator buffers a broadcast
+            # multiply allocates (65 KiB at 256 samples). Exact only as both
+            # factors are >= +0: einsum writes +0.0 where a product is -0.0.
+            np.einsum("i,j->ij", wy, wx, out=weight)
             np.take(cols, yc, axis=1, out=corner, mode="clip")
             if dy == dx == 0:
                 np.multiply(weight, corner, out=out)

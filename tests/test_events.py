@@ -199,6 +199,113 @@ class TestStackMatchesUfuncAtOracle:
         assert edge.data[2, 11, 7] == np.float32(0.9999)
 
 
+@st.composite
+def windowed_streams(draw):
+    """(stream, window_us): a few windows on a small sensor, each holding no
+    event, one, or several, whose times cluster on the window's first and
+    last microsecond, so equal timestamps sit on both sides of an edge;
+    pixels repeat, and a window may hold one polarity only."""
+    w, h = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    window_us = draw(st.integers(1, 40))
+    first = draw(st.integers(0, 10 ** 6))
+    xs, ys, ts, ps = [], [], [], []
+    for k in range(draw(st.integers(1, 5))):
+        start = first + k * window_us
+        n = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 30)))
+        if k == 0:
+            n = max(n, 1)  # the first event sets the windows' origin
+        times = st.one_of(st.sampled_from([start, start + window_us - 1]),
+                          st.integers(start, start + window_us - 1))
+        polarities = draw(st.sampled_from([(-1, 1), (1,), (-1,)]))
+        ts += sorted(draw(st.lists(times, min_size=n, max_size=n)))
+        xs += draw(st.lists(st.integers(0, w - 1), min_size=n, max_size=n))
+        ys += draw(st.lists(st.integers(0, h - 1), min_size=n, max_size=n))
+        ps += draw(st.lists(st.sampled_from(polarities), min_size=n, max_size=n))
+    ts[0] = first  # the windows start at the first event
+    return EventStream(xs, ys, ts, ps, w, h), window_us
+
+
+class TestSortStacking:
+    """Each window is stacked with one sort of (pixel << 32 | offset) keys."""
+
+    def test_frames_equal_the_per_event_oracle(self):
+        seen = set()
+
+        @settings(max_examples=200)
+        @given(case=windowed_streams())
+        def check(case):
+            stream, window_us = case
+            expected = stack_oracle(stream, window_us)
+            for frames in (stack_events(stream, window_us),
+                           list(iter_event_frames(stream, window_us))):
+                assert len(frames) == len(expected)
+                for frame, dense in zip(frames, expected):
+                    want = dense.astype(np.float32)
+                    assert frame.pixels.dtype == np.int32
+                    assert frame.values.dtype == np.float32 and frame.data.dtype == np.float32
+                    assert frame.pixels.tolist() == np.flatnonzero(want.any(axis=0)).tolist()
+                    assert frame.data.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
+            edges = np.arange(len(expected) + 1) * window_us + int(stream.ts[0])
+            sizes = np.diff(np.searchsorted(stream.ts, edges))
+            flat = stream.ys.astype(np.int64) * stream.sensor_width + stream.xs
+            seen.update(name for name, hit in [
+                ("repeated_pixel", len(np.unique(flat)) < len(stream)),
+                ("equal_times_across_an_edge", any(
+                    (stream.ts == e - 1).sum() > 1 and (stream.ts == e).sum() > 1
+                    for e in edges[1:-1].tolist())),
+                ("one_event_window", bool((sizes == 1).any())),
+                ("empty_window", bool((sizes == 0).any())),
+                ("one_polarity_window", any(
+                    len(set(stream.ps[lo:hi].tolist())) == 1 and hi - lo > 1
+                    for lo, hi in zip(np.searchsorted(stream.ts, edges[:-1]),
+                                      np.searchsorted(stream.ts, edges[1:])))),
+            ] if hit)
+
+        check()
+        assert seen == {"repeated_pixel", "equal_times_across_an_edge", "one_event_window",
+                        "empty_window", "one_polarity_window"}
+
+    def test_last_pixel_of_the_largest_sensor(self):
+        # 32768 x 32768: the dense oracle would need 12 GiB per frame. The
+        # last pixel's flat index, 2**30 - 1, fills the key's high half.
+        side = evtrack.events.MAX_SENSOR_SIDE
+        last = side - 1
+        stream = make_stream([(last, last, 0, 1), (0, 0, 3, -1), (last, last, 5, -1),
+                              (last, last, 7, 1)], w=side, h=side)
+        (frame,) = stack_events(stream, 10)
+        assert frame.pixels.tolist() == [0, 2 ** 30 - 1]
+        want = np.array([[0.0, 1.0], [1.0, 1.0], [0.3, 0.7]], dtype=np.float32)
+        assert frame.values.tobytes() == want.tobytes()
+        corner = np.zeros((3, 2, 2), np.float32)
+        corner[:, 1, 1] = want[:, 1]
+        assert frame.region(side - 2, side - 2, side, side).tobytes() == corner.tobytes()
+
+    def test_window_beyond_the_offset_bound_raises(self, monkeypatch):
+        # The bound is 2**32 events; a stand-in of 3 shows where it applies.
+        monkeypatch.setattr(evtrack.events, "_MAX_WINDOW_EVENTS", 3)
+        three = make_stream([(1, 1, 0, 1), (2, 1, 1, -1), (1, 1, 2, 1), (3, 3, 10, 1)])
+        assert len(stack_events(three, 10)) == 2
+        four = make_stream([(1, 1, 0, 1), (2, 1, 1, -1), (1, 1, 2, 1), (3, 3, 9, 1)])
+        frames = iter_event_frames(four, 10)
+        with pytest.raises(ValueError, match="4 events; stacking takes at most 3 per window"):
+            next(frames)
+
+    def test_one_window_on_the_largest_sensor_takes_below_128_bytes_per_event(self):
+        # A temporary with one entry per sensor pixel would take about 1 GiB
+        # here, 54 kB per event.
+        rng = np.random.default_rng(4)
+        n, side = 20_000, evtrack.events.MAX_SENSOR_SIDE
+        stream = random_stream(rng, n, side, side, 10_000)
+        tracemalloc.start()
+        try:
+            frames = stack_events(stream, 10_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(frames) == 1 and frames[0].pixels.size > 0.99 * n
+        assert peak / n < 128
+
+
 class TestWindowBounds:
     """Window bounds from the sorted timestamps equal those from a
     whole-stream window index, for non-negative integer times."""

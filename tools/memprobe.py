@@ -16,7 +16,11 @@ not set the process's maximum. tracemalloc counts bytes reserved, not
 pages written, so next to it stands the rise of the process's peak
 resident set (VmHWM) across the load, per event: what the load made
 resident beyond every earlier peak, 0 where set-up peaked higher before
-it (the Vim-S workloads' 33k events). Once the tracker
+it (the Vim-S workloads' 33k events). `stack_events` is timed by wall
+clock (`stack_s`); its largest window, the one with the most events, is
+then stacked again alone under tracemalloc, whose peak per event of that
+window (`stack_peak_bytes_per_event`) is the stacker's temporaries plus
+the frame it returns. Once the tracker
 has forked its two helper children (the backward-direction helper and the
 pass helper that runs the deferred fuses), it also records each child's
 peak resident set (VmHWM), which this process's ru_maxrss does not include,
@@ -52,12 +56,14 @@ import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from evtrack import BBox, Tracker, blas, init_model, load_config, load_weights, stack_events  # noqa: E402
-from evtrack.events import load_events_csv  # noqa: E402
+from evtrack.events import EventStream, load_events_csv  # noqa: E402
 from workloads import WORKLOADS, prepare  # noqa: E402
 
 
@@ -89,6 +95,26 @@ def peak_mib() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+def largest_window_peak(stream: EventStream, window_us: int) -> tuple[int, int]:
+    """(events, tracemalloc peak in bytes) of stacking the stream's window
+    with the most events alone. Its events span less than one window, so
+    they stack into one frame."""
+    first = int(stream.ts[0])
+    n_frames = (int(stream.ts[-1]) - first) // window_us + 1
+    bounds = np.searchsorted(stream.ts, first + np.arange(n_frames + 1) * window_us)
+    k = int(np.argmax(np.diff(bounds)))
+    lo, hi = int(bounds[k]), int(bounds[k + 1])
+    window = EventStream(stream.xs[lo:hi], stream.ys[lo:hi], stream.ts[lo:hi],
+                         stream.ps[lo:hi], stream.sensor_width, stream.sensor_height)
+    tracemalloc.start()
+    try:
+        stack_events(window, window_us)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return hi - lo, peak
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
@@ -115,8 +141,11 @@ def main(argv: list[str] | None = None) -> int:
     load_hwm_rise = (status_mib("VmHWM:") - hwm_before) * 2 ** 20
     stages["load_events_csv"] = (rss_mib(), peak_mib())
     stream_bytes = sum(getattr(stream, name).nbytes for name in ("ts", "xs", "ys", "ps"))
+    t0 = perf_counter()
     frames = stack_events(stream, config.window_us)
+    stack_s = perf_counter() - t0
     stages["stack_events"] = (rss_mib(), peak_mib())
+    window_events, window_peak = largest_window_peak(stream, config.window_us)
     frame_bytes = sum(frame.nbytes for frame in frames)
     tracker = Tracker(config, model)
     tracker.init(frames[0], BBox(*inputs.boxes[0]))
@@ -171,6 +200,9 @@ def main(argv: list[str] | None = None) -> int:
         "load_peak_bytes_per_event": round(load_peak / max(len(stream), 1), 2),
         "stream_held_bytes_per_event": round(held / max(len(stream), 1), 2),
         "load_hwm_rise_bytes_per_event": round(load_hwm_rise / max(len(stream), 1), 2),
+        "stack_s": round(stack_s, 4),
+        "stack_largest_window_events": window_events,
+        "stack_peak_bytes_per_event": round(window_peak / max(window_events, 1), 2),
         "frame_bytes": frame_bytes,
         "frame_bytes_per_frame": round(frame_bytes / max(len(frames), 1), 1),
         "helper_reruns": reruns,
