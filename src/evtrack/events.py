@@ -65,8 +65,8 @@ class EventStream:
     """Time-ordered event arrays plus the sensor geometry they live on.
 
     Immutable after construction; timestamps must be non-decreasing and all
-    coordinates must lie on the sensor. Any integer input is checked in its
-    own dtype (other input is first converted to int64), and only then
+    coordinates must lie on the sensor. Every column must have an integer
+    dtype, else ValueError; it is checked in its own dtype, and only then
     stored compactly: ts int64, xs/ys int16, ps int8, 13 bytes per event.
     Sensor sides above MAX_SENSOR_SIDE (32768 px) are rejected, so a stored
     coordinate never wraps.
@@ -83,7 +83,7 @@ class EventStream:
         for name in _COLUMN_DTYPES:
             arr = np.asarray(getattr(self, name))
             if arr.dtype.kind not in "iu":
-                arr = arr.astype(np.int64)
+                raise ValueError(f"event column {name} must be integer, not {arr.dtype}")
             object.__setattr__(self, name, arr)
         n = self.xs.size
         if not (self.ys.size == self.ts.size == self.ps.size == n):

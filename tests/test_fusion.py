@@ -49,7 +49,7 @@ def test_six_templates_consume_384_concatenated_rows():
     assert 6 * n_z == 384
 
 
-def test_shared_mode_aliases_backbone_parameters(setup, monkeypatch):
+def test_regenerations_run_the_backbone_with_the_tracker_workspace(setup, monkeypatch):
     # The Memory Mamba is the backbone itself: every regeneration the
     # tracker runs (init inline, and a deferred fuse after a push) gets
     # model.backbone and the tracker's workspace. The inline fuse runs with
@@ -130,7 +130,7 @@ def test_lt_fusion_uses_frame_order(setup):
                                             params))
 
 
-def test_shared_mode_adds_no_parameters(setup):
+def test_fusion_adds_no_parameters(setup):
     # Fusion owns no parameters: the model is the patch embedding, the
     # backbone and the head.
     _, model, _ = setup

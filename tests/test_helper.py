@@ -223,9 +223,12 @@ def test_tracker_without_fork_tracks_the_same_boxes(monkeypatch):
     with_helper = track_frames(cfg, model, frames, gt[0])
     monkeypatch.delattr(os, "fork")
     tracker = Tracker(cfg, model)
-    tracker.init(frames[0], gt[0])
-    assert tracker.helper is None and tracker.pass_helper is None
-    assert [tracker.step(f) for f in frames[1:]] == with_helper[1:]
+    try:
+        tracker.init(frames[0], gt[0])
+        assert tracker.helper is None and tracker.pass_helper is None
+        assert [tracker.step(f) for f in frames[1:]] == with_helper[1:]
+    finally:
+        tracker.close()
 
 
 # -- lifecycle ----------------------------------------------------------------

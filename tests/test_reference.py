@@ -124,8 +124,9 @@ def assert_same_bytes(got, want, what, t):
 def test_tracker_equals_reference_loop(depth, update_interval, st_capacity, lt_capacity,
                                        regenerate_every_frame, geometry, model_seed,
                                        scene_seed):
-    # The two examples are the golden run's configs: random LT sizes above 2
-    # almost never accept an admission.
+    # The examples are the golden run's config in both modes (the golden
+    # CSVs pin only the default one): random LT sizes above 2 almost never
+    # accept an admission.
     cfg = small_config(depth=depth, update_interval=update_interval,
                        st_capacity=st_capacity, lt_capacity=lt_capacity,
                        regenerate_every_frame=regenerate_every_frame, seed=model_seed,

@@ -357,17 +357,21 @@ def test_non_finite_activation_names_its_frame(monkeypatch):
         return tokens
 
     monkeypatch.setattr(tracker_module, "patch_embed", poisoned)
-    tracker.init(frames[0], gt[0])
-    for frame in frames[1:3]:
-        tracker.step(frame)
-    with pytest.raises(ValueError, match="^frame 3: non-finite input$") as info:
-        tracker.step(frames[3])
+    try:
+        tracker.init(frames[0], gt[0])
+        for frame in frames[1:3]:
+            tracker.step(frame)
+        with pytest.raises(ValueError, match="^frame 3: non-finite input$") as info:
+            tracker.step(frames[3])
+    finally:
+        tracker.close()
     assert str(info.value.__cause__) == "non-finite input"
 
 
-def test_blas_restore_returns_to_the_count_before_the_first_pin(monkeypatch):
+def test_blas_restore_returns_to_the_count_before_the_first_pin():
     # Pins nest, one per open tracker: the last unpin restores the count
-    # saved by the first pin. Pins held by other trackers stay held.
+    # saved by the first pin.
+    assert blas._pins == 0  # no tracker left open, so `before` is unpinned
     before = blas.threads()
     if before is None:
         pytest.skip("no OpenBLAS thread symbols in this numpy")
@@ -378,6 +382,5 @@ def test_blas_restore_returns_to_the_count_before_the_first_pin(monkeypatch):
     assert blas.threads() == 1  # the first pin is still held
     blas.unpin()
     assert blas.threads() == before
-    monkeypatch.setattr(blas, "_pins", 0)
     with pytest.raises(RuntimeError, match="unpin without a pin"):
         blas.unpin()
