@@ -26,25 +26,15 @@ the scan needs no series branch there. An a so small that 1/a overflows
 Blocking changes no arithmetic: the result is bit-identical to one
 whole-length recurrence in the same layout, which the tests keep as the
 reference.
-
-`scan_backward` reruns the same blocks, keeping only each block's entry
-state. Its own factor, _phi_prime, takes a series below SERIES_THRESHOLD.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import Workspace, sigmoid, softplus
-
-# Below this |u| the closed form of _phi_prime cancels (relative error about
-# 4 eps / u^2, 2e-8 at 1e-4 in float64); its Taylor series to u^17 is within
-# float64 rounding there, and the closed form is from 1 on.
-SERIES_THRESHOLD = 1.0
-_PHI_PRIME_SERIES = tuple((k + 1) / math.factorial(k + 2) for k in reversed(range(18)))
+from .ops import Workspace, softplus
 
 
 @dataclass
@@ -100,17 +90,6 @@ def init_ssm_params(d_inner: int, d_state: int, dt_rank: int,
     )
 
 
-def _phi_prime(u: np.ndarray) -> np.ndarray:
-    """d/du of (exp(u) - 1) / u. With u = delta * a, the a-derivative of
-    b_bar = ((exp(u) - 1) / a) * B is delta^2 * _phi_prime(u) * B."""
-    u = np.asarray(u)
-    small = np.abs(u) < SERIES_THRESHOLD
-    safe = np.where(small, 1.0, u)
-    closed = (np.exp(safe) * (safe - 1.0) + 1.0) / (safe * safe)
-    series = np.polyval(_PHI_PRIME_SERIES, u)
-    return np.where(small, series, closed).astype(u.dtype)
-
-
 def _check_input(u: np.ndarray, ws: Workspace) -> np.ndarray:
     u = np.asarray(u)
     if u.ndim != 2:
@@ -133,28 +112,25 @@ def _state_matrix(params: SSMParams, dtype) -> tuple[np.ndarray, np.ndarray]:
     return a_t, inv_a_t
 
 
-def _selection(u: np.ndarray, params: SSMParams, ws: Workspace | None = None,
-               scratch: np.ndarray | None = None):
-    """Input-dependent (delta, B, C) for every token, vectorized over L.
+def _selection(u: np.ndarray, params: SSMParams, ws: Workspace,
+               scratch: np.ndarray):
+    """Input-dependent (B, C, pre, delta) for every token, vectorized over L.
 
-    Every returned array is a view of a buffer of `ws` (a fresh Workspace
-    if None). `scratch`, if given, is an (L, d_inner) buffer for softplus;
-    without it softplus allocates one.
+    Every returned array is a view of a buffer of `ws`; pre is delta's
+    softplus argument. `scratch` is an (L, d_inner) buffer for softplus.
     """
-    ws = Workspace() if ws is None else ws
     dtype = u.dtype
     L = u.shape[0]
     x_proj, dt_proj, dt_bias = (p.astype(dtype, copy=False)
                                 for p in (params.x_proj, params.dt_proj, params.dt_bias))
     r, n, d = params.dt_rank, params.d_state, params.d_inner
     xdbl = np.matmul(u, x_proj, out=ws.take("scan.xdbl", (L, r + 2 * n), dtype))
-    dt_logit = xdbl[:, :r]
     b_sel = xdbl[:, r:r + n]
     c_sel = xdbl[:, r + n:]
-    pre = np.matmul(dt_logit, dt_proj, out=ws.take("scratch.0", (L, d), dtype))
+    pre = np.matmul(xdbl[:, :r], dt_proj, out=ws.take("scratch.0", (L, d), dtype))
     pre += dt_bias
     delta = softplus(pre, out=ws.take("scratch.1", (L, d), dtype), scratch=scratch)
-    return dt_logit, b_sel, c_sel, pre, delta
+    return b_sel, c_sel, pre, delta
 
 
 def _coefficients_into(u_sl: np.ndarray, delta_sl: np.ndarray, b_sl: np.ndarray,
@@ -216,7 +192,7 @@ def scan_forward_chunked(u: np.ndarray, params: SSMParams, ws: Workspace | None 
     dtype = u.dtype
     y = np.empty((L, d), dtype=dtype) if out is None else out
     # y is written only by the emission below, so it holds softplus's scratch.
-    _, b_sel, c_sel, pre, delta = _selection(u, params, ws, scratch=y)
+    b_sel, c_sel, pre, delta = _selection(u, params, ws, scratch=y)
     a_t, inv_a_t = _state_matrix(params, dtype)
     n = params.d_state
 
@@ -237,79 +213,3 @@ def scan_forward_chunked(u: np.ndarray, params: SSMParams, ws: Workspace | None 
     y += np.multiply(u, params.d_skip.astype(dtype, copy=False), out=pre)
     return y
 
-
-def scan_backward(u: np.ndarray, params: SSMParams,
-                  dy: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Reverse-mode gradients of scan_forward_chunked.
-
-    Returns (dL/du, grads) where grads has one entry per SSMParams field.
-    The states are the forward scan's, in its blocks: a forward sweep keeps
-    only the state entering each block, and the reverse sweep rebuilds one
-    block's states from it. The adjoint lam_t = dL/dh_t runs the same
-    recurrence backwards, lam_t = a_bar_{t+1} lam_{t+1} + C_t dy_t. Sums over
-    tokens run in one fixed order, so no gradient depends on the block size.
-    """
-    ws = Workspace()
-    u = _check_input(u, ws)
-    dy = np.asarray(dy, dtype=u.dtype)
-    if dy.shape != u.shape:
-        raise ValueError("cotangent shape mismatch")
-    (L, d), n, r, dtype = u.shape, params.d_state, params.dt_rank, u.dtype
-    d_skip, x_proj, dt_proj = (p.astype(dtype, copy=False)
-                               for p in (params.d_skip, params.x_proj, params.dt_proj))
-    a_t, inv_a_t = _state_matrix(params, dtype)
-    dt_logit, b_sel, c_sel, pre, delta = _selection(u, params, ws)
-
-    block = max(1, min(L, _BLOCK_BYTES // (d * n * dtype.itemsize)))
-    starts = range(0, L, block)
-    abar_buf, bx_buf, g_buf, lam_buf = (np.empty((block, n, d), dtype) for _ in range(4))
-    hs_buf = np.empty((block + 1, n, d), dtype)
-    entries = np.zeros((len(starts), n, d), dtype)  # the state entering each block
-
-    def rebuild(k: int):
-        """Block k's slice, a_bar and states, its entry state first."""
-        sl = slice(starts[k], min(L, starts[k] + block))
-        m = sl.stop - sl.start
-        abar, hs = abar_buf[:m], hs_buf[:m + 1]
-        _coefficients_into(u[sl], delta[sl], b_sel[sl], a_t, inv_a_t, abar, bx_buf[:m])
-        hs[0] = entries[k]
-        _seeded_states(abar, bx_buf[:m], hs[0], hs[1:])
-        return sl, abar, hs
-
-    for k in range(1, len(starts)):
-        entries[k] = rebuild(k - 1)[2][-1]
-
-    du = dy * d_skip
-    d_delta = np.empty((L, d), dtype)
-    d_xdbl = np.empty((L, r + 2 * n), dtype)  # dL/d(dt_logit, B, C)
-    g_a = np.zeros((n, d), dtype)
-    carry = np.zeros((n, d), dtype)  # a_bar lam of the token after the block
-    for k in reversed(range(len(starts))):
-        sl, abar, hs = rebuild(k)
-        m = abar.shape[0]
-        # lam, last token first: a_bar of the token after, times its lam, plus g.
-        g = np.multiply(c_sel[sl, :, None], dy[sl, None, :], out=g_buf[:m])
-        lam = lam_buf[:m]
-        np.add(g[-1], carry, out=lam[-1])
-        _seeded_states(abar[1:][::-1], g[:-1][::-1], lam[-1], lam[:-1][::-1])
-        np.multiply(abar[0], lam[0], out=carry)
-
-        delta_t, b_t = delta[sl, None, :], b_sel[sl, :, None]
-        da = delta_t * a_t
-        q = np.expm1(da) * inv_a_t  # b_bar / B
-        d_abar, d_bbar = lam * hs[:-1], lam * u[sl, None, :]
-        du[sl] += (lam * q * b_t).sum(axis=1)
-        d_delta[sl] = ((d_abar * a_t + d_bbar * b_t) * abar).sum(axis=1)
-        d_xdbl[sl, r:r + n] = (d_bbar * q).sum(axis=2)
-        d_xdbl[sl, r + n:] = (hs[1:] * dy[sl, None, :]).sum(axis=2)
-        g_a_block = d_abar * delta_t * abar + d_bbar * delta_t ** 2 * _phi_prime(da) * b_t
-        for row in g_a_block[::-1]:  # token by token, last first
-            g_a += row
-
-    d_pre = d_delta * sigmoid(pre)
-    d_xdbl[:, :r] = d_pre @ dt_proj.T
-    du += d_xdbl @ x_proj.T
-    grads = {"a_log": np.ascontiguousarray((g_a * a_t).T),  # through a = -exp(a_log)
-             "d_skip": np.einsum("td,td->d", dy, u), "x_proj": u.T @ d_xdbl,
-             "dt_proj": dt_logit.T @ d_pre, "dt_bias": d_pre.sum(axis=0)}
-    return du, grads

@@ -1,10 +1,11 @@
 """Shared test helpers: small model builders, an install recorder, frames
-from dense arrays, the bitwise scan reference and gradient comparison."""
+from dense arrays and the bitwise scan reference."""
 
 import numpy as np
 
 from evtrack.config import TrackerConfig
 from evtrack.events import EventFrame, SynthConfig
+from evtrack.ops import Workspace
 from evtrack.model import init_model
 from evtrack.ssm import _coefficients_into, _selection, _state_matrix
 from evtrack.tracker import Tracker
@@ -60,7 +61,7 @@ def unblocked_scan(u, params):
     """Whole-length scan: every token's coefficients at once, then one plain
     recurrence from the zero state; the reference for scan_forward_chunked.
     Same state-major (L, d_state, d_inner) arithmetic, unblocked."""
-    _, b_sel, c_sel, _, delta = _selection(u, params)
+    b_sel, c_sel, _, delta = _selection(u, params, Workspace(), np.empty_like(u))
     a_t, inv_a_t = _state_matrix(params, u.dtype)
     L, d = u.shape
     a_bar = np.empty((L, params.d_state, d), dtype=u.dtype)
@@ -74,23 +75,3 @@ def unblocked_scan(u, params):
         hs[t] = h
     return (c_sel[:, None, :] @ hs)[:, 0] + u * params.d_skip.astype(u.dtype, copy=False)
 
-
-def assert_grad_close(analytic, fd, rtol=1e-4, atol=1e-7):
-    """Elementwise |a - b| <= atol + rtol * max(|a|, |b|)."""
-    analytic = np.asarray(analytic, dtype=np.float64)
-    fd = np.asarray(fd, dtype=np.float64)
-    tol = atol + rtol * np.maximum(np.abs(analytic), np.abs(fd))
-    bad = np.abs(analytic - fd) > tol
-    assert not bad.any(), (
-        f"{int(bad.sum())} gradient entries disagree; worst "
-        f"analytic={analytic[bad].ravel()[0]:.6g} fd={fd[bad].ravel()[0]:.6g}")
-
-
-def central_difference(fn, arr, idx, eps=1e-4):
-    orig = arr[idx]
-    arr[idx] = orig + eps
-    hi = fn()
-    arr[idx] = orig - eps
-    lo = fn()
-    arr[idx] = orig
-    return (hi - lo) / (2 * eps)

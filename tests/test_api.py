@@ -4,14 +4,13 @@ import evtrack
 
 # Every name in `evtrack.__all__`, so adding or removing one shows here.
 PUBLIC = {
-    "BBox", "EvalReport", "EventFrame", "EventStream", "HeadOutputs", "LossWeights",
+    "BBox", "EvalReport", "EventFrame", "EventStream", "HeadOutputs",
     "MemoryLibrary", "ModelParams", "RegionPatch", "SSMParams", "SynthConfig",
     "TemplateFeature", "Tracker", "TrackerConfig", "WeightFileError", "count_params",
-    "crop_region", "decode_bbox", "evaluate", "focal_loss", "giou",
-    "head_forward", "init_model", "iou", "iter_event_frames",
-    "load_config", "load_weights", "patch_embed", "pearson", "save_weights",
-    "scan_backward", "scan_forward_chunked", "stack_events", "synth_stream",
-    "total_loss", "track_frames", "track_sequence",
+    "crop_region", "decode_bbox", "evaluate", "head_forward", "init_model", "iou",
+    "iter_event_frames", "load_config", "load_weights", "patch_embed", "pearson",
+    "save_weights", "scan_forward_chunked", "stack_events", "synth_stream",
+    "track_frames", "track_sequence",
 }
 
 

@@ -1,11 +1,12 @@
-"""evaluate: SR / PR / NPR on hand-built box sequences with known answers."""
+"""evaluate: SR / PR / NPR on hand-built box sequences with known answers;
+the Gaussian score labels."""
 
 import numpy as np
 import pytest
 
 from evtrack.events import BBox
-from evtrack.losses import iou
-from evtrack.metrics import IOU_THRESHOLDS, PRECISION_THRESHOLD_PX, evaluate
+from evtrack.metrics import (IOU_THRESHOLDS, PRECISION_THRESHOLD_PX, evaluate,
+                             gaussian_heatmap, gaussian_radius, iou)
 
 
 def test_identical_boxes_score_one():
@@ -45,3 +46,15 @@ def test_precision_counts_an_error_of_exactly_twenty_px():
 def test_length_mismatch_and_empty_input_rejected(pred, gt):
     with pytest.raises(ValueError):
         evaluate(pred, gt)
+
+
+class TestGaussianTarget:
+    def test_peak_is_exactly_one(self):
+        hm = gaussian_heatmap((16, 16), (7, 9), 2.7)
+        assert hm[7, 9] == 1.0
+        assert hm.max() == 1.0
+        assert np.all(hm >= 0)
+
+    def test_radius_positive_for_typical_boxes(self):
+        assert gaussian_radius(4.0, 4.0) > 0
+        assert gaussian_radius(1.0, 1.0) >= 0

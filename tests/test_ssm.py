@@ -1,15 +1,14 @@
-import math
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from evtrack import ssm
-from evtrack.ssm import (SSMParams, _coefficients_into, _phi_prime, _seeded_states,
-                         init_ssm_params, scan_backward, scan_forward_chunked)
+from evtrack.ops import Workspace
+from evtrack.ssm import (_coefficients_into, _seeded_states, init_ssm_params,
+                         scan_forward_chunked)
 
-from _utils import assert_grad_close, central_difference, unblocked_scan
+from _utils import unblocked_scan
 
 
 def _sequential_oracle(u, params):
@@ -42,22 +41,7 @@ def rel_err(y, ref):
 
 
 class TestDiscretize:
-    """Zero-order-hold coefficients: the scan's a_bar and the adjoint's series."""
-
-    def test_series_branch_continuity(self):
-        # Python floats run in float64, where the two steps straddle the
-        # threshold. Both branches of _phi_prime must give its Taylor series,
-        # summed exactly in rationals, to 1e-15 there (each is within 2.1e-16):
-        # dropping the series' last two terms errs by 9e-15.
-        below, above = 1 - 1e-9, 1 + 1e-9
-        for sign in (-1.0, 1.0):
-            for step in (below, above):
-                u = sign * step * ssm.SERIES_THRESHOLD
-                want = float(sum((k + 1) * Fraction(u) ** k / math.factorial(k + 2)
-                                 for k in range(40)))
-                got = _phi_prime(np.float64(u))
-                assert got.dtype == np.float64
-                assert abs(got - want) <= 1e-15 * abs(want)
+    """Zero-order-hold coefficients: the scan's a_bar."""
 
     def test_a_bar_in_unit_interval(self):
         rng = np.random.default_rng(1)
@@ -129,7 +113,7 @@ class TestScanForward:
         params.x_proj[:, params.dt_rank:] = np.abs(params.x_proj[:, params.dt_rank:])
         length = 3 * block_tokens(768, 16, dtype) + 3
         u = np.abs(rng.standard_normal((length, 768))).astype(dtype)
-        delta = ssm._selection(u, params)[-1]
+        delta = ssm._selection(u, params, Workspace(), np.empty_like(u))[-1]
         assert np.mean(np.abs(delta[:, :, None] * np.exp(params.a_log)) < 1e-4) > 0.9
         assert rel_err(scan_forward_chunked(u, params), _sequential_oracle(u, params)) < 1e-6
 
@@ -155,8 +139,6 @@ class TestScanForward:
         u = np.ones((4, 2), dtype=np.float32)
         with pytest.raises(ValueError, match="a_log"):
             scan_forward_chunked(u, params)
-        with pytest.raises(ValueError, match="a_log"):
-            scan_backward(u, params, u)
 
     def test_non_finite_input_rejected(self):
         params = init_ssm_params(2, 2, 1, np.random.default_rng(0))
@@ -228,101 +210,3 @@ def test_scan_blocking_no_regression():
     print(f"blocked scan speed-up {t_ref / t_blk:.2f}x")  # shown by pytest -rP
     assert t_ref / t_blk >= 1.0, f"blocked scan slower: {t_ref / t_blk:.2f}x"
 
-
-class TestScanBackward:
-    def test_zero_cotangent_gives_zero_gradients(self):
-        rng = np.random.default_rng(10)
-        params = init_ssm_params(3, 2, 2, rng, np.float64)
-        u = rng.standard_normal((8, 3))
-        du, grads = scan_backward(u, params, np.zeros_like(u))
-        assert np.all(du == 0)
-        assert all(np.all(g == 0) for g in grads.values())
-
-    def test_symbolic_unroll_oracle(self):
-        """d_inner = d_state = dt_rank = 1, L = 3, differentiated with sympy."""
-        sympy = pytest.importorskip("sympy")
-        vals = {
-            "al": 0.3, "skip": 0.7, "wdt": 0.4, "wb": -0.8, "wc": 0.9,
-            "p": 1.1, "beta": -0.6, "u1": 0.5, "u2": -1.2, "u3": 0.8,
-            "g1": 1.3, "g2": -0.4, "g3": 0.9,
-        }
-        al, skip, wdt, wb, wc, p, beta = sympy.symbols("al skip wdt wb wc p beta")
-        u1, u2, u3, g1, g2, g3 = sympy.symbols("u1 u2 u3 g1 g2 g3")
-        a = -sympy.exp(al)
-        h = sympy.Integer(0)
-        loss = sympy.Integer(0)
-        for ut, gt in ((u1, g1), (u2, g2), (u3, g3)):
-            pre = ut * wdt * p + beta
-            delta = sympy.log(1 + sympy.exp(pre))
-            a_bar = sympy.exp(delta * a)
-            b_bar = (sympy.exp(delta * a) - 1) / a * (ut * wb)
-            h = a_bar * h + b_bar * ut
-            loss = loss + gt * ((ut * wc) * h + skip * ut)
-
-        symbols = dict(al=al, skip=skip, wdt=wdt, wb=wb, wc=wc, p=p, beta=beta,
-                       u1=u1, u2=u2, u3=u3)
-        expected = {name: float(sympy.diff(loss, s).subs(vals))
-                    for name, s in symbols.items()}
-
-        params = SSMParams(
-            a_log=np.array([[vals["al"]]]),
-            d_skip=np.array([vals["skip"]]),
-            x_proj=np.array([[vals["wdt"], vals["wb"], vals["wc"]]]),
-            dt_proj=np.array([[vals["p"]]]),
-            dt_bias=np.array([vals["beta"]]),
-        )
-        u = np.array([[vals["u1"]], [vals["u2"]], [vals["u3"]]])
-        w = np.array([[vals["g1"]], [vals["g2"]], [vals["g3"]]])
-        du, grads = scan_backward(u, params, w)
-
-        assert_grad_close(grads["a_log"][0, 0], expected["al"], rtol=1e-9, atol=1e-12)
-        assert_grad_close(grads["d_skip"][0], expected["skip"], rtol=1e-9, atol=1e-12)
-        assert_grad_close(grads["x_proj"][0],
-                          [expected["wdt"], expected["wb"], expected["wc"]],
-                          rtol=1e-9, atol=1e-12)
-        assert_grad_close(grads["dt_proj"][0, 0], expected["p"], rtol=1e-9, atol=1e-12)
-        assert_grad_close(grads["dt_bias"][0], expected["beta"], rtol=1e-9, atol=1e-12)
-        assert_grad_close(du[:, 0], [expected["u1"], expected["u2"], expected["u3"]],
-                          rtol=1e-9, atol=1e-12)
-
-    def test_finite_difference_small_instance(self):
-        rng = np.random.default_rng(11)
-        params = init_ssm_params(4, 4, 2, rng, np.float64)
-        u = rng.standard_normal((16, 4))
-        w = rng.standard_normal((16, 4))
-
-        def loss():
-            return float(np.sum(w * scan_forward_chunked(u, params)))
-
-        du, grads = scan_backward(u, params, w)
-        for i in range(16):
-            for j in range(4):
-                assert_grad_close(du[i, j], central_difference(loss, u, (i, j)))
-        for name in ("a_log", "d_skip", "x_proj", "dt_proj", "dt_bias"):
-            arr = getattr(params, name)
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                assert_grad_close(grads[name][idx], central_difference(loss, arr, idx))
-
-    def test_gradients_independent_of_block_size(self, monkeypatch):
-        # 1-token blocks, 5-token blocks with a ragged tail, one whole block.
-        rng = np.random.default_rng(14)
-        params = init_ssm_params(6, 16, 2, rng, np.float64)
-        params.a_log[:] = rng.uniform(np.log(0.05), np.log(20.0), params.a_log.shape)
-        u = rng.standard_normal((23, 6))
-        w = rng.standard_normal((23, 6))
-        runs = []
-        for tokens in (1, 5, 23):
-            monkeypatch.setattr(ssm, "_BLOCK_BYTES", tokens * 6 * 16 * 8)
-            runs.append(scan_backward(u, params, w))
-        (du, grads), rest = runs[0], runs[1:]
-        for du_k, grads_k in rest:
-            np.testing.assert_array_equal(du_k, du)
-            for name, g in grads.items():
-                np.testing.assert_array_equal(grads_k[name], g, err_msg=name)
-
-    def test_shape_mismatch_rejected(self):
-        params = init_ssm_params(2, 2, 1, np.random.default_rng(0), np.float64)
-        with pytest.raises(ValueError, match="shape"):
-            scan_backward(np.ones((4, 2)), params, np.ones((3, 2)))
